@@ -241,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", "-i", default=None, help="input JSON (default stdin)")
         p.add_argument("--output", "-o", default=None, help="output path (default stdout)")
         p.add_argument("--tol", type=float, default=1e-8, help="acceptance tolerance")
-        p.add_argument("--grid", type=int, default=2000, help="oracle grid size")
 
     p = sub.add_parser("classify", help="classify a moment vector against the cone")
     common(p)
@@ -285,8 +284,8 @@ def main(argv: list[str] | None = None) -> int:
     _configure_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "tol", 1e-8) <= 0 or getattr(args, "grid", 2000) < 2:
-        print("error: --tol must be > 0 and --grid >= 2", file=sys.stderr)
+    if args.tol <= 0:
+        print("error: --tol must be > 0", file=sys.stderr)
         return EXIT_INVALID_INPUT
     try:
         if args.command == "classify":

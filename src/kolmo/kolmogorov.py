@@ -31,9 +31,8 @@ from .errors import (
 from .oracle import t_max_heuristic
 from .representations import (
     ACCEPT_TOL,
-    _Workspace,
-    _ascending_indices,
-    interlace_hints,
+    lowest_structure,
+    pinned_representation,
     solve_structure,
 )
 from .splines import IdealSpline, evaluate, norms, spline_from_representation
@@ -94,19 +93,13 @@ def interior_spline(
 def boundary_spline(M: NormVector, tol: float = ACCEPT_TOL) -> IdealSpline:
     """Minimal spline with at most floor((d-1)/2) knots matching all d norms."""
     _require_positive(M)
-    c = moment_coordinates(M)
-    k1_zero = M.exponents.exponents[0] == 0
-    ws = _Workspace(c)
-    for _twice, n_pos, with_zero in _ascending_indices(M.d, k1_zero, M.d - 1):
-        try:
-            rep = solve_structure(c, n_pos, with_zero, tol=tol, workspace=ws)
-        except (NumericalFailureError, DomainError):
-            continue
-        return spline_from_representation(rep, M.family)
-    raise NotBoundaryError(
-        "no spline with at most floor((d-1)/2) knots matches the tuple; it is "
-        "not a boundary point"
-    )
+    found = lowest_structure(moment_coordinates(M), M.d - 1, tol)
+    if found is None:
+        raise NotBoundaryError(
+            "no spline with at most floor((d-1)/2) knots matches the tuple; "
+            "it is not a boundary point"
+        )
+    return spline_from_representation(found[1], M.family)
 
 
 def canonical_spline(
@@ -119,39 +112,15 @@ def canonical_spline(
         raise DomainError(f"canonical spline needs an odd norm count, got {M.d}")
     _require_positive(M)
     c = moment_coordinates(M)
-    u_star = 1.0 / a_star
-    principal = _check_pin_coincidence(c, u_star, tol)
-    hints = interlace_hints(principal, u_star) if principal is not None else None
-    rep = solve_structure(
-        c, (M.d + 1) // 2, False, pinned=(u_star,), tol=tol, free_hint=hints
-    )
+    # The knot-minimal structure, when it solves, guards and seeds the pin.
+    principal = None
+    if c.exponents.exponents[0] == 0:
+        try:
+            principal = solve_structure(c, (M.d - 1) // 2, True, tol=tol)
+        except (NumericalFailureError, DomainError):
+            pass
+    rep = pinned_representation(c, 1.0 / a_star, principal, tol)
     return spline_from_representation(rep, M.family)
-
-
-def _check_pin_coincidence(c: MomentVector, u_star: float, tol: float):
-    """Reject pins that collide with a root of the knot-minimal structure.
-
-    Returns that minimal (principal) structure when it exists, for use as an
-    interlacing reference, and ``None`` otherwise.
-    """
-    d = c.d
-    if d % 2 == 1 and c.exponents.exponents[0] != 0:
-        return None  # no square unpinned structure exists; rely on the solve
-    n_pos, with_zero = (d // 2, False) if d % 2 == 0 else ((d - 1) // 2, True)
-    try:
-        principal = solve_structure(c, n_pos, with_zero, tol=tol)
-    except (NumericalFailureError, DomainError):
-        return None
-    theta = t_max_heuristic(c)
-    for atom in principal.atoms:
-        if atom.node > 0 and abs(atom.node - u_star) <= 1e-8 * theta:
-            from .errors import PinnedNodeCoincidenceError
-
-            raise PinnedNodeCoincidenceError(
-                f"prescribed knot {1.0 / u_star} coincides with a root of the "
-                "minimal structure; the pinned system degenerates"
-            )
-    return principal
 
 
 def matching_spline(M: NormVector, tol: float = ACCEPT_TOL) -> IdealSpline:
@@ -163,16 +132,10 @@ def matching_spline(M: NormVector, tol: float = ACCEPT_TOL) -> IdealSpline:
     if M.d % 2 != 0:
         raise DomainError(f"matching spline needs an even norm count, got {M.d}")
     _require_positive(M)
-    c = moment_coordinates(M)
-    k1_zero = M.exponents.exponents[0] == 0
-    ws = _Workspace(c)
-    for _twice, n_pos, with_zero in _ascending_indices(M.d, k1_zero, M.d):
-        try:
-            rep = solve_structure(c, n_pos, with_zero, tol=tol, workspace=ws)
-        except (NumericalFailureError, DomainError):
-            continue
-        return spline_from_representation(rep, M.family)
-    raise NotAttainableError("no ideal spline attains the tuple")
+    found = lowest_structure(moment_coordinates(M), M.d, tol)
+    if found is None:
+        raise NotAttainableError("no ideal spline attains the tuple")
+    return spline_from_representation(found[1], M.family)
 
 
 def decide_admissible(M: NormVector, tol: float = ACCEPT_TOL) -> AdmissibilityResult:
@@ -247,10 +210,9 @@ def _attain_interior(M: NormVector, tol: float) -> IdealSpline:
     elif d == 2:
         u = (c.values[1] / c.values[0]) ** (1.0 / (k[1] - k[0]))
         rep = Representation((Atom(u, c.values[0] / u ** k[0]),))
-    elif d % 2 == 0:
-        rep = solve_structure(c, d // 2, False, tol=tol)
-    elif k[0] == 0:
-        rep = solve_structure(c, (d - 1) // 2, True, tol=tol)
+    elif d % 2 == 0 or k[0] == 0:
+        # The index-d/2 structure: a zero atom joins when d is odd.
+        rep = solve_structure(c, d // 2, d % 2 == 1, tol=tol)
     else:
         # Odd count without exponent 0: square the system by pinning one root
         # near (then progressively away from) the estimated largest atom.

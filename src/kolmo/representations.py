@@ -7,6 +7,7 @@ the brute-force oracle.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -40,6 +41,8 @@ ACCEPT_TOL = 1e-8
 BOUNDARY_BAND = 1e-7
 
 MAX_RESTARTS = 16
+#: Iteration budget of each step rule within one Newton run.
+MAX_ITER = 80
 _RESTART_GRIDS = (2000, 512, 2624, 1024, 1536, 2000, 512, 2624, 2000)
 _DEEP_EXTERIOR_RESIDUAL = 1e-3
 
@@ -61,15 +64,21 @@ class Classification:
     witness: Representation | None = None
 
 
-#: Brute-force cone memberships are deterministic in (exponents, values,
-#: grid size) and often requested repeatedly for the same moment vector (for
-#: example, one solve per initialization seed), so they are memoized across
-#: workspaces.  Bounded: cleared wholesale when it grows past a few thousand.
-_ORACLE_REPORTS: dict = {}
+@functools.lru_cache(maxsize=4096)
+def _oracle_report(c: MomentVector, grid_size: int):
+    """Brute-force cone membership of ``c`` on a grid of ``grid_size`` nodes.
+
+    Deterministic in its arguments and requested repeatedly for the same
+    moment vector (one solve per initialization seed, one per structure of
+    a search), so memoized.
+    """
+    include_zero = c.exponents.exponents[0] == 0
+    grid = make_grid(t_max_heuristic(c), grid_size, include_zero=include_zero)
+    return cone_membership(c, grid)
 
 
 class _Workspace:
-    """Per-moment-vector scaling and cached oracle supports."""
+    """Per-moment-vector node and equation scaling."""
 
     def __init__(self, c: MomentVector):
         self.c = c
@@ -81,23 +90,6 @@ class _Workspace:
         # relative accuracy, whatever its magnitude after node scaling.
         top = float(np.max(np.abs(self.c_scaled), initial=0.0))
         self.sfac = np.maximum(np.abs(self.c_scaled), 1e-12 * top + 1e-300)
-        self._supports: dict[int, object] = {}
-
-    def oracle_report(self, grid_size: int):
-        if grid_size not in self._supports:
-            key = (self.c.exponents.exponents, self.c.values, grid_size)
-            hit = _ORACLE_REPORTS.get(key)
-            if hit is None:
-                include_zero = self.c.exponents.exponents[0] == 0
-                grid = make_grid(
-                    self.theta, grid_size, include_zero=include_zero
-                )
-                hit = cone_membership(self.c, grid)
-                if len(_ORACLE_REPORTS) >= 4096:
-                    _ORACLE_REPORTS.clear()
-                _ORACLE_REPORTS[key] = hit
-            self._supports[grid_size] = hit
-        return self._supports[grid_size]
 
     def scaled_residual(self, rep: Representation) -> float:
         f = np.asarray(moments_of(rep, self.c.exponents).values, dtype=float)
@@ -348,28 +340,28 @@ def _initial_guess(ws: _Workspace, n_pos, has_zero, pinned_s, grid_size, rng,
     """
     if free_hint is not None and not scatter:
         free = np.asarray(free_hint, dtype=float)
-        if rng is not None:
-            free = free * np.exp(rng.normal(0.0, spread, len(free)))
-        nodes = np.concatenate([np.asarray(pinned_s, dtype=float), free])
-        return _fit_weights(ws, nodes, free, has_zero, rng)
-    if scatter and rng is not None:
-        centers = np.sort(np.exp(rng.uniform(np.log(1e-6), np.log(1e3), n_pos)))
     else:
-        report = ws.oracle_report(grid_size)
-        pos_nodes = [a.node / ws.theta for a in report.support.atoms if a.node > 0]
-        pos_weights = [a.weight for a in report.support.atoms if a.node > 0]
-        if not pos_nodes:
-            pos_nodes = list(np.geomspace(0.02, 0.3, max(n_pos, 1)))
-            pos_weights = [1.0] * len(pos_nodes)
-        centers = _cluster_lognodes(pos_nodes, pos_weights, n_pos)
-    # Hand the cluster nearest each pinned node over to the pin.
-    free = list(centers)
-    for pin in pinned_s:
-        if not free:
-            break
-        j = int(np.argmin(np.abs(np.log(np.asarray(free)) - math.log(pin))))
-        free.pop(j)
-    free = np.asarray(free, dtype=float)
+        if scatter and rng is not None:
+            centers = np.sort(
+                np.exp(rng.uniform(np.log(1e-6), np.log(1e3), n_pos))
+            )
+        else:
+            atoms = [a for a in _oracle_report(ws.c, grid_size).support.atoms
+                     if a.node > 0]
+            pos_nodes = [a.node / ws.theta for a in atoms]
+            pos_weights = [a.weight for a in atoms]
+            if not pos_nodes:
+                pos_nodes = list(np.geomspace(0.02, 0.3, max(n_pos, 1)))
+                pos_weights = [1.0] * len(pos_nodes)
+            centers = _cluster_lognodes(pos_nodes, pos_weights, n_pos)
+        # Hand the cluster nearest each pinned node over to the pin.
+        free = list(centers)
+        for pin in pinned_s:
+            if not free:
+                break
+            j = int(np.argmin(np.abs(np.log(np.asarray(free)) - math.log(pin))))
+            free.pop(j)
+        free = np.asarray(free, dtype=float)
     if rng is not None and not scatter:
         free = free * np.exp(rng.normal(0.0, spread, len(free)))
     nodes = np.concatenate([np.asarray(pinned_s, dtype=float), free])
@@ -439,8 +431,10 @@ def _vp_fit(ws: _Workspace, has_zero, nodes):
     return (r if np.isfinite(r) else math.inf), w
 
 
-def _vp_fit_batch(ws: _Workspace, has_zero, nodes_batch):
+def _vp_fit_batch(ws: _Workspace, has_zero, pinned_s, free_batch):
     """Residuals and weights of :func:`_vp_fit` for many node placements.
+
+    Each row of ``free_batch`` places the free nodes next to the pinned ones.
 
     The per-placement least squares is replaced by batched normal equations
     on column-equilibrated matrices (the equilibrated Gram has unit
@@ -450,7 +444,11 @@ def _vp_fit_batch(ws: _Workspace, has_zero, nodes_batch):
     """
     k = ws.k
     b = ws.c_scaled / ws.sfac
-    nodes = np.asarray(nodes_batch, dtype=float)
+    free = np.asarray(free_batch, dtype=float)
+    pin = np.asarray(pinned_s, dtype=float)
+    nodes = np.concatenate(
+        [np.broadcast_to(pin, (len(free), len(pin))), free], axis=1
+    )
     n = nodes.shape[0]
     with np.errstate(all="ignore"):
         cols = [nodes ** ki if ki > 0 else np.ones_like(nodes) for ki in k]
@@ -495,17 +493,14 @@ def _varpro_candidates(ws: _Workspace, has_zero, pinned_s, n_free, rng, keep=8):
             np.exp(rng.uniform(_VP_LOG_LO, _VP_LOG_HI, (6000, n_free))), axis=1
         )
     pin = np.asarray(pinned_s, dtype=float)
-    full = np.concatenate(
-        [np.broadcast_to(pin, (len(cand), len(pin))), cand], axis=1
-    )
-    r, _ = _vp_fit_batch(ws, has_zero, full)
+    r, _ = _vp_fit_batch(ws, has_zero, pin, cand)
     order = np.argsort(r)[:keep]
     out = []
     for i in order:
         if not math.isfinite(r[i]):
             continue
         # Exact refit: the batch weights are ridge-damped.
-        _, w = _vp_fit(ws, has_zero, full[i])
+        _, w = _vp_fit(ws, has_zero, np.concatenate([pin, cand[i]]))
         out.append(np.concatenate([w, cand[i]]))
     return out
 
@@ -519,9 +514,7 @@ def _vp_coordinate_descent(ws: _Workspace, has_zero, pinned_s, free0, sweeps=6):
     """
     pin = np.asarray(pinned_s, dtype=float)
     free = np.asarray(free0, dtype=float).copy()
-    r0, _ = _vp_fit_batch(
-        ws, has_zero, np.concatenate([pin, free])[None, :]
-    )
+    r0, _ = _vp_fit_batch(ws, has_zero, pin, free[None, :])
     best_r = float(r0[0])
     coarse = np.exp(np.linspace(_VP_LOG_LO, _VP_LOG_HI, 300))
     for _ in range(sweeps):
@@ -531,11 +524,7 @@ def _vp_coordinate_descent(ws: _Workspace, has_zero, pinned_s, free0, sweeps=6):
             for _stage in range(2):
                 trials = np.repeat(free[None, :], len(grid), axis=0)
                 trials[:, j] = grid
-                full = np.concatenate(
-                    [np.broadcast_to(pin, (len(grid), len(pin))), trials],
-                    axis=1,
-                )
-                r, _ = _vp_fit_batch(ws, has_zero, full)
+                r, _ = _vp_fit_batch(ws, has_zero, pin, trials)
                 i = int(np.argmin(r))
                 if r[i] < best_r:
                     best_r = float(r[i])
@@ -564,9 +553,7 @@ def _vp_pair_descent(ws: _Workspace, has_zero, pinned_s, free0):
     """
     pin = np.asarray(pinned_s, dtype=float)
     free = np.asarray(free0, dtype=float).copy()
-    r0, _ = _vp_fit_batch(
-        ws, has_zero, np.concatenate([pin, free])[None, :]
-    )
+    r0, _ = _vp_fit_batch(ws, has_zero, pin, free[None, :])
     best_r = float(r0[0])
     coarse = np.exp(np.linspace(_VP_LOG_LO, _VP_LOG_HI, 90))
     width = (_VP_LOG_HI - _VP_LOG_LO) / len(coarse)
@@ -578,11 +565,7 @@ def _vp_pair_descent(ws: _Workspace, has_zero, pinned_s, free0):
                 trials = np.repeat(free[None, :], vj.size, axis=0)
                 trials[:, j] = vj.ravel()
                 trials[:, l] = vl.ravel()
-                full = np.concatenate(
-                    [np.broadcast_to(pin, (len(trials), len(pin))), trials],
-                    axis=1,
-                )
-                r, _ = _vp_fit_batch(ws, has_zero, full)
+                r, _ = _vp_fit_batch(ws, has_zero, pin, trials)
                 i = int(np.argmin(r))
                 if r[i] < best_r:
                     best_r = float(r[i])
@@ -627,8 +610,7 @@ def _plausibility_probe(ws, n_pos, with_zero, pinned_s, n_free, hint_s):
     return min(r, r0 if math.isfinite(r0) else math.inf)
 
 
-def _finalize(ws, x, res, rep, with_zero, pinned, pinned_s, n_free, tol,
-              newton_tol, max_iter):
+def _finalize(ws, x, res, rep, with_zero, pinned, pinned_s, n_free, tol):
     """Parameter-converge an iterate accepted on residual alone.
 
     A residual inside the acceptance tolerance with Newton stalled well above
@@ -637,7 +619,7 @@ def _finalize(ws, x, res, rep, with_zero, pinned, pinned_s, n_free, tol,
     usually drops the rest of the way, making the answer independent of the
     initialization.
     """
-    if res <= 100.0 * newton_tol:
+    if res <= 100.0 * NEWTON_TOL:
         return rep
     rng = np.random.default_rng(424_243)
     best_x, best_res = x, res
@@ -646,13 +628,13 @@ def _finalize(ws, x, res, rep, with_zero, pinned, pinned_s, n_free, tol,
         try:
             xn, rn = _newton(
                 x0, ws.k, ws.c_scaled, ws.sfac, with_zero,
-                np.asarray(pinned_s), n_free, newton_tol, max_iter,
+                np.asarray(pinned_s), n_free, NEWTON_TOL, MAX_ITER,
             )
         except NumericalFailureError:
             continue
         if rn < best_res:
             best_x, best_res = xn, rn
-        if best_res <= 100.0 * newton_tol:
+        if best_res <= 100.0 * NEWTON_TOL:
             break
     if best_res < res:
         polished = _unpack(ws, best_x, with_zero, pinned, n_free)
@@ -717,10 +699,7 @@ def solve_structure(
     with_zero: bool,
     pinned: tuple[float, ...] = (),
     tol: float = ACCEPT_TOL,
-    newton_tol: float = NEWTON_TOL,
     init_seed: int = 0,
-    max_restarts: int = MAX_RESTARTS,
-    max_iter: int = 80,
     workspace: _Workspace | None = None,
     free_hint: tuple[float, ...] | None = None,
 ) -> Representation:
@@ -730,11 +709,20 @@ def solve_structure(
     atom is allowed only when the first exponent is 0 (otherwise it is
     unidentifiable).
 
-    Newton runs first from jittered oracle-support starts.  If the best
-    stalled iterate has a free node merged with t = 0, that is a degenerate
-    structure rather than an answer: Newton restarts from the iterate with
-    the node reseated between 0 and the smallest surviving node.  Only then
-    come the variable-projection scans and jittered polishes.
+    Newton runs from the starts of four stages in turn, and the first
+    iterate that reproduces the moments is returned:
+
+    1. restarts from jittered oracle-support clusters (or ``free_hint``);
+    2. reseats: a free node of the best stalled iterate that merged with
+       t = 0 is a degenerate structure rather than an answer, so it is put
+       back between 0 and the smallest surviving node;
+    3. variable-projection seeds: the best stalled iterate, the oracle
+       clusters and a global scan, each sharpened by per-node scans;
+    4. jittered polishes hill-climbing from the best stalled iterate.
+
+    Stages 2-4 run only when the restarts came close or a global probe
+    finds the structure plausible; a miss by orders of magnitude means the
+    structure, not the initialization, is wrong.
     """
     if with_zero and c.exponents.exponents[0] != 0:
         raise DomainError("a zero atom needs exponent 0 in the system")
@@ -751,20 +739,24 @@ def solve_structure(
     best_res = math.inf
     best_trap = None
     domain_exits = 0
-    hint_s = None
-    if free_hint is not None:
-        hint_s = tuple(t / ws.theta for t in free_hint)
+    hint_s = None if free_hint is None else tuple(t / ws.theta for t in free_hint)
     probe_res: float | None = None
 
-    def attempt(x0):
-        """Newton from ``x0``; the accepted representation, else None."""
-        nonlocal best_res, best_trap
+    def attempt(x0, count_exit=False):
+        """Newton from ``x0``; the accepted representation, else None.
+
+        Keeps the best residual and the best stalled iterate; with
+        ``count_exit`` a domain exit counts toward the final error type.
+        """
+        nonlocal best_res, best_trap, domain_exits
         try:
             x, res = _newton(
                 x0, ws.k, ws.c_scaled, ws.sfac, with_zero,
-                np.asarray(pinned_s), n_free, newton_tol, max_iter,
+                np.asarray(pinned_s), n_free, NEWTON_TOL, MAX_ITER,
             )
         except NumericalFailureError as exc:
+            if count_exit and isinstance(exc, DomainExitError):
+                domain_exits += 1
             best_res = min(best_res, exc.residual or math.inf)
             return None
         if res < best_res:
@@ -776,11 +768,11 @@ def solve_structure(
         final = ws.scaled_residual(rep)
         if final <= tol:
             return _finalize(ws, x, res, rep, with_zero, pinned, pinned_s,
-                             n_free, tol, newton_tol, max_iter)
+                             n_free, tol)
         best_res = min(best_res, final)
         return None
 
-    for restart in range(max_restarts + 1):
+    for restart in range(MAX_RESTARTS + 1):
         if restart >= 4 and best_res > _EARLY_ABORT_RESIDUAL:
             # Every start so far missed by orders of magnitude.  Distinguish
             # a wrong structure from unlucky starts with one global
@@ -807,34 +799,12 @@ def solve_structure(
             ws, n_pos, with_zero, pinned_s, grid_size, jitter,
             spread=spread, scatter=scatter, free_hint=hint_s,
         )
-        try:
-            x, res = _newton(
-                x0, ws.k, ws.c_scaled, ws.sfac, with_zero, np.asarray(pinned_s),
-                n_free, newton_tol, max_iter,
-            )
-        except DomainExitError as exc:
-            domain_exits += 1
-            best_res = min(best_res, exc.residual or math.inf)
-            continue
-        except NumericalFailureError as exc:
-            best_res = min(best_res, exc.residual or math.inf)
-            continue
-        if res < best_res:
-            best_res = res
-            best_trap = x.copy()
-        rep = _unpack(ws, x, with_zero, pinned, n_free)
-        if rep is None:
-            continue
-        final = ws.scaled_residual(rep)
-        if final <= tol:
-            return _finalize(ws, x, res, rep, with_zero, pinned, pinned_s,
-                             n_free, tol, newton_tol, max_iter)
-        best_res = min(best_res, final)
+        rep = attempt(x0, count_exit=True)
+        if rep is not None:
+            return rep
     plausible = probe_res is not None and probe_res <= 30.0 * _EARLY_ABORT_RESIDUAL
     if n_free > 0 and (best_res <= 10.0 * _EARLY_ABORT_RESIDUAL or plausible):
-        # A free node merged with t = 0 is a degenerate structure, not a
-        # solution: restart from the stalled iterate with it put back, down
-        # the ladder of gap fractions while each restart still gains.
+        # Reseats go down the ladder of gap fractions while each still gains.
         if best_trap is not None:
             for x0 in _reseated_starts(ws, best_trap, with_zero, pinned_s,
                                        n_free, tol):
@@ -844,10 +814,6 @@ def solve_structure(
                     return rep
                 if best_res >= before:
                     break
-        # Last resort: global variable-projection scan over the free nodes,
-        # sharpened by per-node coordinate descent, then Newton-polished.
-        # Skipped when the restarts missed by orders of magnitude, which
-        # means the structure (not the initialization) is wrong.
         vp_rng = np.random.default_rng(777_000_001 * (init_seed + 1))
         seeds: list[tuple[np.ndarray, np.ndarray | None]] = []
         # Deterministic seeds first: the best stalled Newton iterate (often
@@ -900,57 +866,25 @@ def solve_structure(
             else:
                 misses = 0
             best_res = min(best_res, vp_res)
-            try:
-                x, res = _newton(
-                    np.concatenate([w1, free1]), ws.k, ws.c_scaled, ws.sfac,
-                    with_zero, np.asarray(pinned_s), n_free, newton_tol,
-                    max_iter,
-                )
-            except NumericalFailureError as exc:
-                best_res = min(best_res, exc.residual or math.inf)
-                continue
-            if res < best_res:
-                best_trap = x.copy()
-            rep = _unpack(ws, x, with_zero, pinned, n_free)
-            if rep is None:
-                continue
-            final = ws.scaled_residual(rep)
-            if final <= tol:
-                return _finalize(ws, x, res, rep, with_zero, pinned, pinned_s,
-                                 n_free, tol, newton_tol, max_iter)
-            best_res = min(best_res, final)
-        # Final stage: the stalled iterate usually sits close to the actual
-        # solution's basin, so jittered Newton polishes around it often land
-        # inside even when no single- or two-node move does.  Spreads cycle
-        # from wide to tight: a wide kick escapes a wrong basin, a tight one
-        # keeps an iterate that is already nearly right inside the right one.
+            rep = attempt(np.concatenate([w1, free1]))
+            if rep is not None:
+                return rep
+        # The stalled iterate usually sits close to the actual solution's
+        # basin, so jittered Newton polishes around it often land inside
+        # even when no single- or two-node move does.  Spreads cycle from
+        # wide to tight: a wide kick escapes a wrong basin, a tight one keeps
+        # an iterate that is already nearly right inside the right one.
+        # Hill-climb: ``attempt`` keeps the best iterate, which later draws
+        # jitter.
         if best_trap is not None:
             for i in range(24):
                 spread = (0.3, 0.03, 0.003)[i % 3]
-                x0 = best_trap * np.exp(
+                rep = attempt(best_trap * np.exp(
                     vp_rng.normal(0.0, spread, len(best_trap))
-                )
-                try:
-                    x, res = _newton(
-                        x0, ws.k, ws.c_scaled, ws.sfac, with_zero,
-                        np.asarray(pinned_s), n_free, newton_tol, max_iter,
-                    )
-                except NumericalFailureError as exc:
-                    best_res = min(best_res, exc.residual or math.inf)
-                    continue
-                if res < best_res:
-                    # Hill-climb: later draws jitter the best iterate so far.
-                    best_trap = x.copy()
-                rep = _unpack(ws, x, with_zero, pinned, n_free)
-                if rep is None:
-                    continue
-                final = ws.scaled_residual(rep)
-                if final <= tol:
-                    return _finalize(ws, x, res, rep, with_zero, pinned,
-                                     pinned_s, n_free, tol, newton_tol,
-                                     max_iter)
-                best_res = min(best_res, final)
-    if domain_exits > max_restarts // 2 and best_res > tol:
+                ))
+                if rep is not None:
+                    return rep
+    if domain_exits > MAX_RESTARTS // 2 and best_res > tol:
         raise DomainExitError(
             f"structure ({n_pos} atoms, zero={with_zero}) repeatedly left the "
             f"positive domain; best residual {best_res:.3e}",
@@ -984,12 +918,50 @@ def _unpack(ws, x, has_zero, pinned, n_free):
         return None
 
 
-def _ascending_indices(d, k1_is_zero, max_twice):
+def lowest_structure(
+    c: MomentVector,
+    max_twice: int,
+    tol: float = ACCEPT_TOL,
+    workspace: _Workspace | None = None,
+) -> tuple[int, Representation] | None:
+    """The lowest-index structure, up to index max_twice/2, that reproduces c.
+
+    Structures are tried by ascending half-integer index; the odd ones (with
+    a zero atom) only when exponent 0 is in the system.  Returns twice the
+    index with the representation, or None when no structure solves.
+    """
+    ws = workspace if workspace is not None else _Workspace(c)
+    k1_zero = c.exponents.exponents[0] == 0
     for twice in range(1, max_twice + 1):
         with_zero = twice % 2 == 1
-        if with_zero and not k1_is_zero:
+        if with_zero and not k1_zero:
             continue
-        yield twice, twice // 2, with_zero
+        try:
+            rep = solve_structure(
+                c, twice // 2, with_zero, tol=tol, workspace=ws
+            )
+        except (NumericalFailureError, DomainError):
+            continue
+        return twice, rep
+    return None
+
+
+def _thin(ws: _Workspace, rep: Representation, tol: float):
+    """``rep`` without its negligible atoms, when that still reproduces c.
+
+    A weight below ``tol`` of the total mass means the structure degenerated:
+    the vector has a strictly smaller index.  None when no weight is
+    negligible or the thinned measure misses the moments.
+    """
+    mass = sum(a.weight for a in rep.atoms)
+    kept = tuple(a for a in rep.atoms if a.weight > tol * mass)
+    if len(kept) == len(rep.atoms):
+        return None
+    try:
+        thin = Representation(kept)
+    except DomainError:
+        return None
+    return thin if ws.scaled_residual(thin) <= 10 * tol else None
 
 
 def classify(c: MomentVector, tol: float = ACCEPT_TOL) -> Classification:
@@ -1011,34 +983,18 @@ def classify(c: MomentVector, tol: float = ACCEPT_TOL) -> Classification:
     scale = float(np.max(np.abs(vals)))
     if np.any(vals < -tol * scale) or c.values[0] <= 0:
         return Classification(ClassKind.EXTERIOR)
-    ws = _Workspace(c)
-    d = c.d
-    report = ws.oracle_report(_RESTART_GRIDS[0])
-    if report.residual > _DEEP_EXTERIOR_RESIDUAL:
+    if _oracle_report(c, _RESTART_GRIDS[0]).residual > _DEEP_EXTERIOR_RESIDUAL:
         return Classification(ClassKind.EXTERIOR)
-    for twice, n_pos, with_zero in _ascending_indices(d, True, d):
-        try:
-            rep = solve_structure(c, n_pos, with_zero, tol=tol, workspace=ws)
-        except (NumericalFailureError, DomainError):
-            continue
-        if twice < d:
-            return Classification(ClassKind.BOUNDARY, rep)
-        return _interior_or_thin_boundary(ws, rep, tol)
-    return Classification(ClassKind.EXTERIOR)
-
-
-def _interior_or_thin_boundary(ws, rep, tol):
-    """Principal structure solved; demote to boundary if a weight is negligible."""
-    mass = sum(a.weight for a in rep.atoms)
-    if all(a.weight > tol * mass for a in rep.atoms):
-        return Classification(ClassKind.INTERIOR, rep)
-    kept = tuple(a for a in rep.atoms if a.weight > tol * mass)
-    try:
-        thin = Representation(kept)
-        if ws.scaled_residual(thin) <= 10 * tol:
-            return Classification(ClassKind.BOUNDARY, thin)
-    except DomainError:
-        pass
+    ws = _Workspace(c)
+    found = lowest_structure(c, c.d, tol, ws)
+    if found is None:
+        return Classification(ClassKind.EXTERIOR)
+    twice, rep = found
+    if twice < c.d:
+        return Classification(ClassKind.BOUNDARY, rep)
+    thin = _thin(ws, rep, tol)
+    if thin is not None:
+        return Classification(ClassKind.BOUNDARY, thin)
     return Classification(ClassKind.INTERIOR, rep)
 
 
@@ -1046,26 +1002,13 @@ def minimal_index(
     c: MomentVector, tol: float = ACCEPT_TOL
 ) -> tuple[HalfInteger, Representation]:
     """Smallest half-integer index whose representation reproduces c."""
-    d = c.d
-    k1_zero = c.exponents.exponents[0] == 0
-    ws = _Workspace(c)
-    for twice, n_pos, with_zero in _ascending_indices(d, k1_zero, d + 1):
-        try:
-            rep = solve_structure(c, n_pos, with_zero, tol=tol, workspace=ws)
-        except (NumericalFailureError, DomainError):
-            continue
-        return HalfInteger(twice), rep
-    raise InconsistencyError(
-        "no representation up to index (d+1)/2; input is outside the cone "
-        "or the solve failed numerically"
-    )
-
-
-def _principal_shape(d: int) -> tuple[int, bool]:
-    """(positive atoms, zero atom?) of the index-d/2 structure."""
-    if d % 2 == 0:
-        return d // 2, False
-    return (d - 1) // 2, True
+    found = lowest_structure(c, c.d + 1, tol)
+    if found is None:
+        raise InconsistencyError(
+            "no representation up to index (d+1)/2; input is outside the cone "
+            "or the solve failed numerically"
+        )
+    return HalfInteger(found[0]), found[1]
 
 
 def principal_representation(
@@ -1073,7 +1016,8 @@ def principal_representation(
 ) -> Representation:
     """Representation of index exactly d/2 for an interior moment vector."""
     d = c.d
-    n_pos, with_zero = _principal_shape(d)
+    # Index d/2: d // 2 positive atoms, plus a zero atom when d is odd.
+    n_pos, with_zero = d // 2, d % 2 == 1
     if with_zero and c.exponents.exponents[0] != 0:
         raise UnsupportedSystemError(
             "odd-dimensional principal structure needs exponent 0"
@@ -1083,34 +1027,21 @@ def principal_representation(
         rep = solve_structure(
             c, n_pos, with_zero, tol=tol, init_seed=init_seed, workspace=ws
         )
-        # A vanishing weight means the structure degenerated: the vector has
-        # a strictly smaller index and is not interior.
-        mass = sum(a.weight for a in rep.atoms)
-        if any(a.weight <= tol * mass for a in rep.atoms):
-            kept = tuple(a for a in rep.atoms if a.weight > tol * mass)
-            try:
-                thin = Representation(kept)
-            except DomainError:
-                thin = None
-            if thin is not None and ws.scaled_residual(thin) <= 10 * tol:
-                raise NotInteriorError(
-                    "a representing weight vanishes at the requested index; "
-                    "the moment vector is not interior"
-                )
-        return rep
     except NumericalFailureError as exc:
         # Distinguish a genuine precondition violation from solver failure.
-        k1_zero = c.exponents.exponents[0] == 0
-        for twice, sub_pos, sub_zero in _ascending_indices(d, k1_zero, d - 1):
-            try:
-                solve_structure(c, sub_pos, sub_zero, tol=tol, workspace=ws)
-            except (NumericalFailureError, DomainError):
-                continue
-            raise NotInteriorError(
-                f"moment vector has a representation of index {twice}/2 < d/2; "
-                "it is not interior"
-            ) from exc
-        raise
+        found = lowest_structure(c, d - 1, tol, ws)
+        if found is None:
+            raise
+        raise NotInteriorError(
+            f"moment vector has a representation of index {found[0]}/2 < d/2; "
+            "it is not interior"
+        ) from exc
+    if _thin(ws, rep, tol) is not None:
+        raise NotInteriorError(
+            "a representing weight vanishes at the requested index; "
+            "the moment vector is not interior"
+        )
+    return rep
 
 
 def interlace_hints(principal: Representation, t_star: float) -> tuple[float, ...]:
@@ -1153,6 +1084,35 @@ def interlace_hints(principal: Representation, t_star: float) -> tuple[float, ..
     return tuple(hints)
 
 
+def pinned_representation(
+    c: MomentVector,
+    t_star: float,
+    principal: Representation | None,
+    tol: float = ACCEPT_TOL,
+) -> Representation:
+    """Representation of index (d+1)/2 with a root pinned at t_star exactly.
+
+    ``principal``, the index-d/2 representation when one is known, rejects a
+    pin on one of its roots (the pinned system degenerates there) and gives
+    the free roots their interlacing starts.
+    """
+    ws = _Workspace(c)
+    hints = None
+    if principal is not None:
+        for atom in principal.atoms:
+            if atom.node > 0 and abs(atom.node - t_star) <= 1e-8 * ws.theta:
+                raise PinnedNodeCoincidenceError(
+                    f"prescribed root {t_star} coincides with principal root "
+                    f"{atom.node}; the pinned structure degenerates"
+                )
+        hints = interlace_hints(principal, t_star)
+    # Index (d+1)/2: (d+1) // 2 positive atoms, plus a zero atom when d is even.
+    return solve_structure(
+        c, (c.d + 1) // 2, c.d % 2 == 0, pinned=(t_star,), tol=tol,
+        workspace=ws, free_hint=hints,
+    )
+
+
 def canonical_representation(
     c: MomentVector, t_star: float, tol: float = ACCEPT_TOL
 ) -> Representation:
@@ -1162,24 +1122,8 @@ def canonical_representation(
     if c.exponents.exponents[0] != 0:
         raise UnsupportedSystemError("canonical representation needs exponent 0")
     principal = principal_representation(c, tol=tol)
-    ws = _Workspace(c)
-    for atom in principal.atoms:
-        if atom.node > 0 and abs(atom.node - t_star) <= 1e-8 * ws.theta:
-            raise PinnedNodeCoincidenceError(
-                f"prescribed root {t_star} coincides with principal root "
-                f"{atom.node}; the canonical structure degenerates"
-            )
-    d = c.d
-    if d % 2 == 1:
-        n_pos, with_zero = (d + 1) // 2, False
-    else:
-        n_pos, with_zero = d // 2, True
-    hints = interlace_hints(principal, t_star)
     try:
-        return solve_structure(
-            c, n_pos, with_zero, pinned=(t_star,), tol=tol, workspace=ws,
-            free_hint=hints,
-        )
+        return pinned_representation(c, t_star, principal, tol)
     except NumericalFailureError as exc:
         raise NumericalFailureError(
             f"no representation of index (d+1)/2 with root {t_star} was "
@@ -1194,7 +1138,7 @@ def newton_refine(
     pinned_nodes: list[float],
     c: MomentVector,
     tol: float = NEWTON_TOL,
-    max_iter: int = 80,
+    max_iter: int = MAX_ITER,
 ) -> Representation:
     """Refine a structurally correct guess by damped Newton iteration."""
     ws = _Workspace(c)

@@ -137,6 +137,14 @@ class TestInvalidInput:
         )
         assert code == 2
 
+    def test_grid_flag_rejected(self, capsys):
+        # The oracle grid was never configurable from the command line; the
+        # flag is gone and argparse now rejects it as unknown.
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--grid", "500"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --grid" in capsys.readouterr().err
+
 
 class TestDeterminism:
     def test_byte_identical_output(self, capsys, monkeypatch, tmp_path):

@@ -19,7 +19,7 @@ from kolmo import (
     newton_refine,
     principal_representation,
 )
-from kolmo.representations import ClassKind
+from kolmo.representations import ClassKind, _thin, lowest_structure
 
 K012 = ExponentVector((0, 1, 2), 2)
 C235 = MomentVector((2.0, 3.0, 5.0), K012)
@@ -70,6 +70,65 @@ class TestMinimalIndex:
         assert idx.twice == 2
         assert len(rep) == 1
         assert rep.atoms[0].node == pytest.approx(2.0, rel=1e-8)
+
+
+class TestLowestStructure:
+    def test_interior_vector_needs_principal_index(self):
+        twice, rep = lowest_structure(C235, 3)
+        assert twice == 3
+        assert len(rep) == 2
+        assert rep.has_zero_atom
+
+    def test_single_atom(self):
+        c = moments_of(Representation((Atom(2.0, 1.0),)), K012)
+        twice, rep = lowest_structure(c, 3)
+        assert twice == 2
+        assert len(rep) == 1
+        assert rep.atoms[0].node == pytest.approx(2.0, rel=1e-8)
+
+    def test_exterior_vector_has_no_structure(self):
+        assert lowest_structure(MomentVector((1.0, 2.0, 3.0), K012), 3) is None
+
+    def test_max_twice_respected(self):
+        assert lowest_structure(C235, 2) is None
+
+    def test_zero_atom_structures_need_exponent_zero(self):
+        # Without exponent 0 only even indices exist: index 1/2 is skipped.
+        k = ExponentVector((1, 2), 2)
+        c = moments_of(Representation((Atom(2.0, 1.0),)), k)
+        assert lowest_structure(c, 1) is None
+        twice, rep = lowest_structure(c, 2)
+        assert twice == 2
+        assert rep.atoms[0].node == pytest.approx(2.0, rel=1e-8)
+
+
+class _RelativeMismatch:
+    """Workspace stand-in: largest relative moment mismatch against c."""
+
+    def __init__(self, c):
+        self.c = c
+
+    def scaled_residual(self, rep):
+        got = moments_of(rep, self.c.exponents).values
+        return max(abs(g - w) / abs(w) for g, w in zip(got, self.c.values))
+
+
+class TestThin:
+    K = ExponentVector((0, 1, 2, 3), 3)
+
+    def test_negligible_atom_dropped(self):
+        rep = Representation((Atom(1.5, 2.0), Atom(3.0, 1e-12)))
+        thin = _thin(_RelativeMismatch(moments_of(rep, self.K)), rep, 1e-8)
+        assert thin == Representation((Atom(1.5, 2.0),))
+
+    def test_no_negligible_atom(self):
+        rep = Representation((Atom(1.5, 2.0), Atom(3.0, 1.0)))
+        assert _thin(_RelativeMismatch(moments_of(rep, self.K)), rep, 1e-8) is None
+
+    def test_dropping_must_keep_the_moments(self):
+        # A tiny weight far out still carries the top moments.
+        rep = Representation((Atom(1.5, 2.0), Atom(1e5, 1e-12)))
+        assert _thin(_RelativeMismatch(moments_of(rep, self.K)), rep, 1e-8) is None
 
 
 class TestPrincipalRepresentation:
