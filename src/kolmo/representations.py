@@ -87,9 +87,11 @@ class _Workspace:
         vals = np.asarray(c.values, dtype=float)
         self.c_scaled = vals / self.theta ** self.k
         # Per-equation relative scaling: each moment equation is solved to
-        # relative accuracy, whatever its magnitude after node scaling.
-        top = float(np.max(np.abs(self.c_scaled), initial=0.0))
-        self.sfac = np.maximum(np.abs(self.c_scaled), 1e-12 * top + 1e-300)
+        # relative accuracy, whatever its magnitude after node scaling.  A
+        # floor tied to the largest moment would leave the small equations
+        # of a wide moment range to absolute accuracy, where a wrong node
+        # still fits them.
+        self.sfac = np.maximum(np.abs(self.c_scaled), 1e-300)
 
     def scaled_residual(self, rep: Representation) -> float:
         f = np.asarray(moments_of(rep, self.c.exponents).values, dtype=float)

@@ -164,6 +164,19 @@ class TestPrincipalRepresentation:
             assert a.node == pytest.approx(b.node * s, rel=1e-8)
             assert a.weight == pytest.approx(b.weight, rel=1e-8)
 
+    def test_wide_moment_range(self):
+        # Moments over 17 decades: each equation must be solved to relative
+        # accuracy, or a wrong node still fits the small ones.
+        c = MomentVector((6.256e17, 3.314, 1.587), ExponentVector((0, 19, 20), 20))
+        u = 1.587 / 3.314
+        w = 3.314 / u**19
+        rep = principal_representation(c)
+        assert rep.atoms[0].node == 0.0
+        assert rep.atoms[0].weight == pytest.approx(6.256e17 - w, rel=1e-12)
+        assert rep.atoms[1].node == pytest.approx(u, rel=1e-8)
+        assert rep.atoms[1].weight == pytest.approx(w, rel=1e-8)
+        assert classify(c).kind is ClassKind.INTERIOR
+
     def test_boundary_point_is_not_interior(self):
         c = moments_of(Representation((Atom(1.5, 2.0),)), K012)
         with pytest.raises(NotInteriorError):
