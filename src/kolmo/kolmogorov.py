@@ -14,7 +14,6 @@ from .core import (
     Atom,
     ExponentVector,
     FunctionFamily,
-    MomentVector,
     NormVector,
     Representation,
     moment_coordinates,

@@ -494,15 +494,14 @@ def _varpro_candidates(ws: _Workspace, has_zero, pinned_s, n_free, rng, keep=8):
         cand = np.sort(
             np.exp(rng.uniform(_VP_LOG_LO, _VP_LOG_HI, (6000, n_free))), axis=1
         )
-    pin = np.asarray(pinned_s, dtype=float)
-    r, _ = _vp_fit_batch(ws, has_zero, pin, cand)
+    r, _ = _vp_fit_batch(ws, has_zero, pinned_s, cand)
     order = np.argsort(r)[:keep]
     out = []
     for i in order:
         if not math.isfinite(r[i]):
             continue
         # Exact refit: the batch weights are ridge-damped.
-        _, w = _vp_fit(ws, has_zero, np.concatenate([pin, cand[i]]))
+        _, w = _vp_fit(ws, has_zero, np.concatenate([pinned_s, cand[i]]))
         out.append(np.concatenate([w, cand[i]]))
     return out
 
@@ -514,9 +513,8 @@ def _vp_coordinate_descent(ws: _Workspace, has_zero, pinned_s, free0, sweeps=6):
     decades, but with the other nodes held fixed each node is found by an
     exhaustive 1D scan; a few sweeps recover well-separated constellations.
     """
-    pin = np.asarray(pinned_s, dtype=float)
     free = np.asarray(free0, dtype=float).copy()
-    r0, _ = _vp_fit_batch(ws, has_zero, pin, free[None, :])
+    r0, _ = _vp_fit_batch(ws, has_zero, pinned_s, free[None, :])
     best_r = float(r0[0])
     coarse = np.exp(np.linspace(_VP_LOG_LO, _VP_LOG_HI, 300))
     for _ in range(sweeps):
@@ -526,7 +524,7 @@ def _vp_coordinate_descent(ws: _Workspace, has_zero, pinned_s, free0, sweeps=6):
             for _stage in range(2):
                 trials = np.repeat(free[None, :], len(grid), axis=0)
                 trials[:, j] = grid
-                r, _ = _vp_fit_batch(ws, has_zero, pin, trials)
+                r, _ = _vp_fit_batch(ws, has_zero, pinned_s, trials)
                 i = int(np.argmin(r))
                 if r[i] < best_r:
                     best_r = float(r[i])
@@ -542,7 +540,7 @@ def _vp_coordinate_descent(ws: _Workspace, has_zero, pinned_s, free0, sweeps=6):
             break
     # Exact refit at the chosen nodes: the batch residuals are ridge-damped
     # and must not be compared against the acceptance tolerances.
-    best_r, best_w = _vp_fit(ws, has_zero, np.concatenate([pin, free]))
+    best_r, best_w = _vp_fit(ws, has_zero, np.concatenate([pinned_s, free]))
     return free, best_w, best_r
 
 
@@ -553,9 +551,8 @@ def _vp_pair_descent(ws: _Workspace, has_zero, pinned_s, free0):
     joint scan over each pair (others fixed), followed by a fine scan around
     the best cell, can.
     """
-    pin = np.asarray(pinned_s, dtype=float)
     free = np.asarray(free0, dtype=float).copy()
-    r0, _ = _vp_fit_batch(ws, has_zero, pin, free[None, :])
+    r0, _ = _vp_fit_batch(ws, has_zero, pinned_s, free[None, :])
     best_r = float(r0[0])
     coarse = np.exp(np.linspace(_VP_LOG_LO, _VP_LOG_HI, 90))
     width = (_VP_LOG_HI - _VP_LOG_LO) / len(coarse)
@@ -567,7 +564,7 @@ def _vp_pair_descent(ws: _Workspace, has_zero, pinned_s, free0):
                 trials = np.repeat(free[None, :], vj.size, axis=0)
                 trials[:, j] = vj.ravel()
                 trials[:, l] = vl.ravel()
-                r, _ = _vp_fit_batch(ws, has_zero, pin, trials)
+                r, _ = _vp_fit_batch(ws, has_zero, pinned_s, trials)
                 i = int(np.argmin(r))
                 if r[i] < best_r:
                     best_r = float(r[i])
@@ -580,7 +577,7 @@ def _vp_pair_descent(ws: _Workspace, has_zero, pinned_s, free0):
                     math.log(free[l]) - 2 * width,
                     math.log(free[l]) + 2 * width, 40,
                 ))
-    best_r, best_w = _vp_fit(ws, has_zero, np.concatenate([pin, free]))
+    best_r, best_w = _vp_fit(ws, has_zero, np.concatenate([pinned_s, free]))
     return free, best_w, best_r
 
 
@@ -719,7 +716,8 @@ def solve_structure(
        t = 0 is a degenerate structure rather than an answer, so it is put
        back between 0 and the smallest surviving node;
     3. variable-projection seeds: the best stalled iterate, the oracle
-       clusters and a global scan, each sharpened by per-node scans;
+       clusters (also tried untouched) and a global scan, each sharpened
+       by per-node scans;
     4. jittered polishes hill-climbing from the best stalled iterate.
 
     Stages 2-4 run only when the restarts came close or a global probe
@@ -741,7 +739,9 @@ def solve_structure(
     best_res = math.inf
     best_trap = None
     domain_exits = 0
-    hint_s = None if free_hint is None else tuple(t / ws.theta for t in free_hint)
+    hint_s = None
+    if free_hint is not None:
+        hint_s = tuple(t / ws.theta for t in free_hint)
     probe_res: float | None = None
 
     def attempt(x0, count_exit=False):

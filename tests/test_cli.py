@@ -138,8 +138,7 @@ class TestInvalidInput:
         assert code == 2
 
     def test_grid_flag_rejected(self, capsys):
-        # The oracle grid was never configurable from the command line; the
-        # flag is gone and argparse now rejects it as unknown.
+        # The oracle grid sizes are the solver's own, not a CLI option.
         with pytest.raises(SystemExit) as exc:
             main(["classify", "--grid", "500"])
         assert exc.value.code == 2
