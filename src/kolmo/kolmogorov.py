@@ -25,6 +25,7 @@ from .errors import (
     NotBoundaryError,
     NotInteriorError,
     NumericalFailureError,
+    PinnedNodeCoincidenceError,
     UnsupportedSystemError,
 )
 from .oracle import t_max_heuristic
@@ -118,7 +119,13 @@ def canonical_spline(
             principal = solve_structure(c, (M.d - 1) // 2, True, tol=tol)
         except (NumericalFailureError, DomainError):
             pass
-    rep = pinned_representation(c, 1.0 / a_star, principal, tol)
+    try:
+        rep = pinned_representation(c, 1.0 / a_star, principal, tol)
+    except PinnedNodeCoincidenceError as exc:
+        raise PinnedNodeCoincidenceError(
+            f"prescribed knot {a_star} coincides with a knot of the minimal "
+            "spline; the pinned system degenerates"
+        ) from exc
     return spline_from_representation(rep, M.family)
 
 
@@ -192,11 +199,13 @@ def _decide(M: NormVector, tol: float, trace: list[LevelRecord]) -> Status:
 def _build_witness(M: NormVector, status: Status, tol: float) -> IdealSpline:
     if status is Status.ADMISSIBLE_INTERIOR:
         return _attain_interior(M, tol)
+    if M.d % 2 == 0:
+        # One ascending search: a thinner spline when one matches, else d/2.
+        return matching_spline(M, tol)
     try:
         return boundary_spline(M, tol)
     except NotBoundaryError:
-        # Even-count equality edge: fall back to the full ascending search.
-        return matching_spline(M, tol) if M.d % 2 == 0 else _attain_interior(M, tol)
+        return _attain_interior(M, tol)
 
 
 def _attain_interior(M: NormVector, tol: float) -> IdealSpline:

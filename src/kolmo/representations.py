@@ -34,11 +34,10 @@ from .errors import (
 from .oracle import cone_membership, make_grid, t_max_heuristic
 
 # Tolerance ladder: Newton residual (near machine precision, so the iterate
-# is parameter-converged, not just residual-converged), acceptance of a
-# representation, and the classification boundary band.
+# is parameter-converged, not just residual-converged) and acceptance of a
+# representation.
 NEWTON_TOL = 1e-13
 ACCEPT_TOL = 1e-8
-BOUNDARY_BAND = 1e-7
 
 MAX_RESTARTS = 16
 #: Iteration budget of each step rule within one Newton run.
@@ -88,10 +87,12 @@ class _Workspace:
         self.c_scaled = vals / self.theta ** self.k
         # Per-equation relative scaling: each moment equation is solved to
         # relative accuracy, whatever its magnitude after node scaling.  A
-        # floor tied to the largest moment would leave the small equations
+        # floor at 1e-12 of the largest moment would leave the small equations
         # of a wide moment range to absolute accuracy, where a wrong node
-        # still fits them.
-        self.sfac = np.maximum(np.abs(self.c_scaled), 1e-300)
+        # still fits them.  The floor only caps the row weight of a zero or
+        # subnormal moment, so that squared weighted residuals stay finite.
+        top = float(np.max(np.abs(self.c_scaled)))
+        self.sfac = np.maximum(np.abs(self.c_scaled), 1e-150 * top + 1e-300)
 
     def scaled_residual(self, rep: Representation) -> float:
         f = np.asarray(moments_of(rep, self.c.exponents).values, dtype=float)
@@ -699,7 +700,6 @@ def solve_structure(
     pinned: tuple[float, ...] = (),
     tol: float = ACCEPT_TOL,
     init_seed: int = 0,
-    workspace: _Workspace | None = None,
     free_hint: tuple[float, ...] | None = None,
 ) -> Representation:
     """Find a representation with the given atom structure, or fail.
@@ -730,7 +730,7 @@ def solve_structure(
         raise DomainError("more pinned nodes than positive atoms")
     if any(t <= 0 for t in pinned):
         raise DomainError("pinned nodes must be positive")
-    ws = workspace if workspace is not None else _Workspace(c)
+    ws = _Workspace(c)
     if n_pos == 0:
         return _trivial_structure(ws, with_zero, tol)
 
@@ -924,7 +924,6 @@ def lowest_structure(
     c: MomentVector,
     max_twice: int,
     tol: float = ACCEPT_TOL,
-    workspace: _Workspace | None = None,
 ) -> tuple[int, Representation] | None:
     """The lowest-index structure, up to index max_twice/2, that reproduces c.
 
@@ -932,16 +931,13 @@ def lowest_structure(
     a zero atom) only when exponent 0 is in the system.  Returns twice the
     index with the representation, or None when no structure solves.
     """
-    ws = workspace if workspace is not None else _Workspace(c)
     k1_zero = c.exponents.exponents[0] == 0
     for twice in range(1, max_twice + 1):
         with_zero = twice % 2 == 1
         if with_zero and not k1_zero:
             continue
         try:
-            rep = solve_structure(
-                c, twice // 2, with_zero, tol=tol, workspace=ws
-            )
+            rep = solve_structure(c, twice // 2, with_zero, tol=tol)
         except (NumericalFailureError, DomainError):
             continue
         return twice, rep
@@ -987,14 +983,13 @@ def classify(c: MomentVector, tol: float = ACCEPT_TOL) -> Classification:
         return Classification(ClassKind.EXTERIOR)
     if _oracle_report(c, _RESTART_GRIDS[0]).residual > _DEEP_EXTERIOR_RESIDUAL:
         return Classification(ClassKind.EXTERIOR)
-    ws = _Workspace(c)
-    found = lowest_structure(c, c.d, tol, ws)
+    found = lowest_structure(c, c.d, tol)
     if found is None:
         return Classification(ClassKind.EXTERIOR)
     twice, rep = found
     if twice < c.d:
         return Classification(ClassKind.BOUNDARY, rep)
-    thin = _thin(ws, rep, tol)
+    thin = _thin(_Workspace(c), rep, tol)
     if thin is not None:
         return Classification(ClassKind.BOUNDARY, thin)
     return Classification(ClassKind.INTERIOR, rep)
@@ -1024,21 +1019,18 @@ def principal_representation(
         raise UnsupportedSystemError(
             "odd-dimensional principal structure needs exponent 0"
         )
-    ws = _Workspace(c)
     try:
-        rep = solve_structure(
-            c, n_pos, with_zero, tol=tol, init_seed=init_seed, workspace=ws
-        )
+        rep = solve_structure(c, n_pos, with_zero, tol=tol, init_seed=init_seed)
     except NumericalFailureError as exc:
         # Distinguish a genuine precondition violation from solver failure.
-        found = lowest_structure(c, d - 1, tol, ws)
+        found = lowest_structure(c, d - 1, tol)
         if found is None:
             raise
         raise NotInteriorError(
             f"moment vector has a representation of index {found[0]}/2 < d/2; "
             "it is not interior"
         ) from exc
-    if _thin(ws, rep, tol) is not None:
+    if _thin(_Workspace(c), rep, tol) is not None:
         raise NotInteriorError(
             "a representing weight vanishes at the requested index; "
             "the moment vector is not interior"
@@ -1098,11 +1090,11 @@ def pinned_representation(
     pin on one of its roots (the pinned system degenerates there) and gives
     the free roots their interlacing starts.
     """
-    ws = _Workspace(c)
     hints = None
     if principal is not None:
+        theta = t_max_heuristic(c)
         for atom in principal.atoms:
-            if atom.node > 0 and abs(atom.node - t_star) <= 1e-8 * ws.theta:
+            if atom.node > 0 and abs(atom.node - t_star) <= 1e-8 * theta:
                 raise PinnedNodeCoincidenceError(
                     f"prescribed root {t_star} coincides with principal root "
                     f"{atom.node}; the pinned structure degenerates"
@@ -1111,7 +1103,7 @@ def pinned_representation(
     # Index (d+1)/2: (d+1) // 2 positive atoms, plus a zero atom when d is even.
     return solve_structure(
         c, (c.d + 1) // 2, c.d % 2 == 0, pinned=(t_star,), tol=tol,
-        workspace=ws, free_hint=hints,
+        free_hint=hints,
     )
 
 

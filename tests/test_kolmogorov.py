@@ -8,6 +8,7 @@ from kolmo import (
     FunctionFamily,
     NormVector,
     NotBoundaryError,
+    PinnedNodeCoincidenceError,
     Status,
     UnsupportedSystemError,
     boundary_spline,
@@ -127,6 +128,12 @@ class TestCanonicalSpline:
         M = NormVector((2.0, 3.0, 5.0), K012, AM2)
         with pytest.raises(DomainError):
             canonical_spline(M, -1.0)
+
+    def test_knot_on_minimal_spline_knot_rejected(self):
+        # AM moments (2, 3, 5) have principal root 5/3, i.e. the knot 0.6.
+        M = NormVector((2.0, 3.0, 5.0), K012, AM2)
+        with pytest.raises(PinnedNodeCoincidenceError, match="knot 0.6 "):
+            canonical_spline(M, 0.6)
 
 
 class TestMatchingSpline:

@@ -49,6 +49,14 @@ class TestClassify:
     def test_zero_vector(self):
         assert classify(MomentVector((0.0, 0.0, 0.0), K012)).kind is ClassKind.ZERO
 
+    def test_zero_moments_leave_the_zero_atom(self):
+        result = classify(MomentVector((1.0, 0.0, 0.0), K012))
+        assert result.kind is ClassKind.BOUNDARY
+        assert result.witness == Representation((Atom(0.0, 1.0),))
+
+    def test_zero_first_moment_with_positive_second_is_exterior(self):
+        assert classify(MomentVector((1.0, 0.0, 1.0), K012)).kind is ClassKind.EXTERIOR
+
     def test_negative_component_is_exterior(self):
         assert classify(MomentVector((1.0, -1.0, 1.0), K012)).kind is ClassKind.EXTERIOR
 
@@ -91,6 +99,12 @@ class TestLowestStructure:
 
     def test_max_twice_respected(self):
         assert lowest_structure(C235, 2) is None
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_moment_row_weight_stays_finite(self):
+        # Equation scales are relative, but a zero moment's is floored, so
+        # the weighted system of a positive atom neither overflows nor fits.
+        assert lowest_structure(MomentVector((1.0, 0.0, 1.0), K012), 3) is None
 
     def test_zero_atom_structures_need_exponent_zero(self):
         # Without exponent 0 only even indices exist: index 1/2 is skipped.
