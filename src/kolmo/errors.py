@@ -22,7 +22,7 @@ class NumericalFailureError(KolmoError):
 
 
 class DomainExitError(NumericalFailureError):
-    """Newton iterates left the positive domain; the assumed structure is wrong."""
+    """The solve left the positive domain; the assumed structure is wrong."""
 
 
 class NotInteriorError(KolmoError):

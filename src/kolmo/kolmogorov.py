@@ -11,11 +11,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .core import (
-    Atom,
     ExponentVector,
     FunctionFamily,
     NormVector,
-    Representation,
     moment_coordinates,
 )
 from .errors import (
@@ -28,7 +26,6 @@ from .errors import (
     PinnedNodeCoincidenceError,
     UnsupportedSystemError,
 )
-from .oracle import t_max_heuristic
 from .representations import (
     ACCEPT_TOL,
     lowest_structure,
@@ -81,7 +78,7 @@ def interior_spline(
     _require_positive(M)
     c = moment_coordinates(M)
     try:
-        rep = solve_structure(c, M.d // 2, False, tol=tol, init_seed=init_seed)
+        rep = solve_structure(c, tol, init_seed)
     except DomainExitError as exc:
         raise NotInteriorError(
             "the knot-count d/2 system has no positive solution; the tuple is "
@@ -111,16 +108,8 @@ def canonical_spline(
     if M.d % 2 != 1:
         raise DomainError(f"canonical spline needs an odd norm count, got {M.d}")
     _require_positive(M)
-    c = moment_coordinates(M)
-    # The knot-minimal structure, when it solves, guards and seeds the pin.
-    principal = None
-    if c.exponents.exponents[0] == 0:
-        try:
-            principal = solve_structure(c, (M.d - 1) // 2, True, tol=tol)
-        except (NumericalFailureError, DomainError):
-            pass
     try:
-        rep = pinned_representation(c, 1.0 / a_star, principal, tol)
+        rep = pinned_representation(moment_coordinates(M), 1.0 / a_star, None, tol)
     except PinnedNodeCoincidenceError as exc:
         raise PinnedNodeCoincidenceError(
             f"prescribed knot {a_star} coincides with a knot of the minimal "
@@ -132,8 +121,8 @@ def canonical_spline(
 def matching_spline(M: NormVector, tol: float = ACCEPT_TOL) -> IdealSpline:
     """The uniquely determined spline attaining an even-count norm tuple.
 
-    Searches structures by ascending knot index, so a boundary tuple yields
-    its thin spline and an interior tuple yields the d/2-knot spline.
+    One principal path gives the lowest-index spline: a boundary tuple
+    yields its thin spline and an interior tuple the d/2-knot spline.
     """
     if M.d % 2 != 0:
         raise DomainError(f"matching spline needs an even norm count, got {M.d}")
@@ -157,7 +146,7 @@ def decide_admissible(M: NormVector, tol: float = ACCEPT_TOL) -> AdmissibilityRe
     status = _decide(M, tol, trace)
     witness = None
     if status is not Status.NOT_ADMISSIBLE:
-        witness = _build_witness(M, status, tol)
+        witness = _build_witness(M, tol)
         _check_witness(witness, M)
     return AdmissibilityResult(status, witness, tuple(trace))
 
@@ -196,49 +185,19 @@ def _decide(M: NormVector, tol: float, trace: list[LevelRecord]) -> Status:
     return status
 
 
-def _build_witness(M: NormVector, status: Status, tol: float) -> IdealSpline:
-    if status is Status.ADMISSIBLE_INTERIOR:
-        return _attain_interior(M, tol)
-    if M.d % 2 == 0:
-        # One ascending search: a thinner spline when one matches, else d/2.
-        return matching_spline(M, tol)
-    try:
-        return boundary_spline(M, tol)
-    except NotBoundaryError:
-        return _attain_interior(M, tol)
+def _build_witness(M: NormVector, tol: float) -> IdealSpline:
+    """The lowest-index spline attaining an admissible tuple.
 
-
-def _attain_interior(M: NormVector, tol: float) -> IdealSpline:
-    """A spline realizing an interior norm tuple."""
-    d = M.d
-    c = moment_coordinates(M)
-    k = M.exponents.exponents
-    if d == 1:
-        rep = Representation((Atom(1.0, c.values[0]),))
-    elif d == 2:
-        u = (c.values[1] / c.values[0]) ** (1.0 / (k[1] - k[0]))
-        rep = Representation((Atom(u, c.values[0] / u ** k[0]),))
-    elif d % 2 == 0 or k[0] == 0:
-        # The index-d/2 structure: a zero atom joins when d is odd.
-        rep = solve_structure(c, d // 2, d % 2 == 1, tol=tol)
-    else:
-        # Odd count without exponent 0: square the system by pinning one root
-        # near (then progressively away from) the estimated largest atom.
-        theta = t_max_heuristic(c)
-        last_exc: Exception | None = None
-        for scale in (0.2, 0.05, 0.8, 0.0125, 3.2):
-            try:
-                rep = solve_structure(
-                    c, (d + 1) // 2, False, pinned=(scale * theta,), tol=tol
-                )
-                break
-            except (NumericalFailureError, DomainError) as exc:
-                last_exc = exc
-        else:
-            raise NumericalFailureError(
-                "no pinned-root structure realized the interior tuple"
-            ) from last_exc
-    return spline_from_representation(rep, M.family)
+    One principal path in moment coordinates gives it: the thinned exit
+    measure for a boundary tuple, the principal representation for an
+    interior one.  An interior tuple of odd count without exponent 0 has no
+    index-d/2 spline (its constant would carry no norm), and gets the
+    canonical spline through twice the largest principal root instead.
+    """
+    found = lowest_structure(moment_coordinates(M), M.d + 1, tol)
+    if found is None:
+        raise NumericalFailureError("no spline realized the admissible tuple")
+    return spline_from_representation(found[1], M.family)
 
 
 def _check_witness(spline: IdealSpline, M: NormVector):

@@ -2,7 +2,7 @@
 
 Discretizes the moment curve on a geometric grid and solves a nonnegative
 least-squares feasibility problem.  Deliberately independent of the exact
-solvers in :mod:`kolmo.representations`, which it cross-checks and seeds.
+solvers in :mod:`kolmo.representations`, which it cross-checks.
 """
 from __future__ import annotations
 

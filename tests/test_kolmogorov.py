@@ -20,6 +20,7 @@ from kolmo import (
     matching_spline,
 )
 from kolmo.core import ScaleDirection, factorial_scale
+from kolmo.kolmogorov import _check_witness
 from kolmo.splines import norms
 
 MM2 = FunctionFamily(Family.MM, 2)
@@ -66,6 +67,24 @@ class TestDecideThresholdLadder:
             mm = _mm_tuple(m0)
             am = factorial_scale(mm, ScaleDirection.MM_TO_AM)
             assert decide_admissible(am).status is decide_admissible(mm).status
+
+
+class TestInteriorWitness:
+    # Interior tuples whose witness search once raised: an odd count without
+    # exponent 0 next to the boundary, whose canonical spline has its pinned
+    # atom far out, and an even count whose weights span 14 decades.
+    @pytest.mark.parametrize("r, k, values", [
+        (8, (3, 4, 6, 7, 8), (3.6420559131614474, 6.306408597051427,
+                              14.181348480821843, 12.29053577051052,
+                              6.101511099586861)),
+        (20, (3, 15, 17, 20), (352990474807.0876, 73074.8458116912,
+                               1016.9642967596833, 1.6204598113195503)),
+    ])
+    def test_witness_reproduces_tuple(self, r, k, values):
+        M = NormVector(values, ExponentVector(k, r), FunctionFamily(Family.MM, r))
+        result = decide_admissible(M)
+        assert result.status is Status.ADMISSIBLE_INTERIOR
+        _check_witness(result.witness, M)
 
 
 class TestDecidePreconditions:

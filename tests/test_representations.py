@@ -1,6 +1,9 @@
 """Exact structure solves: classification, principal and pinned representations."""
+import types
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kolmo import (
     Atom,
@@ -19,6 +22,8 @@ from kolmo import (
     newton_refine,
     principal_representation,
 )
+import kolmo.representations
+from kolmo import oracle
 from kolmo.representations import ClassKind, _thin, lowest_structure
 
 K012 = ExponentVector((0, 1, 2), 2)
@@ -224,6 +229,29 @@ class TestPrincipalRepresentation:
         assert len(result.witness) == 3
         assert not result.witness.has_zero_atom
 
+    # Constellations where a residual within ACCEPT_TOL once passed a wrong
+    # measure: three nodes within 5 % of each other (the answer had a node
+    # at 5.2496 with weight 0.0056), and a zero atom next to a small node.
+    @pytest.mark.parametrize("k, target", [
+        ((0, 1, 2, 4, 5, 6), (
+            Atom(4.734581866873305, 0.5637887508324064),
+            Atom(4.836902180300598, 1.7397631533677735),
+            Atom(4.96346606305117, 1.9029137104913145),
+        )),
+        ((0, 3, 5, 6, 7), (
+            Atom(0.0, 0.6782632684207768),
+            Atom(0.20282107857968834, 1.3635718820503704),
+            Atom(3.728912425638389, 1.370092365288888),
+        )),
+    ])
+    def test_recovers_ill_conditioned_constellation(self, k, target):
+        target = Representation(target)
+        rep = principal_representation(moments_of(target, ExponentVector(k, 8)))
+        assert len(rep) == len(target)
+        for a, b in zip(rep.atoms, target.atoms):
+            assert a.node == pytest.approx(b.node, rel=1e-6)
+            assert a.weight == pytest.approx(b.weight, rel=1e-6)
+
     def test_trap_limit_stays_boundary(self):
         result = classify(moments_of(self.TRAP_LIMIT, self.K_TRAP))
         assert result.kind is ClassKind.BOUNDARY
@@ -300,3 +328,96 @@ class TestNewtonRefine:
         guess = Representation((Atom(1.0, 1.0),))
         with pytest.raises(DomainError):
             newton_refine(guess, [3.0], C235)
+
+
+def test_solver_uses_no_oracle_and_no_scipy():
+    """The oracle stays an independent cross-check of the structure solves."""
+    for name, value in vars(kolmo.representations).items():
+        origin = value.__name__ if isinstance(value, types.ModuleType) else getattr(
+            value, "__module__", None) or ""
+        assert not origin.startswith("scipy"), name
+        assert value is not oracle.cone_membership, name
+        assert value is not oracle.make_grid, name
+
+
+# Measures on a node grid of ratio 2 in [0.25, 8]: separated enough that a
+# relative change of 1e-6 moves a vector out of ACCEPT_TOL of another verdict.
+def _measure(draw, n_pos, with_zero):
+    steps = sorted(draw(st.lists(
+        st.integers(0, 5), min_size=n_pos, max_size=n_pos, unique=True)))
+    weights = draw(st.lists(
+        st.floats(0.5, 2.0), min_size=n_pos + with_zero, max_size=n_pos + with_zero))
+    atoms = [Atom(0.25 * 2.0 ** j, w) for j, w in zip(steps, weights)]
+    if with_zero:
+        atoms.append(Atom(0.0, weights[-1]))
+    return Representation(tuple(atoms))
+
+
+def _exponents(draw, d):
+    rest = draw(st.lists(st.integers(1, 8), min_size=d - 1, max_size=d - 1, unique=True))
+    return ExponentVector((0, *sorted(rest)), 8)
+
+
+@st.composite
+def _classified(draw):
+    """A moment vector with its verdict known by construction.
+
+    Interior: a measure of the principal structure.  Boundary: one atom
+    less.  Exterior: that boundary vector with moment 0 lowered, which a
+    nonnegative polynomial vanishing on its atoms (but not at 0) separates
+    from the cone.
+    """
+    d = draw(st.integers(3, 5))
+    k = _exponents(draw, d)
+    kind = draw(st.sampled_from(list(ClassKind)[1:]))
+    if kind is ClassKind.INTERIOR:
+        rep = _measure(draw, d // 2, d % 2 == 1)
+        return moments_of(rep, k), kind
+    rep = _measure(draw, (d - 1) // 2, False)
+    vals = list(moments_of(rep, k).values)
+    if kind is ClassKind.EXTERIOR:
+        vals[0] *= draw(st.floats(0.5, 0.9))
+    return MomentVector(tuple(vals), k), kind
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(_classified(), st.floats(1e-3, 1e3), st.floats(1e-2, 1e2))
+def test_verdict_invariant_under_weight_and_node_scaling(case, lam, scale):
+    c, kind = case
+    scaled = MomentVector(
+        tuple(lam * scale ** ki * ci for ci, ki in zip(c.values, c.exponents.exponents)),
+        c.exponents,
+    )
+    assert classify(c).kind is kind
+    assert classify(scaled).kind is kind
+
+
+@st.composite
+def _pinned(draw):
+    """A measure of the pinned structure (index (d+1)/2) and one of its nodes."""
+    d = draw(st.integers(2, 5))
+    k = _exponents(draw, d)
+    rep = _measure(draw, (d + 1) // 2, d % 2 == 0)
+    nodes = [a.node for a in rep.atoms if a.node > 0]
+    return moments_of(rep, k), draw(st.sampled_from(nodes))
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(_pinned())
+def test_canonical_mass_is_maximal(case):
+    c, t_star = case
+    try:
+        rep = canonical_representation(c, t_star)
+    except PinnedNodeCoincidenceError:
+        return
+    w_star = next(a.weight for a in rep.atoms if a.node == t_star)
+    v = np.asarray(moments_of(Representation((Atom(t_star, 1.0),)), c.exponents).values)
+
+    def minus(mass):
+        return MomentVector(tuple(np.asarray(c.values) - mass * v), c.exponents)
+
+    assert classify(minus((1 - 1e-6) * w_star)).kind is ClassKind.INTERIOR
+    # Past the maximal mass the vector leaves the cone by 1e-6 of w* v(t*)
+    # less what the boundary's tangent absorbs, which can fall below
+    # ACCEPT_TOL; a tighter tolerance tells it from a boundary vector.
+    assert classify(minus((1 + 1e-6) * w_star), tol=1e-12).kind is ClassKind.EXTERIOR
