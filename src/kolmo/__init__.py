@@ -45,7 +45,6 @@ from .representations import (
     Classification,
     canonical_representation,
     classify,
-    interlace_hints,
     minimal_index,
     newton_refine,
     principal_representation,

@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 
@@ -77,11 +78,16 @@ def _write_output(path: str | None, text: str):
 
 def _parse_exponents(doc: dict, r: int | None = None) -> ExponentVector:
     try:
+        if not isinstance(doc["k"], list):
+            raise TypeError(f"got {type(doc['k']).__name__}")
         ks = [int(v) for v in doc["k"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f'field "k" must be a list of integers: {exc}') from exc
     if r is None:
-        r = int(doc.get("r", max(ks[-1], 1) if ks else 1))
+        try:
+            r = int(doc.get("r", max(ks[-1], 1) if ks else 1))
+        except (TypeError, ValueError) as exc:
+            raise InputError(f'field "r" must be an integer: {exc}') from exc
     try:
         return ExponentVector(tuple(ks), r)
     except DomainError as exc:
@@ -284,8 +290,8 @@ def main(argv: list[str] | None = None) -> int:
     _configure_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.tol <= 0:
-        print("error: --tol must be > 0", file=sys.stderr)
+    if not 0 < args.tol < math.inf:
+        print("error: --tol must be finite and > 0", file=sys.stderr)
         return EXIT_INVALID_INPUT
     try:
         if args.command == "classify":

@@ -276,13 +276,9 @@ def moment_coordinates(M: NormVector) -> MomentVector:
 
     AM: c_i = M_{k_i}.  MM: c_i = (r - k_i)! * M_{k_i}.
     """
-    if M.family.kind is Family.AM:
-        return MomentVector(M.values, M.exponents)
-    r = M.family.r
-    vals = tuple(
-        v * math.factorial(r - ki) for v, ki in zip(M.values, M.exponents.exponents)
-    )
-    return MomentVector(vals, M.exponents)
+    if M.family.kind is Family.MM:
+        M = factorial_scale(M, ScaleDirection.MM_TO_AM)
+    return MomentVector(M.values, M.exponents)
 
 
 def norms_from_moments(c: MomentVector, family: FunctionFamily) -> NormVector:
@@ -290,7 +286,5 @@ def norms_from_moments(c: MomentVector, family: FunctionFamily) -> NormVector:
     k = ExponentVector(c.exponents.exponents, family.r)
     if family.kind is Family.AM:
         return NormVector(c.values, k, family)
-    vals = tuple(
-        v / math.factorial(family.r - ki) for v, ki in zip(c.values, k.exponents)
-    )
-    return NormVector(vals, k, family)
+    am = NormVector(c.values, k, FunctionFamily(Family.AM, family.r))
+    return factorial_scale(am, ScaleDirection.AM_TO_MM)

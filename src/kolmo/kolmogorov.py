@@ -18,10 +18,8 @@ from .core import (
 )
 from .errors import (
     DomainError,
-    DomainExitError,
     NotAttainableError,
     NotBoundaryError,
-    NotInteriorError,
     NumericalFailureError,
     PinnedNodeCoincidenceError,
     UnsupportedSystemError,
@@ -30,7 +28,7 @@ from .representations import (
     ACCEPT_TOL,
     lowest_structure,
     pinned_representation,
-    solve_structure,
+    principal_representation,
 )
 from .splines import IdealSpline, evaluate, norms, spline_from_representation
 
@@ -76,14 +74,7 @@ def interior_spline(
     if M.d % 2 != 0:
         raise DomainError(f"interior spline needs an even norm count, got {M.d}")
     _require_positive(M)
-    c = moment_coordinates(M)
-    try:
-        rep = solve_structure(c, tol, init_seed)
-    except DomainExitError as exc:
-        raise NotInteriorError(
-            "the knot-count d/2 system has no positive solution; the tuple is "
-            "not interior"
-        ) from exc
+    rep = principal_representation(moment_coordinates(M), tol, init_seed)
     return spline_from_representation(rep, M.family)
 
 
@@ -109,7 +100,7 @@ def canonical_spline(
         raise DomainError(f"canonical spline needs an odd norm count, got {M.d}")
     _require_positive(M)
     try:
-        rep = pinned_representation(moment_coordinates(M), 1.0 / a_star, None, tol)
+        rep = pinned_representation(moment_coordinates(M), 1.0 / a_star, tol)
     except PinnedNodeCoincidenceError as exc:
         raise PinnedNodeCoincidenceError(
             f"prescribed knot {a_star} coincides with a knot of the minimal "

@@ -1,22 +1,22 @@
 """Brute-force moment-cone membership oracle.
 
 Discretizes the moment curve on a geometric grid and solves a nonnegative
-least-squares feasibility problem.  Deliberately independent of the exact
-solvers in :mod:`kolmo.representations`, which it cross-checks.
+least-squares feasibility problem; it reports the verdict and the residual.
+Deliberately independent of the exact solvers in
+:mod:`kolmo.representations`, which it cross-checks.  scipy is imported on
+first use, so importing kolmo does not pay for it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
-from .core import Atom, MomentVector, Representation
+from .core import MomentVector
 from .errors import DomainError
 
 DEFAULT_GRID_SIZE = 2000
 DEFAULT_FEASIBILITY_TOL = 1e-7
-SUPPORT_WEIGHT_FLOOR = 1e-9
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,6 @@ class Grid:
 class FeasibilityReport:
     feasible: bool
     residual: float
-    support: Representation
 
 
 def make_grid(t_max: float, count: int, include_zero: bool = True) -> Grid:
@@ -83,6 +82,8 @@ def nnls(
     Returns weights >= 0 minimizing ||sum_j w_j col_j - target||_2 and the
     minimum, relative to max(1, ||target||).
     """
+    import scipy.optimize
+
     if not columns:
         raise DomainError("need at least one column")
     d = target.d
@@ -100,6 +101,8 @@ def cone_membership(
     tol: float = DEFAULT_FEASIBILITY_TOL,
 ) -> FeasibilityReport:
     """Discretized membership test for the moment cone over [0, inf)."""
+    import scipy.optimize
+
     if tol <= 0:
         raise DomainError("tolerance must be positive")
     if grid is None:
@@ -113,62 +116,8 @@ def cone_membership(
     # curve_point).
     A = nodes[None, :] ** np.asarray(k.exponents, dtype=float)[:, None]
     b = np.asarray(c.values, dtype=float)
-    bscale = max(1.0, float(np.linalg.norm(b)))
-
-    # Unit-norm columns tame the Vandermonde conditioning; unscale after.
+    # Unit-norm columns tame the Vandermonde conditioning.
     colnorm = np.linalg.norm(A, axis=0)
-    safe = np.where(colnorm > 0, colnorm, 1.0)
-    w, rnorm = scipy.optimize.nnls(A / safe, b)
-    w = w / safe
-    residual = float(rnorm) / bscale
-
-    support_idx = _support_indices(w)
-    support_idx, w, residual = _prune_support(
-        A, b, bscale, nodes, support_idx, w, residual, tol, c.d + 1
-    )
-    support = _support_representation(nodes, support_idx, w)
-    return FeasibilityReport(residual <= tol, residual, support)
-
-
-def _support_indices(w: np.ndarray) -> list[int]:
-    top = float(w.max(initial=0.0))
-    if top <= 0:
-        return []
-    return [int(j) for j in np.flatnonzero(w > SUPPORT_WEIGHT_FLOOR * top)]
-
-
-def _prune_support(A, b, bscale, nodes, idx, w, residual, tol, max_size):
-    """Greedily drop smallest-weight atoms while the fit stays feasible."""
-    idx = list(idx)
-    weights = {j: float(w[j]) for j in idx}
-    while residual <= tol and len(idx) > 1:
-        j_min = min(idx, key=lambda j: weights[j])
-        trial = [j for j in idx if j != j_min]
-        tw, trnorm = scipy.optimize.nnls(A[:, trial], b)
-        tres = float(trnorm) / bscale
-        if tres > tol:
-            break
-        idx = trial
-        weights = {j: float(tw[i]) for i, j in enumerate(trial)}
-        residual = tres
-    full = np.zeros_like(w)
-    for j in idx:
-        full[j] = weights[j]
-    return idx, full, residual
-
-
-def _support_representation(nodes, idx, w) -> Representation:
-    """Build the support measure, merging near-duplicate grid nodes."""
-    pairs = sorted((float(nodes[j]), float(w[j])) for j in idx if w[j] > 0)
-    if not pairs:
-        return Representation(())
-    gap = 2e-8 * pairs[-1][0]
-    merged: list[list[float]] = []
-    for node, weight in pairs:
-        if merged and node - merged[-1][0] <= gap:
-            prev_n, prev_w = merged[-1]
-            total = prev_w + weight
-            merged[-1] = [(prev_n * prev_w + node * weight) / total, total]
-        else:
-            merged.append([node, weight])
-    return Representation(tuple(Atom(n, w) for n, w in merged))
+    _, rnorm = scipy.optimize.nnls(A / np.where(colnorm > 0, colnorm, 1.0), b)
+    residual = float(rnorm) / max(1.0, float(np.linalg.norm(b)))
+    return FeasibilityReport(residual <= tol, residual)

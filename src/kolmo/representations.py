@@ -403,37 +403,6 @@ def _canonical(prob: _Problem, y, layout, t_star: float, tol: float):
     return y, layout
 
 
-def _thin(ws, rep: Representation, tol: float):
-    """``rep`` without its atoms of weight below ``tol`` of the total mass (c
-    then has a smaller index), or None if there are none or the rest misses c.
-    """
-    mass = sum(a.weight for a in rep.atoms)
-    kept = tuple(a for a in rep.atoms if a.weight > tol * mass)
-    if len(kept) == len(rep.atoms):
-        return None
-    try:
-        thin = Representation(kept)
-    except DomainError:
-        return None
-    return thin if ws.scaled_residual(thin) <= 10 * tol else None
-
-
-def solve_structure(
-    c: MomentVector, tol: float = ACCEPT_TOL, init_seed: int = 0
-) -> Representation:
-    """The principal representation (index d/2) by the principal path from
-    the start ``init_seed`` selects; :class:`DomainExitError` if c is not
-    interior."""
-    if c.d % 2 and c.exponents.exponents[0]:
-        raise UnsupportedSystemError("odd-dimensional principal structure needs exponent 0")
-    prob = _Problem(c)
-    kind, y, layout = _principal_path(prob, tol, init_seed)
-    rep = prob.representation(y, layout)
-    if kind is not ClassKind.INTERIOR or rep is None:
-        raise DomainExitError("the path to c leaves the principal structure")
-    return rep
-
-
 def lowest_structure(
     c: MomentVector, max_twice: int, tol: float = ACCEPT_TOL
 ) -> tuple[int, Representation] | None:
@@ -458,7 +427,6 @@ def lowest_structure(
     rep = prob.representation(y, layout)
     if rep is None or prob.scaled_residual(rep) > tol:
         return None
-    rep = _thin(prob, rep, tol) or rep
     twice = sum(1 if a.node == 0.0 else 2 for a in rep.atoms)
     return (twice, rep) if twice <= max_twice else None
 
@@ -497,58 +465,30 @@ def minimal_index(c: MomentVector, tol: float = ACCEPT_TOL) -> tuple[HalfInteger
 def principal_representation(
     c: MomentVector, tol: float = ACCEPT_TOL, init_seed: int = 0
 ) -> Representation:
-    """Representation of index exactly d/2 for an interior moment vector."""
-    try:
-        rep = solve_structure(c, tol, init_seed)
-    except DomainExitError as exc:
-        raise NotInteriorError("the moment vector is not interior") from exc
-    if _thin(_Problem(c), rep, tol) is not None:
-        raise NotInteriorError("a representing weight vanishes: the moment vector is not interior")
+    """Representation of index exactly d/2 for an interior moment vector: the
+    end of the principal path from the start ``init_seed`` selects."""
+    if c.d % 2 and c.exponents.exponents[0]:
+        raise UnsupportedSystemError("odd-dimensional principal structure needs exponent 0")
+    prob = _Problem(c)
+    kind, y, layout = _principal_path(prob, tol, init_seed)
+    rep = prob.representation(y, layout)
+    if kind is not ClassKind.INTERIOR or rep is None:
+        raise NotInteriorError("the moment vector is not interior")
     return rep
 
 
-def interlace_hints(principal: Representation, t_star: float) -> tuple[float, ...]:
-    """Starting positions for the free roots of a pinned solve.
-
-    The positive roots of a representation of index (d+1)/2 fall one per gap
-    between consecutive positive roots of the principal representation; the
-    gap (0, u_1) is available exactly when the principal representation
-    carries a zero atom (its zero slot is then free for a positive root).
-    Raises :class:`DomainError` when no gap contains ``t_star``, in which
-    case no such representation with the prescribed root exists.
-    """
-    bounds = [a.node for a in principal.atoms if a.node > 0] + [math.inf]
-    if principal.has_zero_atom:
-        bounds.insert(0, 0.0)
-    gaps = list(zip(bounds, bounds[1:]))
-    pin_gap = next((j for j, (lo, hi) in enumerate(gaps) if lo < t_star < hi), None)
-    if pin_gap is None:
-        raise DomainError(
-            f"no representation of index (d+1)/2 contains the root {t_star}: "
-            "it lies below the smallest principal root, which is reserved "
-            "for the zero atom"
-        )
-    return tuple(
-        lo * 4.0 if math.isinf(hi) else hi / 4.0 if lo == 0.0 else math.sqrt(lo * hi)
-        for j, (lo, hi) in enumerate(gaps) if j != pin_gap
-    )
-
-
 def pinned_representation(
-    c: MomentVector, t_star: float, principal: Representation | None, tol: float = ACCEPT_TOL
+    c: MomentVector, t_star: float, tol: float = ACCEPT_TOL
 ) -> Representation:
     """Representation of index (d+1)/2 with a root pinned at t_star exactly.
 
-    The maximal-mass ray starts from ``principal`` (found when None); a pin
-    on one of its roots is rejected, the ray has no length there.
+    The maximal-mass ray starts from the principal representation; a pin on
+    one of its roots is rejected, the ray has no length there.
     """
     prob = _Problem(c)
-    if principal is None:
-        kind, y, layout = _principal_path(prob, tol)
-        if kind is not ClassKind.INTERIOR:
-            raise NotInteriorError("a pinned representation needs an interior vector")
-    else:
-        y, layout = prob.variables(principal)
+    kind, y, layout = _principal_path(prob, tol)
+    if kind is not ClassKind.INTERIOR:
+        raise NotInteriorError("a pinned representation needs an interior vector")
     for u in prob.nodes(_unpack(y, layout)[2]):
         if abs(u - t_star) <= NODE_MERGE_REL * max(u, t_star):
             raise PinnedNodeCoincidenceError(
@@ -569,15 +509,14 @@ def canonical_representation(
         raise DomainError(f"prescribed root must be positive, got {t_star}")
     if c.exponents.exponents[0] != 0:
         raise UnsupportedSystemError("canonical representation needs exponent 0")
-    return pinned_representation(c, t_star, principal_representation(c, tol=tol), tol)
+    return pinned_representation(c, t_star, tol)
 
 
 def newton_refine(
-    guess: Representation, pinned_nodes: list[float], c: MomentVector,
-    tol: float = NEWTON_TOL, max_iter: int = MAX_ITER,
+    guess: Representation, pinned_nodes: list[float], c: MomentVector
 ) -> Representation:
     """Refine a structurally correct guess: one tracker run from the guess's
-    own moments to c, pinned nodes held, then Newton to ``tol``."""
+    own moments to c, pinned nodes held, then Newton to NEWTON_TOL."""
     atoms, matched = list(guess.atoms), set()
     for t in pinned_nodes:
         j = next((j for j, a in enumerate(atoms) if j not in matched and a.node > 0
@@ -589,11 +528,11 @@ def newton_refine(
     prob = _Problem(c)
     y, layout = prob.variables(Representation(tuple(atoms)), tuple(pinned_nodes))
     s, y = _track(y, layout, prob.k, _moments(y, layout, prob.k), prob.values)
-    y, _ = _correct(y, layout, prob.k, prob.values, tol, max_iter)
+    y, _ = _correct(y, layout, prob.k, prob.values, NEWTON_TOL, MAX_ITER)
     rep = prob.representation(y, layout) if s == 1.0 else None
     if rep is None:
         raise DomainExitError("the path to c leaves the guess's structure")
     final = prob.scaled_residual(rep)
-    if final > max(tol, 100 * NEWTON_TOL):
+    if final > 100 * NEWTON_TOL:
         raise NumericalFailureError(f"Newton misses c by {final:.3e}", residual=final)
     return rep

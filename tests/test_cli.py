@@ -137,6 +137,28 @@ class TestInvalidInput:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_nonfinite_tol_exit_2(self, capsys, monkeypatch, tol):
+        code, _, err = run(
+            capsys, ["classify", "--tol", tol], stdin={"k": [0], "c": [1.0]},
+            monkeypatch=monkeypatch,
+        )
+        assert code == 2
+        assert "--tol" in err
+
+    def test_non_integer_order_exit_2(self, capsys, monkeypatch):
+        doc = {"k": [0, 1, 2], "r": "x", "c": [2.0, 3.0, 5.0]}
+        code, _, err = run(capsys, ["classify"], stdin=doc, monkeypatch=monkeypatch)
+        assert code == 2
+        assert '"r"' in err
+
+    def test_exponent_string_exit_2(self, capsys, monkeypatch):
+        # A string is not a list, although its characters parse as digits.
+        doc = {"k": "012", "c": [2.0, 3.0, 5.0]}
+        code, _, err = run(capsys, ["classify"], stdin=doc, monkeypatch=monkeypatch)
+        assert code == 2
+        assert '"k"' in err
+
     def test_grid_flag_rejected(self, capsys):
         # The oracle grid sizes are the solver's own, not a CLI option.
         with pytest.raises(SystemExit) as exc:

@@ -149,6 +149,13 @@ class TestFactorialTransport:
         M = NormVector((1.0, 2.0, 2.0), k, FunctionFamily(Family.MM, 2))
         assert moment_coordinates(M).values == (2.0, 2.0, 2.0)
 
+    def test_moment_coordinates_overflow_rejected(self):
+        # 1e300 * 20! is no double: no infinite moment reaches a solver.
+        k = ExponentVector((0, 20), 20)
+        M = NormVector((1e300, 1.0), k, FunctionFamily(Family.MM, 20))
+        with pytest.raises(DomainError):
+            moment_coordinates(M)
+
     @given(
         vals=st.lists(
             st.floats(min_value=0.01, max_value=100.0), min_size=3, max_size=3

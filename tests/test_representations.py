@@ -16,7 +16,6 @@ from kolmo import (
     UnsupportedSystemError,
     canonical_representation,
     classify,
-    interlace_hints,
     minimal_index,
     moments_of,
     newton_refine,
@@ -24,7 +23,7 @@ from kolmo import (
 )
 import kolmo.representations
 from kolmo import oracle
-from kolmo.representations import ClassKind, _thin, lowest_structure
+from kolmo.representations import ClassKind, lowest_structure
 
 K012 = ExponentVector((0, 1, 2), 2)
 C235 = MomentVector((2.0, 3.0, 5.0), K012)
@@ -121,33 +120,33 @@ class TestLowestStructure:
         assert rep.atoms[0].node == pytest.approx(2.0, rel=1e-8)
 
 
-class _RelativeMismatch:
-    """Workspace stand-in: largest relative moment mismatch against c."""
-
-    def __init__(self, c):
-        self.c = c
-
-    def scaled_residual(self, rep):
-        got = moments_of(rep, self.c.exponents).values
-        return max(abs(g - w) / abs(w) for g, w in zip(got, self.c.values))
-
-
 class TestThin:
+    """``classify`` leaves degenerate atoms out of a boundary witness."""
+
     K = ExponentVector((0, 1, 2, 3), 3)
 
+    def classify_atoms(self, *atoms):
+        return classify(moments_of(Representation(tuple(Atom(*a) for a in atoms)), self.K))
+
     def test_negligible_atom_dropped(self):
-        rep = Representation((Atom(1.5, 2.0), Atom(3.0, 1e-12)))
-        thin = _thin(_RelativeMismatch(moments_of(rep, self.K)), rep, 1e-8)
-        assert thin == Representation((Atom(1.5, 2.0),))
+        result = self.classify_atoms((1.5, 2.0), (3.0, 1e-12))
+        assert result.kind is ClassKind.BOUNDARY
+        assert len(result.witness) == 1
+        assert result.witness.atoms[0].node == pytest.approx(1.5, rel=1e-8)
+        assert result.witness.atoms[0].weight == pytest.approx(2.0, rel=1e-8)
 
     def test_no_negligible_atom(self):
-        rep = Representation((Atom(1.5, 2.0), Atom(3.0, 1.0)))
-        assert _thin(_RelativeMismatch(moments_of(rep, self.K)), rep, 1e-8) is None
+        result = self.classify_atoms((1.5, 2.0), (3.0, 1.0))
+        assert result.kind is ClassKind.INTERIOR
+        assert result.witness.nodes == pytest.approx((1.5, 3.0), rel=1e-8)
+        assert result.witness.weights == pytest.approx((2.0, 1.0), rel=1e-8)
 
     def test_dropping_must_keep_the_moments(self):
         # A tiny weight far out still carries the top moments.
-        rep = Representation((Atom(1.5, 2.0), Atom(1e5, 1e-12)))
-        assert _thin(_RelativeMismatch(moments_of(rep, self.K)), rep, 1e-8) is None
+        result = self.classify_atoms((1.5, 2.0), (1e5, 1e-12))
+        assert result.kind is ClassKind.INTERIOR
+        assert result.witness.nodes == pytest.approx((1.5, 1e5), rel=1e-8)
+        assert result.witness.weights == pytest.approx((2.0, 1e-12), rel=1e-8)
 
 
 class TestPrincipalRepresentation:
@@ -287,25 +286,6 @@ class TestCanonicalRepresentation:
         c = MomentVector((1.0, 2.0), ExponentVector((1, 2), 2))
         with pytest.raises(UnsupportedSystemError):
             canonical_representation(c, 1.0)
-
-
-class TestInterlaceHints:
-    def test_one_hint_per_unoccupied_gap(self):
-        principal = Representation((Atom(0.0, 0.2), Atom(5.0 / 3.0, 1.8)))
-        hints = interlace_hints(principal, 1.0)
-        # Pin occupies (0, 5/3); the remaining gap is (5/3, inf).
-        assert len(hints) == 1
-        assert hints[0] > 5.0 / 3.0
-
-    def test_pin_below_smallest_root_without_zero_atom_rejected(self):
-        principal = Representation((Atom(1.0, 1.0), Atom(2.0, 1.0)))
-        with pytest.raises(DomainError):
-            interlace_hints(principal, 0.5)
-
-    def test_pin_between_roots_accepted(self):
-        principal = Representation((Atom(1.0, 1.0), Atom(2.0, 1.0)))
-        hints = interlace_hints(principal, 1.5)
-        assert len(hints) == 1
 
 
 class TestNewtonRefine:
