@@ -19,7 +19,6 @@ from .core import (
 )
 from .errors import (
     DomainError,
-    DomainExitError,
     InconsistencyError,
     KolmoError,
     NotAttainableError,
@@ -46,7 +45,6 @@ from .representations import (
     canonical_representation,
     classify,
     minimal_index,
-    newton_refine,
     principal_representation,
 )
 from .splines import (

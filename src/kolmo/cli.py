@@ -76,16 +76,23 @@ def _write_output(path: str | None, text: str):
             fh.write(text if text.endswith("\n") else text + "\n")
 
 
+def _integer(v) -> int:
+    """int(v) without truncation: 2.0 is 2, 1.5 is rejected."""
+    if isinstance(v, float) and not v.is_integer():
+        raise ValueError(f"{v!r} is not an integer")
+    return int(v)
+
+
 def _parse_exponents(doc: dict, r: int | None = None) -> ExponentVector:
     try:
         if not isinstance(doc["k"], list):
             raise TypeError(f"got {type(doc['k']).__name__}")
-        ks = [int(v) for v in doc["k"]]
+        ks = [_integer(v) for v in doc["k"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f'field "k" must be a list of integers: {exc}') from exc
     if r is None:
         try:
-            r = int(doc.get("r", max(ks[-1], 1) if ks else 1))
+            r = _integer(doc.get("r", max(ks[-1], 1) if ks else 1))
         except (TypeError, ValueError) as exc:
             raise InputError(f'field "r" must be an integer: {exc}') from exc
     try:
@@ -99,7 +106,7 @@ def _parse_problem(doc: dict) -> NormVector:
         if field not in doc:
             raise InputError(f'problem JSON is missing field "{field}"')
     try:
-        family = FunctionFamily(Family(doc["family"]), int(doc["r"]))
+        family = FunctionFamily(Family(doc["family"]), _integer(doc["r"]))
     except (ValueError, TypeError, DomainError) as exc:
         raise InputError(f"invalid family/order: {exc}") from exc
     k = _parse_exponents(doc, family.r)

@@ -21,10 +21,6 @@ class NumericalFailureError(KolmoError):
         self.residual = residual
 
 
-class DomainExitError(NumericalFailureError):
-    """The solve left the positive domain; the assumed structure is wrong."""
-
-
 class NotInteriorError(KolmoError):
     """Input claimed interior of its admissible set but is not."""
 

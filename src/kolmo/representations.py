@@ -12,8 +12,10 @@ degenerates: a weight or node goes to 0, two nodes merge, a node runs off.
   otherwise the exit measure without its degenerate atoms, polished against
   c, is the boundary witness when it reproduces c, and c is exterior if not.
 - A root pinned at t* tracks the ray c - s w v(t*), v(t*) the powers of t*,
-  from the principal representation to its exit, where the mass at t* is
-  maximal; the exit measure plus that atom is the canonical representation.
+  from the principal representation toward its exit, where the mass at t* is
+  maximal.  Which atom vanishes there is known, so once its tangent predicts
+  the exit reliably, one pinned Newton solve lands on it; the exit measure
+  plus that atom is the canonical representation.
 
 The brute-force oracle takes no part; it stays an independent cross-check.
 """
@@ -28,7 +30,6 @@ import numpy as np
 from .core import NODE_MERGE_REL, Atom, HalfInteger, MomentVector, Representation
 from .errors import (
     DomainError,
-    DomainExitError,
     InconsistencyError,
     NotInteriorError,
     NumericalFailureError,
@@ -181,19 +182,26 @@ def _losses(y, layout, k, log_s):
     return (lz, lw, lu), costs, (mw, mu)
 
 
-def _track(y, layout, k, c_a, c_b):
+def _track(y, layout, k, c_a, c_b, vanish=None):
     """Follow the representation y of c_a along c_a + s (c_b - c_a): (s, y).
 
     Euler predictor, Newton corrector; the step doubles after a success and
     halves after a failure, and moves no log variable by more than one unit.
     It stops at s = 1, where a loss of :func:`_losses` falls below ACCEPT_TOL
     (an exit), or where it stalls.
+
+    ``vanish`` = (i, q) names an exit known in advance, where y[i] runs to
+    -inf like log(s* - s) / q.  Its tangent t predicts s* = s - 1 / (q t);
+    steps stop at the fraction 1 - e^-q of the way, where y[i] has moved by
+    one unit.  Once two successive predictions agree within 1 % of the
+    distance and that bound caps the step, the tracker returns s* and y
+    moved along the tangent to s*, for the caller to solve for the exit.
     """
     dc = c_b - c_a
     # Degeneracy is measured against the larger end of the path: along a ray
     # a moment shrinks to 0 together with the atoms that feed it.
     log_ref = _log_scales(np.maximum(np.abs(c_a), np.abs(c_b)))
-    s, h = 0.0, 0.5
+    s, h, last = 0.0, 0.5, math.nan
     while s < 1.0:
         if _losses(y, layout, k, log_ref)[1].min() < ACCEPT_TOL:
             return s, y
@@ -201,6 +209,15 @@ def _track(y, layout, k, c_a, c_b):
         tangent = _lstsq(_system(y, layout, k, c_a + s * dc, log_s)[1], dc * np.exp(-log_s))
         cap = 1.0 / max(float(np.abs(tangent).max()), 1e-300)
         h = min(2.0 * h, cap)
+        if vanish is not None:
+            rate = -vanish[1] * float(tangent[vanish[0]])
+            dist = 1.0 / rate if rate > 0 else math.inf
+            sure = abs(s + dist - last) <= 0.01 * dist
+            last = s + dist
+            near = (1.0 - math.exp(-vanish[1])) * dist
+            if sure and near <= h:
+                return last, y + dist * tangent
+            h = min(h, near)
         while True:
             # A step below NEWTON_TOL is below the resolution of the path; a
             # node running to infinity drives the tangent there.
@@ -271,14 +288,13 @@ class _Problem:
         except DomainError:
             return None
 
-    def variables(self, rep: Representation, pins=()):
-        """Inverse of :meth:`representation`: (y, layout), ``pins`` held fixed."""
+    def variables(self, rep: Representation):
+        """Inverse of :meth:`representation`: (y, layout)."""
         zero = [math.log(a.weight) for a in rep.atoms if a.node == 0.0]
-        pos = [a for a in rep.atoms if a.node > 0 and a.node not in pins]
-        pinned = [next(a for a in rep.atoms if a.node == t) for t in pins]
-        lw = [math.log(a.weight) + self.shift * math.log(a.node) for a in pinned + pos]
+        pos = [a for a in rep.atoms if a.node > 0]
+        lw = [math.log(a.weight) + self.shift * math.log(a.node) for a in pos]
         lu = [math.log(math.ldexp(a.node, -self.m)) for a in pos]
-        return np.array(zero + lw + lu), (bool(zero), tuple(math.ldexp(t, -self.m) for t in pins))
+        return np.array(zero + lw + lu), (bool(zero), ())
 
     def start(self, init_seed: int):
         """Start measure of the principal path: (y, layout).
@@ -367,9 +383,13 @@ def _canonical(prob: _Problem, y, layout, t_star: float, tol: float):
     """Canonical representation through t_star from the principal y.
 
     Along the ray c - s w v(t_star) the mass at t_star is maximal at the exit
-    s*; the exit measure plus (t_star, s* w), polished with t_star pinned, is
-    the canonical representation.  Raises :class:`NumericalFailureError` when
-    it misses c (a node ran to infinity: t_star is off the swept bands).
+    s*, and the exit is known in advance: for odd d the zero atom's mass
+    vanishes like s* - s, for even d the smallest node like (s* - s)^(1/k_2).
+    :func:`_track` follows the ray until its prediction of s* settles; the
+    pinned Newton then lands on the exit in one solve: the exit measure plus
+    (t_star, s* w), with the pin mass in place of s, is the canonical
+    representation.  Raises :class:`NumericalFailureError` when it misses c
+    (a node ran to infinity: t_star is off the swept bands).
     """
     k, c = prob.k, prob.values
     pin = math.ldexp(t_star, -prob.m)  # exact
@@ -378,7 +398,9 @@ def _canonical(prob: _Problem, y, layout, t_star: float, tol: float):
         return np.log([w_max]), (False, (pin,))
     # The ray runs on to twice that mass, so that its exit lies inside the
     # path and not where a moment reaches 0.
-    s, y = _track(y, layout, k, c, c - 2.0 * w_max * np.exp(k * math.log(pin)))
+    lu = _unpack(y, layout)[2]
+    vanish = (0, 1.0) if layout[0] else (len(lu) + int(np.argmin(lu)), k[1])
+    s, y = _track(y, layout, k, c, c - 2.0 * w_max * np.exp(k * math.log(pin)), vanish)
     if s <= 0.0:
         raise NumericalFailureError("the ray leaves the cone at once")
     # The exit measure has index (d-1)/2 and interlaces with the principal
@@ -510,29 +532,3 @@ def canonical_representation(
     if c.exponents.exponents[0] != 0:
         raise UnsupportedSystemError("canonical representation needs exponent 0")
     return pinned_representation(c, t_star, tol)
-
-
-def newton_refine(
-    guess: Representation, pinned_nodes: list[float], c: MomentVector
-) -> Representation:
-    """Refine a structurally correct guess: one tracker run from the guess's
-    own moments to c, pinned nodes held, then Newton to NEWTON_TOL."""
-    atoms, matched = list(guess.atoms), set()
-    for t in pinned_nodes:
-        j = next((j for j, a in enumerate(atoms) if j not in matched and a.node > 0
-                  and abs(t - a.node) <= 1e-12 * max(t, a.node)), None)
-        if j is None:
-            raise DomainError(f"pinned node {t} not present in the guess")
-        atoms[j] = Atom(t, atoms[j].weight)
-        matched.add(j)
-    prob = _Problem(c)
-    y, layout = prob.variables(Representation(tuple(atoms)), tuple(pinned_nodes))
-    s, y = _track(y, layout, prob.k, _moments(y, layout, prob.k), prob.values)
-    y, _ = _correct(y, layout, prob.k, prob.values, NEWTON_TOL, MAX_ITER)
-    rep = prob.representation(y, layout) if s == 1.0 else None
-    if rep is None:
-        raise DomainExitError("the path to c leaves the guess's structure")
-    final = prob.scaled_residual(rep)
-    if final > 100 * NEWTON_TOL:
-        raise NumericalFailureError(f"Newton misses c by {final:.3e}", residual=final)
-    return rep

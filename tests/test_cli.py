@@ -159,6 +159,25 @@ class TestInvalidInput:
         assert code == 2
         assert '"k"' in err
 
+    def test_fractional_exponent_exit_2(self, capsys, monkeypatch):
+        # Truncated, k = (0, 1.5, 2) would be classified as k = (0, 1, 2).
+        doc = {"k": [0, 1.5, 2], "c": [2.0, 3.0, 5.0]}
+        code, _, err = run(capsys, ["classify"], stdin=doc, monkeypatch=monkeypatch)
+        assert code == 2
+        assert '"k"' in err
+
+    def test_fractional_order_exit_2(self, capsys, monkeypatch):
+        doc = {"family": "mm", "r": 2.7, "k": [0, 1, 2], "M": [1.0, 2.0, 2.0]}
+        code, _, err = run(capsys, ["decide"], stdin=doc, monkeypatch=monkeypatch)
+        assert code == 2
+        assert "order" in err
+
+    def test_integral_floats_accepted(self, capsys, monkeypatch):
+        doc = {"family": "mm", "r": 2.0, "k": [0, 1.0, 2], "M": [1.0, 2.0, 2.0]}
+        code, out, _ = run(capsys, ["decide"], stdin=doc, monkeypatch=monkeypatch)
+        assert code == 0
+        assert json.loads(out)["status"] == "admissible_boundary"
+
     def test_grid_flag_rejected(self, capsys):
         # The oracle grid sizes are the solver's own, not a CLI option.
         with pytest.raises(SystemExit) as exc:

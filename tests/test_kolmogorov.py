@@ -155,6 +155,23 @@ class TestCanonicalSpline:
             canonical_spline(M, 0.6)
 
 
+class TestCanonicalWitness:
+    def test_odd_count_without_order_zero_is_pinned(self):
+        # Interior, odd d, k_1 > 0: the witness is the canonical spline
+        # through a prescribed knot.  Pinned so that a change in how the
+        # solver reaches it cannot change which spline is returned.
+        k = ExponentVector((1, 4, 5, 7, 8), 8)
+        M = NormVector((3248846522.106419, 1548317.690191818, 102988.55247236633,
+                        184.19256528925297, 3.7880919589268256), k,
+                       FunctionFamily(Family.MM, 8))
+        result = decide_admissible(M)
+        assert result.status is Status.ADMISSIBLE_INTERIOR
+        assert result.witness.knots == pytest.approx(
+            (151.22202526077885, 57.24391225437299, 1.0), rel=1e-10)
+        assert result.witness.weights == pytest.approx(
+            (0.005498150903403648, 3.19285275096532, 0.5897410570580929), rel=1e-10)
+
+
 class TestMatchingSpline:
     def test_even_count_required(self):
         with pytest.raises(DomainError):
