@@ -38,7 +38,7 @@ from .kolmogorov import (
     interior_spline,
     matching_spline,
 )
-from .oracle import FeasibilityReport, Grid, cone_membership, make_grid, nnls, t_max_heuristic
+from .oracle import FeasibilityReport, cone_membership
 from .representations import (
     ClassKind,
     Classification,

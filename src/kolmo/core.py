@@ -20,10 +20,6 @@ MAX_ORDER = 20
 #: are considered duplicates and rejected at construction.
 NODE_MERGE_REL = 1e-8
 
-#: Convention used throughout: 0**0 == 1, so an atom at node 0 contributes
-#: exactly (1, 0, ..., 0) when the first exponent is 0.
-ZERO_POW_ZERO = 1.0
-
 
 class Family(Enum):
     """Function class: absolutely monotone or multiply monotone."""
@@ -35,13 +31,6 @@ class Family(Enum):
 class ScaleDirection(Enum):
     MM_TO_AM = "mm_to_am"
     AM_TO_MM = "am_to_mm"
-
-
-def power(t: float, k: int) -> float:
-    """t**k with the 0**0 == 1 convention."""
-    if k == 0:
-        return ZERO_POW_ZERO
-    return t ** k
 
 
 @dataclass(frozen=True)
@@ -229,15 +218,19 @@ def curve_point(t: float, k: ExponentVector) -> MomentVector:
     """Point (t^{k_1}, ..., t^{k_d}) of the moment curve."""
     if t < 0:
         raise DomainError(f"curve parameter must be >= 0, got {t}")
-    return MomentVector(tuple(power(t, ki) for ki in k.exponents), k)
+    return MomentVector(tuple(t ** ki for ki in k.exponents), k)
 
 
 def moments_of(rep: Representation, k: ExponentVector) -> MomentVector:
-    """Moments c_i = sum_s lambda_s * t_s^{k_i} of an atomic measure."""
+    """Moments c_i = sum_s lambda_s * t_s^{k_i} of an atomic measure.
+
+    Python's 0.0 ** 0 == 1.0 gives an atom at node 0 the moments
+    (1, 0, ..., 0) when k_1 = 0.
+    """
     vals = [0.0] * k.d
     for atom in rep.atoms:
         for i, ki in enumerate(k.exponents):
-            vals[i] += atom.weight * power(atom.node, ki)
+            vals[i] += atom.weight * atom.node ** ki
     return MomentVector(tuple(vals), k)
 
 
@@ -252,10 +245,7 @@ def index_of(rep: Representation) -> HalfInteger:
 def factorial_scale(M: NormVector, direction: ScaleDirection) -> NormVector:
     """Map a norm tuple across families via diag((r-k_1)!, ..., (r-k_d)!)."""
     r = M.family.r
-    ks = M.exponents.exponents
-    if ks[-1] > r:
-        raise DomainError(f"largest exponent {ks[-1]} exceeds order r={r}")
-    factors = [math.factorial(r - ki) for ki in ks]
+    factors = [math.factorial(r - ki) for ki in M.exponents.exponents]
     if direction is ScaleDirection.MM_TO_AM:
         if M.family.kind is not Family.MM:
             raise DomainError("MM_TO_AM requires an MM norm vector")

@@ -26,8 +26,9 @@ from .errors import (
 )
 from .representations import (
     ACCEPT_TOL,
-    lowest_structure,
-    pinned_representation,
+    ClassKind,
+    canonical_representation,
+    classify,
     principal_representation,
 )
 from .splines import IdealSpline, evaluate, norms, spline_from_representation
@@ -81,13 +82,13 @@ def interior_spline(
 def boundary_spline(M: NormVector, tol: float = ACCEPT_TOL) -> IdealSpline:
     """Minimal spline with at most floor((d-1)/2) knots matching all d norms."""
     _require_positive(M)
-    found = lowest_structure(moment_coordinates(M), M.d - 1, tol)
-    if found is None:
+    result = classify(moment_coordinates(M), tol)
+    if result.kind is not ClassKind.BOUNDARY:
         raise NotBoundaryError(
             "no spline with at most floor((d-1)/2) knots matches the tuple; "
             "it is not a boundary point"
         )
-    return spline_from_representation(found[1], M.family)
+    return spline_from_representation(result.witness, M.family)
 
 
 def canonical_spline(
@@ -100,7 +101,7 @@ def canonical_spline(
         raise DomainError(f"canonical spline needs an odd norm count, got {M.d}")
     _require_positive(M)
     try:
-        rep = pinned_representation(moment_coordinates(M), 1.0 / a_star, tol)
+        rep = canonical_representation(moment_coordinates(M), 1.0 / a_star, tol)
     except PinnedNodeCoincidenceError as exc:
         raise PinnedNodeCoincidenceError(
             f"prescribed knot {a_star} coincides with a knot of the minimal "
@@ -118,10 +119,10 @@ def matching_spline(M: NormVector, tol: float = ACCEPT_TOL) -> IdealSpline:
     if M.d % 2 != 0:
         raise DomainError(f"matching spline needs an even norm count, got {M.d}")
     _require_positive(M)
-    found = lowest_structure(moment_coordinates(M), M.d, tol)
-    if found is None:
+    result = classify(moment_coordinates(M), tol)
+    if result.kind is ClassKind.EXTERIOR:
         raise NotAttainableError("no ideal spline attains the tuple")
-    return spline_from_representation(found[1], M.family)
+    return spline_from_representation(result.witness, M.family)
 
 
 def decide_admissible(M: NormVector, tol: float = ACCEPT_TOL) -> AdmissibilityResult:
@@ -177,18 +178,16 @@ def _decide(M: NormVector, tol: float, trace: list[LevelRecord]) -> Status:
 
 
 def _build_witness(M: NormVector, tol: float) -> IdealSpline:
-    """The lowest-index spline attaining an admissible tuple.
-
-    One principal path in moment coordinates gives it: the thinned exit
-    measure for a boundary tuple, the principal representation for an
-    interior one.  An interior tuple of odd count without exponent 0 has no
-    index-d/2 spline (its constant would carry no norm), and gets the
-    canonical spline through twice the largest principal root instead.
+    """The lowest-index spline attaining an admissible tuple: the witness of
+    :func:`classify` in moment coordinates.  An interior tuple of odd count
+    without exponent 0 has no index-d/2 spline (its constant would carry no
+    norm), and gets the canonical spline through twice the largest principal
+    root instead.
     """
-    found = lowest_structure(moment_coordinates(M), M.d + 1, tol)
-    if found is None:
+    result = classify(moment_coordinates(M), tol)
+    if result.kind is ClassKind.EXTERIOR:
         raise NumericalFailureError("no spline realized the admissible tuple")
-    return spline_from_representation(found[1], M.family)
+    return spline_from_representation(result.witness, M.family)
 
 
 def _check_witness(spline: IdealSpline, M: NormVector):

@@ -1,5 +1,11 @@
 """Exact-structure solves for the power-moment problem on [0, inf).
 
+One entry per structure: :func:`classify` solves for the lowest-index one
+in every exponent system (:func:`minimal_index` reads it);
+:func:`principal_representation` (index d/2) and
+:func:`canonical_representation` (index (d+1)/2, through a prescribed root)
+reject the systems without exponent 0 where that index has no structure.
+
 Every solve runs one tracker.  Inside the convex moment cone the principal
 (index d/2) representation is unique and smooth in the moments, so along a
 straight path c(s) = c_a + s (c_b - c_a) between interior points it moves
@@ -17,7 +23,9 @@ degenerates: a weight or node goes to 0, two nodes merge, a node runs off.
   the exit reliably, one pinned Newton solve lands on it; the exit measure
   plus that atom is the canonical representation.
 
-The brute-force oracle takes no part; it stays an independent cross-check.
+Every returned representation is re-checked against c in the original
+system.  The brute-force oracle takes no part; it stays an independent
+cross-check.
 """
 from __future__ import annotations
 
@@ -27,7 +35,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import NODE_MERGE_REL, Atom, HalfInteger, MomentVector, Representation
+from .core import NODE_MERGE_REL, Atom, HalfInteger, MomentVector, Representation, index_of
 from .errors import (
     DomainError,
     InconsistencyError,
@@ -425,63 +433,47 @@ def _canonical(prob: _Problem, y, layout, t_star: float, tol: float):
     return y, layout
 
 
-def lowest_structure(
-    c: MomentVector, max_twice: int, tol: float = ACCEPT_TOL
-) -> tuple[int, Representation] | None:
-    """(twice the index, representation) of lowest index up to max_twice/2.
-
-    The principal path decides.  Without exponent 0 an odd d has no index
-    d/2 (its zero atom feeds no moment): the canonical representation through
-    twice the largest principal root, of index (d+1)/2, is the lowest.
-    """
-    prob = _Problem(c)
-    kind, y, layout = _principal_path(prob, tol)
-    if kind is ClassKind.EXTERIOR:
-        return None
-    if kind is ClassKind.INTERIOR and layout[0] and prob.shift:
-        if max_twice <= c.d:
-            return None
-        t_star = 2.0 * prob.nodes(_unpack(y, layout)[2]).max(initial=0.5)
-        try:
-            y, layout = _canonical(prob, y, layout, t_star, tol)
-        except NumericalFailureError:
-            return None
+def _witness(prob: _Problem, y, layout, tol: float) -> Representation | None:
+    """The measure of y in the original system if it reproduces c within tol."""
     rep = prob.representation(y, layout)
     if rep is None or prob.scaled_residual(rep) > tol:
         return None
-    twice = sum(1 if a.node == 0.0 else 2 for a in rep.atoms)
-    return (twice, rep) if twice <= max_twice else None
+    return rep
 
 
 def classify(c: MomentVector, tol: float = ACCEPT_TOL) -> Classification:
-    """Trichotomy of c relative to the moment cone, with a witness measure.
+    """Trichotomy of c relative to the moment cone, with a lowest-index witness.
 
-    Requires exponent 0 in the system; for systems with k_1 > 0 use the
-    recursive machinery in :mod:`kolmo.kolmogorov`.
+    The principal path decides.  Without exponent 0 an odd d has no index
+    d/2 (its zero atom feeds no moment): an interior c gets the canonical
+    representation through twice the largest principal root, of index
+    (d+1)/2, as its witness, or :class:`NumericalFailureError` if that solve
+    misses c.  A witness of index below d/2 is BOUNDARY.
     """
     if tol <= 0:
         raise DomainError("tolerance must be positive")
-    if c.exponents.exponents[0] != 0:
-        raise UnsupportedSystemError(
-            "classification needs exponent 0; use kolmogorov.decide_admissible "
-            "for systems with k_1 > 0"
-        )
     if not any(c.values):
         return Classification(ClassKind.ZERO)
-    found = lowest_structure(c, c.d, tol)
-    if found is None:
+    prob = _Problem(c)
+    kind, y, layout = _principal_path(prob, tol)
+    if kind is ClassKind.INTERIOR and layout[0] and prob.shift:
+        t_star = 2.0 * prob.nodes(_unpack(y, layout)[2]).max(initial=0.5)
+        y, layout = _canonical(prob, y, layout, t_star, tol)
+    rep = _witness(prob, y, layout, tol) if kind is not ClassKind.EXTERIOR else None
+    if rep is None:
         return Classification(ClassKind.EXTERIOR)
-    twice, rep = found
-    kind = ClassKind.BOUNDARY if twice < c.d else ClassKind.INTERIOR
+    kind = ClassKind.BOUNDARY if index_of(rep).twice < c.d else ClassKind.INTERIOR
     return Classification(kind, rep)
 
 
 def minimal_index(c: MomentVector, tol: float = ACCEPT_TOL) -> tuple[HalfInteger, Representation]:
     """Smallest half-integer index whose representation reproduces c."""
-    found = lowest_structure(c, c.d + 1, tol)
-    if found is None:
+    result = classify(c, tol)
+    if result.kind is ClassKind.ZERO:
+        return HalfInteger(0), Representation(())
+    if result.kind is ClassKind.EXTERIOR:
         raise InconsistencyError("no representation up to index (d+1)/2: c is outside the cone")
-    return HalfInteger(found[0]), found[1]
+    return index_of(result.witness), result.witness
 
 
 def principal_representation(
@@ -493,42 +485,37 @@ def principal_representation(
         raise UnsupportedSystemError("odd-dimensional principal structure needs exponent 0")
     prob = _Problem(c)
     kind, y, layout = _principal_path(prob, tol, init_seed)
-    rep = prob.representation(y, layout)
-    if kind is not ClassKind.INTERIOR or rep is None:
+    rep = _witness(prob, y, layout, tol) if kind is ClassKind.INTERIOR else None
+    if rep is None:
         raise NotInteriorError("the moment vector is not interior")
-    return rep
-
-
-def pinned_representation(
-    c: MomentVector, t_star: float, tol: float = ACCEPT_TOL
-) -> Representation:
-    """Representation of index (d+1)/2 with a root pinned at t_star exactly.
-
-    The maximal-mass ray starts from the principal representation; a pin on
-    one of its roots is rejected, the ray has no length there.
-    """
-    prob = _Problem(c)
-    kind, y, layout = _principal_path(prob, tol)
-    if kind is not ClassKind.INTERIOR:
-        raise NotInteriorError("a pinned representation needs an interior vector")
-    for u in prob.nodes(_unpack(y, layout)[2]):
-        if abs(u - t_star) <= NODE_MERGE_REL * max(u, t_star):
-            raise PinnedNodeCoincidenceError(
-                f"prescribed root {t_star} coincides with principal root "
-                f"{u}; the pinned structure degenerates"
-            )
-    rep = prob.representation(*_canonical(prob, y, layout, t_star, tol))
-    if rep is None or prob.scaled_residual(rep) > tol:
-        raise NumericalFailureError(f"no canonical representation through {t_star} here")
     return rep
 
 
 def canonical_representation(
     c: MomentVector, t_star: float, tol: float = ACCEPT_TOL
 ) -> Representation:
-    """Representation of index (d+1)/2 with a root pinned at t_star exactly."""
+    """Representation of index (d+1)/2 with a root pinned at t_star exactly.
+
+    The maximal-mass ray starts from the principal representation; a pin on
+    one of its roots is rejected, the ray has no length there.  Without
+    exponent 0 an even d has none: the ray's exit drives a node to 0, where
+    an atom feeds no moment.
+    """
     if t_star <= 0:
         raise DomainError(f"prescribed root must be positive, got {t_star}")
-    if c.exponents.exponents[0] != 0:
-        raise UnsupportedSystemError("canonical representation needs exponent 0")
-    return pinned_representation(c, t_star, tol)
+    if c.d % 2 == 0 and c.exponents.exponents[0]:
+        raise UnsupportedSystemError("even-dimensional canonical structure needs exponent 0")
+    prob = _Problem(c)
+    kind, y, layout = _principal_path(prob, tol)
+    if kind is not ClassKind.INTERIOR:
+        raise NotInteriorError("a canonical representation needs an interior vector")
+    for u in prob.nodes(_unpack(y, layout)[2]):
+        if abs(u - t_star) <= NODE_MERGE_REL * max(u, t_star):
+            raise PinnedNodeCoincidenceError(
+                f"prescribed root {t_star} coincides with principal root "
+                f"{u}; the pinned structure degenerates"
+            )
+    rep = _witness(prob, *_canonical(prob, y, layout, t_star, tol), tol)
+    if rep is None:
+        raise NumericalFailureError(f"no canonical representation through {t_star} here")
+    return rep

@@ -72,6 +72,14 @@ class TestClassify:
         assert parsed["kind"] == "exterior"
         assert parsed["oracle"]["feasible"] is False
 
+    def test_odd_system_without_exponent_zero(self, capsys, monkeypatch):
+        doc = {"k": [1, 2, 3], "c": [2, 3, 5]}
+        code, out, _ = run(capsys, ["classify"], stdin=doc, monkeypatch=monkeypatch)
+        assert code == 0
+        parsed = json.loads(out)
+        assert parsed["kind"] == "interior"
+        assert parsed["witness"]["index"] == 2
+
 
 class TestRepresent:
     def test_principal(self, capsys, monkeypatch):

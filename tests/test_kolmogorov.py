@@ -87,6 +87,22 @@ class TestInteriorWitness:
         _check_witness(result.witness, M)
 
 
+class TestExtendedPrecision:
+    def test_close_nodes_need_extended_precision_residuals(self):
+        # An AM tuple whose witness search raises NumericalFailureError when
+        # the scaled residuals of representations._system are formed in
+        # float64 instead of np.longdouble.  Its level (3, 4, 8, 9, 20) sits
+        # within EQUALITY_BAND of equality, so the status is not pinned.
+        k = ExponentVector((2, 3, 4, 8, 9, 20), 20)
+        M = NormVector((777128150.8545218, 245600115.23815385, 77618365.65844025,
+                        774298.7264258795, 244706.2670571239, 2.2286594438939105), k,
+                       FunctionFamily(Family.AM, 20))
+        result = decide_admissible(M)
+        assert result.status is not Status.NOT_ADMISSIBLE
+        got = norms(result.witness, k)
+        assert got.values == pytest.approx(M.values, rel=1e-6)
+
+
 class TestDecidePreconditions:
     def test_requires_kd_equal_r(self):
         k = ExponentVector((0, 1), 2)

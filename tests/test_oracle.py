@@ -1,4 +1,4 @@
-"""Brute-force cone oracle: grid, NNLS feasibility verdict and residual."""
+"""Brute-force cone oracle: NNLS feasibility verdict and residual."""
 import os
 import subprocess
 import sys
@@ -16,70 +16,22 @@ from kolmo import (
     MomentVector,
     Representation,
     cone_membership,
-    curve_point,
-    make_grid,
     moments_of,
-    nnls,
-    t_max_heuristic,
 )
+from kolmo.oracle import _t_max
 
 K012 = ExponentVector((0, 1, 2), 2)
-
-
-class TestMakeGrid:
-    def test_small_geometric_grid(self):
-        grid = make_grid(1.0, 3, include_zero=True)
-        assert grid.nodes == pytest.approx((0.0, 1e-6, 1e-3, 1.0))
-
-    def test_without_zero(self):
-        grid = make_grid(1.0, 3, include_zero=False)
-        assert grid.nodes == pytest.approx((1e-6, 1e-3, 1.0))
-
-    def test_rejects_nonpositive_tmax(self):
-        with pytest.raises(DomainError):
-            make_grid(0.0, 10)
-
-    def test_rejects_tiny_count(self):
-        with pytest.raises(DomainError):
-            make_grid(1.0, 1)
 
 
 class TestTMaxHeuristic:
     def test_single_atom_bracketing(self):
         rep = Representation((Atom(3.0, 2.0),))
         c = moments_of(rep, K012)
-        assert t_max_heuristic(c) == pytest.approx(30.0)
+        assert _t_max(c) == pytest.approx(30.0)
 
     def test_degenerate_input_falls_back(self):
         c = MomentVector((1.0, 0.0, 0.0), K012)
-        assert t_max_heuristic(c) == pytest.approx(10.0)
-
-
-class TestNnls:
-    def test_negative_target_has_unit_relative_residual(self):
-        cols = [curve_point(t, ExponentVector((0, 1), 2)) for t in (0.5, 1.0, 2.0)]
-        target = MomentVector((-1.0, 0.0), ExponentVector((0, 1), 2))
-        w, residual = nnls(cols, target)
-        assert all(v >= 0 for v in w)
-        assert residual == pytest.approx(1.0)
-
-    def test_exact_combination_has_zero_residual(self):
-        cols = [curve_point(t, K012) for t in (1.0, 2.0)]
-        target = MomentVector((2.0, 3.0, 5.0), K012)
-        w, residual = nnls(cols, target)
-        assert residual < 1e-12
-        assert w == pytest.approx([1.0, 1.0], abs=1e-10)
-
-    def test_empty_columns_rejected(self):
-        with pytest.raises(DomainError):
-            nnls([], MomentVector((1.0,), ExponentVector((0,), 1)))
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(DomainError):
-            nnls(
-                [curve_point(1.0, ExponentVector((0, 1), 2))],
-                MomentVector((1.0,), ExponentVector((0,), 1)),
-            )
+        assert _t_max(c) == pytest.approx(10.0)
 
 
 class TestConeMembership:

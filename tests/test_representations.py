@@ -9,23 +9,31 @@ from kolmo import (
     Atom,
     DomainError,
     ExponentVector,
+    Family,
+    FunctionFamily,
+    InconsistencyError,
     MomentVector,
+    NormVector,
     NotInteriorError,
     PinnedNodeCoincidenceError,
     Representation,
     UnsupportedSystemError,
     canonical_representation,
     classify,
+    decide_admissible,
+    index_of,
     minimal_index,
     moments_of,
     principal_representation,
+    spline_from_representation,
 )
 import kolmo.representations
 from kolmo import oracle
-from kolmo.representations import ClassKind, lowest_structure
+from kolmo.representations import ClassKind
 
 K012 = ExponentVector((0, 1, 2), 2)
 C235 = MomentVector((2.0, 3.0, 5.0), K012)
+AM3 = FunctionFamily(Family.AM, 3)
 
 
 class TestClassify:
@@ -63,10 +71,22 @@ class TestClassify:
     def test_negative_component_is_exterior(self):
         assert classify(MomentVector((1.0, -1.0, 1.0), K012)).kind is ClassKind.EXTERIOR
 
-    def test_requires_exponent_zero(self):
+    def test_pair_without_exponent_zero_is_interior(self):
         c = MomentVector((1.0, 2.0), ExponentVector((1, 2), 2))
-        with pytest.raises(UnsupportedSystemError):
-            classify(c)
+        result = classify(c)
+        assert result.kind is ClassKind.INTERIOR
+        assert result.witness == Representation((Atom(2.0, 0.5),))
+
+    def test_odd_system_without_exponent_zero_gets_canonical_witness(self):
+        # No index-3/2 structure without exponent 0: the witness has index 2,
+        # pinned at twice the largest principal root, and is decide's AM witness.
+        c = MomentVector((2.0, 3.0, 5.0), ExponentVector((1, 2, 3), 3))
+        result = classify(c)
+        assert result.kind is ClassKind.INTERIOR
+        assert index_of(result.witness).twice == 4
+        witness = decide_admissible(NormVector(c.values, c.exponents, AM3)).witness
+        assert spline_from_representation(result.witness, AM3) == witness
+        assert witness.knots == pytest.approx((11.0 / 15.0, 0.3), rel=1e-12)
 
 
 class TestMinimalIndex:
@@ -82,40 +102,46 @@ class TestMinimalIndex:
         assert len(rep) == 1
         assert rep.atoms[0].node == pytest.approx(2.0, rel=1e-8)
 
+    def test_zero_vector_has_index_zero(self):
+        idx, rep = minimal_index(MomentVector((0.0, 0.0, 0.0), K012))
+        assert idx.twice == 0
+        assert rep == Representation(())
+
 
 class TestLowestStructure:
+    """The lowest-index structure, as ``classify`` and ``minimal_index`` read it."""
+
     def test_interior_vector_needs_principal_index(self):
-        twice, rep = lowest_structure(C235, 3)
-        assert twice == 3
-        assert len(rep) == 2
+        idx, rep = minimal_index(C235)
+        assert idx.twice == 3
+        assert rep == classify(C235).witness
         assert rep.has_zero_atom
 
     def test_single_atom(self):
         c = moments_of(Representation((Atom(2.0, 1.0),)), K012)
-        twice, rep = lowest_structure(c, 3)
-        assert twice == 2
-        assert len(rep) == 1
-        assert rep.atoms[0].node == pytest.approx(2.0, rel=1e-8)
+        result = classify(c)
+        assert result.kind is ClassKind.BOUNDARY
+        assert len(result.witness) == 1
+        assert result.witness.atoms[0].node == pytest.approx(2.0, rel=1e-8)
 
     def test_exterior_vector_has_no_structure(self):
-        assert lowest_structure(MomentVector((1.0, 2.0, 3.0), K012), 3) is None
-
-    def test_max_twice_respected(self):
-        assert lowest_structure(C235, 2) is None
+        c = MomentVector((1.0, 2.0, 3.0), K012)
+        assert classify(c).witness is None
+        with pytest.raises(InconsistencyError):
+            minimal_index(c)
 
     @pytest.mark.filterwarnings("error")
     def test_zero_moment_row_weight_stays_finite(self):
         # Equation scales are relative, but a zero moment's is floored, so
         # the weighted system of a positive atom neither overflows nor fits.
-        assert lowest_structure(MomentVector((1.0, 0.0, 1.0), K012), 3) is None
+        assert classify(MomentVector((1.0, 0.0, 1.0), K012)).witness is None
 
     def test_zero_atom_structures_need_exponent_zero(self):
         # Without exponent 0 only even indices exist: index 1/2 is skipped.
         k = ExponentVector((1, 2), 2)
         c = moments_of(Representation((Atom(2.0, 1.0),)), k)
-        assert lowest_structure(c, 1) is None
-        twice, rep = lowest_structure(c, 2)
-        assert twice == 2
+        idx, rep = minimal_index(c)
+        assert idx.twice == 2
         assert rep.atoms[0].node == pytest.approx(2.0, rel=1e-8)
 
 
@@ -282,9 +308,19 @@ class TestCanonicalRepresentation:
             canonical_representation(C235, 0.0)
 
     def test_requires_exponent_zero(self):
-        c = MomentVector((1.0, 2.0), ExponentVector((1, 2), 2))
-        with pytest.raises(UnsupportedSystemError):
-            canonical_representation(c, 1.0)
+        # Without exponent 0 an even d has no canonical structure: the ray's
+        # exit drives a node to 0.
+        for ks, values in (((1, 2), (1.0, 2.0)), ((1, 2, 3, 4), (2.0, 3.0, 5.0, 9.0))):
+            c = MomentVector(values, ExponentVector(ks, 4))
+            with pytest.raises(UnsupportedSystemError):
+                canonical_representation(c, 1.0)
+
+    def test_odd_system_without_exponent_zero(self):
+        c = MomentVector((2.0, 3.0, 5.0), ExponentVector((1, 2, 3), 3))
+        rep = canonical_representation(c, 1.0)
+        assert rep.nodes[0] == 1.0  # pinned bit-exactly
+        assert rep.nodes == pytest.approx((1.0, 2.0), abs=1e-8)
+        assert rep.weights == pytest.approx((1.0, 0.5), abs=1e-8)
 
 
 class TestCanonicalExit:
@@ -331,7 +367,6 @@ def test_solver_uses_no_oracle_and_no_scipy():
             value, "__module__", None) or ""
         assert not origin.startswith("scipy"), name
         assert value is not oracle.cone_membership, name
-        assert value is not oracle.make_grid, name
 
 
 # Measures on a node grid of ratio 2 in [0.25, 8]: separated enough that a
