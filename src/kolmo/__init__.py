@@ -9,7 +9,6 @@ from .core import (
     MomentVector,
     NormVector,
     Representation,
-    ScaleDirection,
     curve_point,
     factorial_scale,
     index_of,

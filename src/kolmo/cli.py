@@ -152,15 +152,11 @@ def _cmd_classify(args) -> dict:
 
 def _cmd_represent(args) -> dict:
     c = _parse_moments(_read_input(args.input))
-    if args.canonical:
-        if args.root is None:
-            raise InputError("--canonical requires --root T")
-        rep = canonical_representation(c, args.root, tol=args.tol)
-    elif args.principal:
-        rep = principal_representation(c, tol=args.tol)
-    else:
-        raise InputError("choose --principal or --canonical")
-    return _representation_doc(rep)
+    if args.principal:
+        return _representation_doc(principal_representation(c, tol=args.tol))
+    if args.root is None:
+        raise InputError("--canonical requires --root T")
+    return _representation_doc(canonical_representation(c, args.root, tol=args.tol))
 
 
 def _cmd_spline_norms(args) -> dict:
@@ -227,7 +223,7 @@ def _cmd_sweep(args) -> str:
         try:
             swept = NormVector(tuple(values), M.exponents, M.family)
             status = decide_admissible(swept, tol=args.tol).status.value
-        except (DomainError, KolmoError):
+        except KolmoError:
             status = "error"
         lines.append(f"{jsonio.format_number(value)},{status}")
     return "\n".join(lines)
@@ -250,43 +246,42 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--input", "-i", default=None, help="input JSON (default stdin)")
+    def command(name, summary, reads=True, tol=True):
+        p = sub.add_parser(name, help=summary)
+        if reads:
+            p.add_argument("--input", "-i", default=None, help="input JSON (default stdin)")
         p.add_argument("--output", "-o", default=None, help="output path (default stdout)")
-        p.add_argument("--tol", type=float, default=1e-8, help="acceptance tolerance")
+        if tol:
+            p.add_argument("--tol", type=float, default=1e-8, help="acceptance tolerance")
+        return p
 
-    p = sub.add_parser("classify", help="classify a moment vector against the cone")
-    common(p)
+    p = command("classify", "classify a moment vector against the cone")
     p.add_argument("--oracle", action="store_true", help="attach an oracle cross-check")
 
-    p = sub.add_parser("represent", help="compute an atomic representation")
-    common(p)
-    p.add_argument("--principal", action="store_true", help="index d/2 representation")
-    p.add_argument("--canonical", action="store_true", help="prescribed-root representation")
+    p = command("represent", "compute an atomic representation")
+    structure = p.add_mutually_exclusive_group(required=True)
+    structure.add_argument("--principal", action="store_true", help="index d/2 representation")
+    structure.add_argument("--canonical", action="store_true",
+                           help="prescribed-root representation")
     p.add_argument("--root", type=float, default=None, help="prescribed root for --canonical")
 
-    p = sub.add_parser("spline-norms", help="derivative sup-norms of a spline")
-    common(p)
+    command("spline-norms", "derivative sup-norms of a spline", tol=False)
 
-    p = sub.add_parser("decide", help="decide admissibility of a norm tuple")
-    common(p)
+    command("decide", "decide admissibility of a norm tuple")
 
-    p = sub.add_parser("random", help="generate a random class member")
-    common(p)
+    p = command("random", "generate a random class member", reads=False, tol=False)
     p.add_argument("--family", choices=["am", "mm"], default="mm")
     p.add_argument("--order", "--r", dest="order", type=int, default=2)
     p.add_argument("--knot-count", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("sweep", help="sweep one norm component, report statuses as CSV")
-    common(p)
+    p = command("sweep", "sweep one norm component, report statuses as CSV")
     p.add_argument("--component", type=int, required=True, help="1-based component index")
     p.add_argument("--from", dest="sweep_from", type=float, required=True)
     p.add_argument("--to", dest="sweep_to", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)
 
-    p = sub.add_parser("verify", help="run a self-contained verification suite")
-    common(p)
+    p = command("verify", "run a self-contained verification suite", reads=False, tol=False)
     p.add_argument("--suite", required=True, choices=sorted(verify.SUITES))
     p.add_argument("--cases", type=int, default=100)
     p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
@@ -297,7 +292,7 @@ def main(argv: list[str] | None = None) -> int:
     _configure_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
-    if not 0 < args.tol < math.inf:
+    if hasattr(args, "tol") and not 0 < args.tol < math.inf:
         print("error: --tol must be finite and > 0", file=sys.stderr)
         return EXIT_INVALID_INPUT
     try:

@@ -28,11 +28,6 @@ class Family(Enum):
     MM = "mm"
 
 
-class ScaleDirection(Enum):
-    MM_TO_AM = "mm_to_am"
-    AM_TO_MM = "am_to_mm"
-
-
 @dataclass(frozen=True)
 class ExponentVector:
     """Strictly increasing integer derivative orders k_1 < ... < k_d <= r."""
@@ -242,22 +237,17 @@ def index_of(rep: Representation) -> HalfInteger:
     return HalfInteger(twice)
 
 
-def factorial_scale(M: NormVector, direction: ScaleDirection) -> NormVector:
-    """Map a norm tuple across families via diag((r-k_1)!, ..., (r-k_d)!)."""
+def factorial_scale(M: NormVector) -> NormVector:
+    """Map a norm tuple to the other family via diag((r-k_1)!, ..., (r-k_d)!):
+    MM norms are multiplied by the factors, AM norms divided by them."""
     r = M.family.r
     factors = [math.factorial(r - ki) for ki in M.exponents.exponents]
-    if direction is ScaleDirection.MM_TO_AM:
-        if M.family.kind is not Family.MM:
-            raise DomainError("MM_TO_AM requires an MM norm vector")
+    if M.family.kind is Family.MM:
         vals = tuple(v * f for v, f in zip(M.values, factors))
         fam = FunctionFamily(Family.AM, r)
-    elif direction is ScaleDirection.AM_TO_MM:
-        if M.family.kind is not Family.AM:
-            raise DomainError("AM_TO_MM requires an AM norm vector")
+    else:
         vals = tuple(v / f for v, f in zip(M.values, factors))
         fam = FunctionFamily(Family.MM, r)
-    else:  # pragma: no cover - enum is exhaustive
-        raise DomainError(f"unknown direction {direction}")
     return NormVector(vals, M.exponents, fam)
 
 
@@ -267,7 +257,7 @@ def moment_coordinates(M: NormVector) -> MomentVector:
     AM: c_i = M_{k_i}.  MM: c_i = (r - k_i)! * M_{k_i}.
     """
     if M.family.kind is Family.MM:
-        M = factorial_scale(M, ScaleDirection.MM_TO_AM)
+        M = factorial_scale(M)
     return MomentVector(M.values, M.exponents)
 
 
@@ -276,5 +266,4 @@ def norms_from_moments(c: MomentVector, family: FunctionFamily) -> NormVector:
     k = ExponentVector(c.exponents.exponents, family.r)
     if family.kind is Family.AM:
         return NormVector(c.values, k, family)
-    am = NormVector(c.values, k, FunctionFamily(Family.AM, family.r))
-    return factorial_scale(am, ScaleDirection.AM_TO_MM)
+    return factorial_scale(NormVector(c.values, k, FunctionFamily(Family.AM, family.r)))

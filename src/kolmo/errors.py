@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules, and the tolerance check."""
+import math
 
 
 class KolmoError(Exception):
@@ -39,3 +40,9 @@ class PinnedNodeCoincidenceError(KolmoError):
 
 class InconsistencyError(NumericalFailureError):
     """Membership and representation search contradict each other."""
+
+
+def require_tolerance(tol: float):
+    """Raise :class:`DomainError` unless ``tol`` is finite and positive."""
+    if not 0 < tol < math.inf:
+        raise DomainError(f"tolerance must be finite and > 0, got {tol}")

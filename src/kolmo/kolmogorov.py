@@ -79,16 +79,27 @@ def interior_spline(
     return spline_from_representation(rep, M.family)
 
 
+def _lowest_spline(M: NormVector, tol: float):
+    """(kind, spline): the verdict of :func:`classify` on M and its witness as
+    a spline of M's family, None if EXTERIOR.  An interior odd count without
+    exponent 0 gets the canonical spline (its constant carries no norm).
+    """
+    result = classify(moment_coordinates(M), tol)
+    if result.witness is None:
+        return result.kind, None
+    return result.kind, spline_from_representation(result.witness, M.family)
+
+
 def boundary_spline(M: NormVector, tol: float = ACCEPT_TOL) -> IdealSpline:
     """Minimal spline with at most floor((d-1)/2) knots matching all d norms."""
     _require_positive(M)
-    result = classify(moment_coordinates(M), tol)
-    if result.kind is not ClassKind.BOUNDARY:
+    kind, spline = _lowest_spline(M, tol)
+    if kind is not ClassKind.BOUNDARY:
         raise NotBoundaryError(
             "no spline with at most floor((d-1)/2) knots matches the tuple; "
             "it is not a boundary point"
         )
-    return spline_from_representation(result.witness, M.family)
+    return spline
 
 
 def canonical_spline(
@@ -119,10 +130,10 @@ def matching_spline(M: NormVector, tol: float = ACCEPT_TOL) -> IdealSpline:
     if M.d % 2 != 0:
         raise DomainError(f"matching spline needs an even norm count, got {M.d}")
     _require_positive(M)
-    result = classify(moment_coordinates(M), tol)
-    if result.kind is ClassKind.EXTERIOR:
+    spline = _lowest_spline(M, tol)[1]
+    if spline is None:
         raise NotAttainableError("no ideal spline attains the tuple")
-    return spline_from_representation(result.witness, M.family)
+    return spline
 
 
 def decide_admissible(M: NormVector, tol: float = ACCEPT_TOL) -> AdmissibilityResult:
@@ -138,7 +149,9 @@ def decide_admissible(M: NormVector, tol: float = ACCEPT_TOL) -> AdmissibilityRe
     status = _decide(M, tol, trace)
     witness = None
     if status is not Status.NOT_ADMISSIBLE:
-        witness = _build_witness(M, tol)
+        witness = _lowest_spline(M, tol)[1]
+        if witness is None:
+            raise NumericalFailureError("no spline realized the admissible tuple")
         _check_witness(witness, M)
     return AdmissibilityResult(status, witness, tuple(trace))
 
@@ -175,19 +188,6 @@ def _decide(M: NormVector, tol: float, trace: list[LevelRecord]) -> Status:
         status = Status.ADMISSIBLE_BOUNDARY if admissible else Status.NOT_ADMISSIBLE
     trace.append(LevelRecord(k, status.value, lhs, rhs))
     return status
-
-
-def _build_witness(M: NormVector, tol: float) -> IdealSpline:
-    """The lowest-index spline attaining an admissible tuple: the witness of
-    :func:`classify` in moment coordinates.  An interior tuple of odd count
-    without exponent 0 has no index-d/2 spline (its constant would carry no
-    norm), and gets the canonical spline through twice the largest principal
-    root instead.
-    """
-    result = classify(moment_coordinates(M), tol)
-    if result.kind is ClassKind.EXTERIOR:
-        raise NumericalFailureError("no spline realized the admissible tuple")
-    return spline_from_representation(result.witness, M.family)
 
 
 def _check_witness(spline: IdealSpline, M: NormVector):

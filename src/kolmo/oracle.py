@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MomentVector
-from .errors import DomainError
+from .errors import require_tolerance
 
 GRID_SIZE = 2000
 DEFAULT_FEASIBILITY_TOL = 1e-7
@@ -52,8 +52,7 @@ def cone_membership(
     """
     import scipy.optimize
 
-    if tol <= 0:
-        raise DomainError("tolerance must be positive")
+    require_tolerance(tol)
     k = c.exponents.exponents
     t_max = _t_max(c)
     nodes = np.geomspace(t_max * 1e-6, t_max, GRID_SIZE)

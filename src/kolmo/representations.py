@@ -14,9 +14,10 @@ log weights and log nodes) to s = 1 or to an exit where the measure
 degenerates: a weight or node goes to 0, two nodes merge, a node runs off.
 
 - Classification and principal representations track from a start measure
-  spread over the moment-ratio range of c to c: reaching c means interior;
-  otherwise the exit measure without its degenerate atoms, polished against
-  c, is the boundary witness when it reproduces c, and c is exterior if not.
+  spread over the moment-ratio range of c to c.  They get the principal
+  representation if the path reaches c, else the exit measure without its
+  degenerate atoms, polished against c, if it reproduces c (else c is
+  exterior); the verdict is the index of that measure against d/2.
 - A root pinned at t* tracks the ray c - s w v(t*), v(t*) the powers of t*,
   from the principal representation toward its exit, where the mass at t* is
   maximal.  Which atom vanishes there is known, so once its tangent predicts
@@ -43,6 +44,7 @@ from .errors import (
     NumericalFailureError,
     PinnedNodeCoincidenceError,
     UnsupportedSystemError,
+    require_tolerance,
 )
 
 # Tolerance ladder: Newton step (near machine precision, so the iterate is
@@ -196,7 +198,7 @@ def _track(y, layout, k, c_a, c_b, vanish=None):
     Euler predictor, Newton corrector; the step doubles after a success and
     halves after a failure, and moves no log variable by more than one unit.
     It stops at s = 1, where a loss of :func:`_losses` falls below ACCEPT_TOL
-    (an exit), or where it stalls.
+    (an exit), or where the step falls below NEWTON_TOL.
 
     ``vanish`` = (i, q) names an exit known in advance, where y[i] runs to
     -inf like log(s* - s) / q.  Its tangent t predicts s* = s - 1 / (q t);
@@ -215,8 +217,7 @@ def _track(y, layout, k, c_a, c_b, vanish=None):
             return s, y
         log_s = _log_scales(c_a + s * dc)
         tangent = _lstsq(_system(y, layout, k, c_a + s * dc, log_s)[1], dc * np.exp(-log_s))
-        cap = 1.0 / max(float(np.abs(tangent).max()), 1e-300)
-        h = min(2.0 * h, cap)
+        h = min(2.0 * h, 1.0 / max(float(np.abs(tangent).max()), 1e-300))
         if vanish is not None:
             rate = -vanish[1] * float(tangent[vanish[0]])
             dist = 1.0 / rate if rate > 0 else math.inf
@@ -227,8 +228,8 @@ def _track(y, layout, k, c_a, c_b, vanish=None):
                 return last, y + dist * tangent
             h = min(h, near)
         while True:
-            # A step below NEWTON_TOL is below the resolution of the path; a
-            # node running to infinity drives the tangent there.
+            # A step below NEWTON_TOL is below the resolution of the path: a
+            # node runs off, or the corrector keeps failing as two nodes merge.
             if h < NEWTON_TOL:
                 return s, y
             s_new = min(s + h, 1.0)
@@ -239,10 +240,6 @@ def _track(y, layout, k, c_a, c_b, vanish=None):
             if res <= 1e-2 * ACCEPT_TOL:
                 break
             h *= 0.5
-            # The corrector failing on a move far below one log unit: the
-            # Jacobian is numerically singular, two nodes merge.
-            if h < 1e-3 * cap:
-                return s, y
         s, y = s_new, y_new
     return s, y
 
@@ -330,16 +327,17 @@ def _log_max_mass(c, k, lu):
     return np.min(np.log(c)[:, None] - np.outer(k, np.atleast_1d(lu)), axis=0)
 
 
-def _exit_measure(y, layout, k, log_s, stalled=False):
+def _exit_measure(y, layout, k, log_s, lost):
     """The measure without its degenerate atoms: (y, layout).
 
-    Takes every loss of :func:`_losses` below ACCEPT_TOL, or the cheapest if
-    the path ``stalled`` first, and drops a zero atom left below ACCEPT_TOL.
-    An atom feeding only the top moment stays, for the polish to place.
+    Takes every loss of :func:`_losses` below ACCEPT_TOL, or if none is and a
+    degree of freedom is ``lost`` (a node ran off, or c is within a tol above
+    ACCEPT_TOL of a thinner measure) the cheapest; drops a zero atom left
+    below ACCEPT_TOL.  An atom feeding only the top moment stays, for the polish.
     """
     (lz, lw, lu), costs, (mw, mu) = _losses(y, layout, k, log_s)
     taken = costs < ACCEPT_TOL
-    if stalled and not taken.any():
+    if lost and not taken.any():
         taken[np.argmin(costs)] = True
     p = len(lw)
     moved, merged = taken[1:p + 1], taken[p + 1:]
@@ -358,16 +356,16 @@ def _exit_measure(y, layout, k, log_s, stalled=False):
 
 
 def _principal_path(prob: _Problem, tol: float, init_seed: int = 0):
-    """(kind, y, layout): INTERIOR and the principal representation if the
-    path reaches c, else the polished exit measure if it reproduces c within
-    ``tol`` (BOUNDARY), else EXTERIOR."""
+    """(y, layout) of the principal representation, the square system
+    len(y) == d, if the path reaches c, else of the polished exit measure if
+    it reproduces c within ``tol``; else None."""
     k, c = prob.k, prob.values
     log_c = _log_scales(c)
     if c[0] <= 0 or np.any(c[1:] <= 0):
         # An atom at a positive node feeds every moment: only a zero atom fits.
         y, layout = np.log([max(c[0], 1e-300)]), (True, ())
         res = float(np.abs(_system(y, layout, k, c, log_c)[0]).max())
-        return (ClassKind.BOUNDARY if res <= tol else ClassKind.EXTERIOR), y, layout
+        return (y, layout) if res <= tol else None
     y, layout = prob.start(init_seed)
     s, y = _track(y, layout, k, _moments(y, layout, k), c)
     if s == 1.0:
@@ -375,16 +373,16 @@ def _principal_path(prob: _Problem, tol: float, init_seed: int = 0):
         if res > tol:
             raise NumericalFailureError(f"the path misses c by {res:.3e}", residual=res)
         if _losses(y, layout, k, log_c)[1].min() >= tol:
-            return ClassKind.INTERIOR, y, layout
+            return y, layout
     # An exit can lose several degrees of freedom at once; the polish drives
     # out the rest, and they are taken after it.
-    y_thin, layout_thin = _exit_measure(y, layout, k, log_c, stalled=True)
+    y_thin, layout_thin = _exit_measure(y, layout, k, log_c, lost=True)
     if len(y_thin):
         y_thin, res = _correct(y_thin, layout_thin, k, c, 0.0, MAX_ITER)
         if res <= tol:
-            return (ClassKind.BOUNDARY, *_exit_measure(y_thin, layout_thin, k, log_c))
+            return _exit_measure(y_thin, layout_thin, k, log_c, lost=False)
     # A near-degenerate principal representation whose thinning misses c.
-    return (ClassKind.INTERIOR if s == 1.0 else ClassKind.EXTERIOR), y, layout
+    return (y, layout) if s == 1.0 else None
 
 
 def _canonical(prob: _Problem, y, layout, t_star: float, tol: float):
@@ -433,9 +431,9 @@ def _canonical(prob: _Problem, y, layout, t_star: float, tol: float):
     return y, layout
 
 
-def _witness(prob: _Problem, y, layout, tol: float) -> Representation | None:
-    """The measure of y in the original system if it reproduces c within tol."""
-    rep = prob.representation(y, layout)
+def _witness(prob: _Problem, found, tol: float) -> Representation | None:
+    """The measure of ``found``, (y, layout) or None, if it reproduces c within tol."""
+    rep = prob.representation(*found) if found else None
     if rep is None or prob.scaled_residual(rep) > tol:
         return None
     return rep
@@ -444,22 +442,21 @@ def _witness(prob: _Problem, y, layout, tol: float) -> Representation | None:
 def classify(c: MomentVector, tol: float = ACCEPT_TOL) -> Classification:
     """Trichotomy of c relative to the moment cone, with a lowest-index witness.
 
-    The principal path decides.  Without exponent 0 an odd d has no index
-    d/2 (its zero atom feeds no moment): an interior c gets the canonical
-    representation through twice the largest principal root, of index
-    (d+1)/2, as its witness, or :class:`NumericalFailureError` if that solve
-    misses c.  A witness of index below d/2 is BOUNDARY.
+    The principal path finds the witness and its index alone is the verdict:
+    below d/2 BOUNDARY, else INTERIOR.  Without exponent 0 an odd d has no
+    index d/2 (its zero atom feeds no moment): an interior c gets the
+    canonical representation through twice the largest principal root, of
+    index (d+1)/2, or :class:`NumericalFailureError` if that solve misses c.
     """
-    if tol <= 0:
-        raise DomainError("tolerance must be positive")
+    require_tolerance(tol)
     if not any(c.values):
         return Classification(ClassKind.ZERO)
     prob = _Problem(c)
-    kind, y, layout = _principal_path(prob, tol)
-    if kind is ClassKind.INTERIOR and layout[0] and prob.shift:
-        t_star = 2.0 * prob.nodes(_unpack(y, layout)[2]).max(initial=0.5)
-        y, layout = _canonical(prob, y, layout, t_star, tol)
-    rep = _witness(prob, y, layout, tol) if kind is not ClassKind.EXTERIOR else None
+    found = _principal_path(prob, tol)
+    if found and len(found[0]) == c.d and found[1][0] and prob.shift:
+        t_star = 2.0 * prob.nodes(_unpack(*found)[2]).max(initial=0.5)
+        found = _canonical(prob, *found, t_star, tol)
+    rep = _witness(prob, found, tol)
     if rep is None:
         return Classification(ClassKind.EXTERIOR)
     kind = ClassKind.BOUNDARY if index_of(rep).twice < c.d else ClassKind.INTERIOR
@@ -481,11 +478,12 @@ def principal_representation(
 ) -> Representation:
     """Representation of index exactly d/2 for an interior moment vector: the
     end of the principal path from the start ``init_seed`` selects."""
+    require_tolerance(tol)
     if c.d % 2 and c.exponents.exponents[0]:
         raise UnsupportedSystemError("odd-dimensional principal structure needs exponent 0")
     prob = _Problem(c)
-    kind, y, layout = _principal_path(prob, tol, init_seed)
-    rep = _witness(prob, y, layout, tol) if kind is ClassKind.INTERIOR else None
+    found = _principal_path(prob, tol, init_seed)
+    rep = _witness(prob, found, tol) if found and len(found[0]) == c.d else None
     if rep is None:
         raise NotInteriorError("the moment vector is not interior")
     return rep
@@ -501,21 +499,22 @@ def canonical_representation(
     exponent 0 an even d has none: the ray's exit drives a node to 0, where
     an atom feeds no moment.
     """
+    require_tolerance(tol)
     if t_star <= 0:
         raise DomainError(f"prescribed root must be positive, got {t_star}")
     if c.d % 2 == 0 and c.exponents.exponents[0]:
         raise UnsupportedSystemError("even-dimensional canonical structure needs exponent 0")
     prob = _Problem(c)
-    kind, y, layout = _principal_path(prob, tol)
-    if kind is not ClassKind.INTERIOR:
+    found = _principal_path(prob, tol)
+    if not found or len(found[0]) != c.d:
         raise NotInteriorError("a canonical representation needs an interior vector")
-    for u in prob.nodes(_unpack(y, layout)[2]):
+    for u in prob.nodes(_unpack(*found)[2]):
         if abs(u - t_star) <= NODE_MERGE_REL * max(u, t_star):
             raise PinnedNodeCoincidenceError(
                 f"prescribed root {t_star} coincides with principal root "
                 f"{u}; the pinned structure degenerates"
             )
-    rep = _witness(prob, *_canonical(prob, y, layout, t_star, tol), tol)
+    rep = _witness(prob, _canonical(prob, *found, t_star, tol), tol)
     if rep is None:
         raise NumericalFailureError(f"no canonical representation through {t_star} here")
     return rep

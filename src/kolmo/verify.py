@@ -18,7 +18,6 @@ from .core import (
     MomentVector,
     NormVector,
     Representation,
-    ScaleDirection,
     factorial_scale,
     moments_of,
 )
@@ -223,7 +222,7 @@ def correspondence_suite(cases: int = 200, seed: int = DEFAULT_SEED) -> SuiteRep
         k = ExponentVector(tuple(exps), r)
         am = norms(spline_from_representation(rep, FunctionFamily(Family.AM, r)), k)
         mm = norms(spline_from_representation(rep, FunctionFamily(Family.MM, r)), k)
-        lifted = factorial_scale(mm, ScaleDirection.MM_TO_AM)
+        lifted = factorial_scale(mm)
         bad = any(
             abs(a - b) > 1e-12 * max(abs(a), abs(b))
             for a, b in zip(am.values, lifted.values)

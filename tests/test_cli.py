@@ -186,6 +186,27 @@ class TestInvalidInput:
         assert code == 0
         assert json.loads(out)["status"] == "admissible_boundary"
 
+    @pytest.mark.parametrize("argv", [
+        ["random", "--tol", "123"],
+        ["random", "--input", "missing.json"],
+        ["spline-norms", "--tol", "1e-8"],
+        ["verify", "--suite", "correspondence", "--cases", "1", "--tol", "1e-8"],
+        ["verify", "--suite", "correspondence", "--cases", "1", "--input", "missing.json"],
+        ["represent", "--principal", "--canonical", "--root", "1.0"],
+        ["represent"],
+    ], ids=["random-tol", "random-input", "spline-norms-tol", "verify-tol", "verify-input",
+            "represent-both", "represent-neither"])
+    def test_flag_the_command_does_not_read_exit_2(self, capsys, monkeypatch, argv):
+        # Each subcommand takes only the flags it reads, and represent exactly
+        # one of --principal and --canonical.
+        import io
+        import sys
+
+        monkeypatch.setattr(sys, "stdin", io.StringIO('{"k": [0, 1, 2], "c": [2, 3, 5]}'))
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
     def test_grid_flag_rejected(self, capsys):
         # The oracle grid sizes are the solver's own, not a CLI option.
         with pytest.raises(SystemExit) as exc:
@@ -250,6 +271,16 @@ class TestOtherCommands:
         assert statuses == [
             "not_admissible", "admissible_boundary", "admissible_interior",
         ]
+
+    def test_sweep_reports_a_rejected_point_as_error(self, capsys, monkeypatch):
+        code, out, _ = run(
+            capsys,
+            ["sweep", "--component", "1", "--from", "-1", "--to", "1", "--steps", "2"],
+            stdin=DECIDE_BOUNDARY,
+            monkeypatch=monkeypatch,
+        )
+        assert code == 0
+        assert out.strip().splitlines() == ["M,status", "-1,error", "1,admissible_boundary"]
 
     def test_sweep_component_out_of_range(self, capsys, monkeypatch):
         code, _, _ = run(

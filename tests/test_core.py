@@ -13,7 +13,6 @@ from kolmo import (
     HalfInteger,
     NormVector,
     Representation,
-    ScaleDirection,
     curve_point,
     factorial_scale,
     index_of,
@@ -127,17 +126,11 @@ class TestFactorialTransport:
     def test_round_trip(self):
         k = ExponentVector((0, 1, 2), 2)
         mm = NormVector((1.0, 2.0, 2.0), k, FunctionFamily(Family.MM, 2))
-        am = factorial_scale(mm, ScaleDirection.MM_TO_AM)
+        am = factorial_scale(mm)
         assert am.values == (2.0, 2.0, 2.0)
-        back = factorial_scale(am, ScaleDirection.AM_TO_MM)
+        back = factorial_scale(am)
         assert back.values == mm.values
         assert back.family.kind is Family.MM
-
-    def test_direction_requires_matching_family(self):
-        k = ExponentVector((0, 1), 2)
-        am = NormVector((1.0, 1.0), k, FunctionFamily(Family.AM, 2))
-        with pytest.raises(DomainError):
-            factorial_scale(am, ScaleDirection.MM_TO_AM)
 
     def test_moment_coordinates_am_is_identity(self):
         k = ExponentVector((0, 1, 2), 2)

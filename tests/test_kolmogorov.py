@@ -19,7 +19,7 @@ from kolmo import (
     interior_spline,
     matching_spline,
 )
-from kolmo.core import ScaleDirection, factorial_scale
+from kolmo.core import factorial_scale
 from kolmo.kolmogorov import _check_witness
 from kolmo.splines import norms
 
@@ -65,7 +65,7 @@ class TestDecideThresholdLadder:
     def test_family_transport_preserves_status(self):
         for m0 in (0.9, 1.5):
             mm = _mm_tuple(m0)
-            am = factorial_scale(mm, ScaleDirection.MM_TO_AM)
+            am = factorial_scale(mm)
             assert decide_admissible(am).status is decide_admissible(mm).status
 
 
@@ -143,6 +143,14 @@ class TestBoundarySpline:
         assert phi.knot_index.value <= 1.0
         got = norms(phi, K012)
         assert got.values == pytest.approx((1.0, 2.0, 2.0), rel=1e-8)
+
+    def test_tuple_within_tol_of_threshold_has_thin_witness(self):
+        M = _mm_tuple(1.0 + 1e-7)
+        with pytest.raises(NotBoundaryError):
+            boundary_spline(M)
+        phi = boundary_spline(M, tol=1e-6)
+        assert phi.knot_index.value <= 1.0
+        assert norms(phi, K012).values == pytest.approx(M.values, rel=1e-6)
 
 
 class TestCanonicalSpline:

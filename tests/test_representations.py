@@ -57,6 +57,27 @@ class TestClassify:
         assert len(result.witness) == 1
         assert result.witness.atoms[0].node == pytest.approx(1.5, rel=1e-8)
 
+    def test_interior_within_tol_of_a_single_atom_is_boundary(self):
+        # c_0 c_2 - c_1^2 = 1e-7: interior, but one atom reproduces c within
+        # 1e-6, so at that tol the path thins the zero atom it reaches c with.
+        c = MomentVector((1.0, 1.0, 1.0 + 1e-7), K012)
+        assert classify(c).kind is ClassKind.INTERIOR
+        result = classify(c, tol=1e-6)
+        assert result.kind is ClassKind.BOUNDARY
+        assert len(result.witness) == 1
+        assert moments_of(result.witness, K012).values == pytest.approx(c.values, rel=1e-6)
+
+    def test_exterior_within_tol_of_a_single_atom_is_boundary(self):
+        # Just outside the cone the path stops short of c with no loss below
+        # ACCEPT_TOL; at tol = 1e-6 its cheapest loss is thinned.
+        k = ExponentVector((0, 1, 2, 3), 3)
+        c = MomentVector((1.0, 1.5, 2.25 * (1 - 1e-6), 3.375), k)
+        assert classify(c).kind is ClassKind.EXTERIOR
+        result = classify(c, tol=1e-6)
+        assert result.kind is ClassKind.BOUNDARY
+        assert len(result.witness) == 1
+        assert moments_of(result.witness, k).values == pytest.approx(c.values, rel=1e-6)
+
     def test_zero_vector(self):
         assert classify(MomentVector((0.0, 0.0, 0.0), K012)).kind is ClassKind.ZERO
 
@@ -358,6 +379,46 @@ class TestCanonicalExit:
                             lambda *args: calls.append(1) or correct(*args))
         canonical_representation(c, t_star)
         assert len(calls) <= before // 2
+
+
+class TestSingleMoment:
+    """d = 1: the moment c_0 = 3 of k = (0,), carried by one atom anywhere."""
+
+    C3 = MomentVector((3.0,), ExponentVector((0,), 1))
+
+    def test_canonical_is_the_pinned_atom(self):
+        rep = canonical_representation(self.C3, 2.0)
+        assert rep.nodes == (2.0,)
+        assert rep.weights == pytest.approx((3.0,), rel=1e-12)
+
+    def test_classify_is_interior_with_the_zero_atom(self):
+        result = classify(self.C3)
+        assert result.kind is ClassKind.INTERIOR
+        assert result.witness.nodes == (0.0,)
+        assert result.witness.weights == pytest.approx((3.0,), rel=1e-12)
+
+    def test_principal_is_the_zero_atom(self):
+        rep = principal_representation(self.C3)
+        assert rep.nodes == (0.0,)
+        assert rep.weights == pytest.approx((3.0,), rel=1e-12)
+
+
+README_TUPLE = NormVector((1.0, 2.0, 2.0), K012, FunctionFamily(Family.MM, 2))
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("entry", [
+    lambda tol: classify(C235, tol),
+    lambda tol: principal_representation(C235, tol),
+    lambda tol: canonical_representation(C235, 1.0, tol),
+    lambda tol: oracle.cone_membership(C235, tol),
+    lambda tol: decide_admissible(README_TUPLE, tol),
+], ids=["classify", "principal", "canonical", "cone_membership", "decide"])
+def test_tolerance_must_be_finite_and_positive(entry, tol):
+    # At tol = inf every c would be reproduced by any thin measure: classify
+    # called (2, 3, 5) BOUNDARY and decide the README tuple interior.
+    with pytest.raises(DomainError):
+        entry(tol)
 
 
 def test_solver_uses_no_oracle_and_no_scipy():
