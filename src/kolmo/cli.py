@@ -25,8 +25,13 @@ from .core import (
 )
 from .errors import DomainError, KolmoError, UnsupportedSystemError
 from .kolmogorov import decide_admissible
-from .oracle import cone_membership
-from .representations import canonical_representation, classify, principal_representation
+from .oracle import DEFAULT_FEASIBILITY_TOL, cone_membership
+from .representations import (
+    ACCEPT_TOL,
+    canonical_representation,
+    classify,
+    principal_representation,
+)
 from .splines import (
     norms,
     random_member,
@@ -37,6 +42,7 @@ from .splines import (
 log = logging.getLogger("kolmo")
 
 EXIT_OK = 0
+EXIT_COUNTEREXAMPLES = 1
 EXIT_INVALID_INPUT = 2
 EXIT_NUMERICAL_FAILURE = 3
 
@@ -67,13 +73,13 @@ def _read_input(path: str | None) -> dict:
 
 
 def _write_output(path: str | None, text: str):
+    if not text.endswith("\n"):
+        text += "\n"
     if path is None or path == "-":
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
 
 
 def _integer(v) -> int:
@@ -145,7 +151,7 @@ def _cmd_classify(args) -> dict:
         "witness": _representation_doc(result.witness) if result.witness else None,
     }
     if args.oracle:
-        report = cone_membership(c, tol=max(args.tol, 1e-7))
+        report = cone_membership(c, tol=max(args.tol, DEFAULT_FEASIBILITY_TOL))
         doc["oracle"] = {"feasible": report.feasible, "residual": report.residual}
     return doc
 
@@ -229,10 +235,12 @@ def _cmd_sweep(args) -> str:
     return "\n".join(lines)
 
 
-def _cmd_verify(args) -> tuple[dict, bool]:
-    suite = verify.SUITES[args.suite]
-    report = suite(cases=args.cases, seed=args.seed)
-    return report.to_dict(), report.ok
+def _cmd_verify(args) -> dict:
+    if args.seed < 0:
+        raise InputError("--seed must be >= 0")
+    if args.cases < 1:
+        raise InputError("--cases must be >= 1")
+    return verify.SUITES[args.suite](cases=args.cases, seed=args.seed).to_dict()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -246,42 +254,45 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, summary, reads=True, tol=True):
+    def command(name, summary, handler, reads=True, tol=True):
         p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler)
         if reads:
             p.add_argument("--input", "-i", default=None, help="input JSON (default stdin)")
         p.add_argument("--output", "-o", default=None, help="output path (default stdout)")
         if tol:
-            p.add_argument("--tol", type=float, default=1e-8, help="acceptance tolerance")
+            p.add_argument("--tol", type=float, default=ACCEPT_TOL, help="acceptance tolerance")
         return p
 
-    p = command("classify", "classify a moment vector against the cone")
+    p = command("classify", "classify a moment vector against the cone", _cmd_classify)
     p.add_argument("--oracle", action="store_true", help="attach an oracle cross-check")
 
-    p = command("represent", "compute an atomic representation")
+    p = command("represent", "compute an atomic representation", _cmd_represent)
     structure = p.add_mutually_exclusive_group(required=True)
     structure.add_argument("--principal", action="store_true", help="index d/2 representation")
     structure.add_argument("--canonical", action="store_true",
                            help="prescribed-root representation")
     p.add_argument("--root", type=float, default=None, help="prescribed root for --canonical")
 
-    command("spline-norms", "derivative sup-norms of a spline", tol=False)
+    command("spline-norms", "derivative sup-norms of a spline", _cmd_spline_norms, tol=False)
 
-    command("decide", "decide admissibility of a norm tuple")
+    command("decide", "decide admissibility of a norm tuple", _cmd_decide)
 
-    p = command("random", "generate a random class member", reads=False, tol=False)
+    p = command("random", "generate a random class member", _cmd_random,
+                reads=False, tol=False)
     p.add_argument("--family", choices=["am", "mm"], default="mm")
     p.add_argument("--order", "--r", dest="order", type=int, default=2)
     p.add_argument("--knot-count", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
 
-    p = command("sweep", "sweep one norm component, report statuses as CSV")
+    p = command("sweep", "sweep one norm component, report statuses as CSV", _cmd_sweep)
     p.add_argument("--component", type=int, required=True, help="1-based component index")
     p.add_argument("--from", dest="sweep_from", type=float, required=True)
     p.add_argument("--to", dest="sweep_to", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)
 
-    p = command("verify", "run a self-contained verification suite", reads=False, tol=False)
+    p = command("verify", "run a self-contained verification suite", _cmd_verify,
+                reads=False, tol=False)
     p.add_argument("--suite", required=True, choices=sorted(verify.SUITES))
     p.add_argument("--cases", type=int, default=100)
     p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
@@ -296,25 +307,7 @@ def main(argv: list[str] | None = None) -> int:
         print("error: --tol must be finite and > 0", file=sys.stderr)
         return EXIT_INVALID_INPUT
     try:
-        if args.command == "classify":
-            doc = _cmd_classify(args)
-        elif args.command == "represent":
-            doc = _cmd_represent(args)
-        elif args.command == "spline-norms":
-            doc = _cmd_spline_norms(args)
-        elif args.command == "decide":
-            doc = _cmd_decide(args)
-        elif args.command == "random":
-            doc = _cmd_random(args)
-        elif args.command == "sweep":
-            _write_output(args.output, _cmd_sweep(args))
-            return EXIT_OK
-        elif args.command == "verify":
-            doc, ok = _cmd_verify(args)
-            _write_output(args.output, jsonio.dumps(doc))
-            return EXIT_OK if ok else 1
-        else:  # pragma: no cover - argparse enforces the choices
-            return EXIT_INVALID_INPUT
+        doc = args.handler(args)
     except (InputError, DomainError, UnsupportedSystemError) as exc:
         log.info("invalid input", exc_info=True)
         print(f"error: {exc}", file=sys.stderr)
@@ -323,7 +316,9 @@ def main(argv: list[str] | None = None) -> int:
         log.info("numerical failure", exc_info=True)
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_FAILURE
-    _write_output(args.output, jsonio.dumps(doc))
+    _write_output(args.output, doc if isinstance(doc, str) else jsonio.dumps(doc))
+    if args.command == "verify" and not doc["ok"]:
+        return EXIT_COUNTEREXAMPLES
     return EXIT_OK
 
 

@@ -133,7 +133,7 @@ class Representation:
         return tuple(a.weight for a in self.atoms)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class HalfInteger:
     """Exact half-integer stored as its doubled value."""
 
@@ -152,12 +152,6 @@ class HalfInteger:
         if self.twice % 2 == 0:
             return str(self.twice // 2)
         return f"{self.twice}/2"
-
-    def __lt__(self, other: "HalfInteger") -> bool:
-        return self.twice < other.twice
-
-    def __le__(self, other: "HalfInteger") -> bool:
-        return self.twice <= other.twice
 
 
 @dataclass(frozen=True)

@@ -153,6 +153,8 @@ def random_member(
     """
     if knot_count < 0:
         raise DomainError("knot count must be >= 0")
+    if seed < 0:
+        raise DomainError("seed must be >= 0")
     rng = np.random.default_rng(seed)
     knots: tuple[float, ...] = ()
     for _ in range(200):

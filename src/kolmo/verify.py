@@ -6,7 +6,9 @@ the ``verify`` CLI command both run these.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -34,38 +36,54 @@ from .splines import IdealSpline, evaluate, norms, random_member, spline_from_re
 
 DEFAULT_SEED = 20260823
 
+# Returned by a case's check to record the case as skipped.
+SKIP = object()
+
 
 @dataclass
 class SuiteReport:
+    """Counts of one suite run; the field order is the key order of :meth:`to_dict`."""
+
     suite: str
     total: int = 0
     passed: int = 0
     failed: int = 0
     skipped: int = 0
+    ok: bool = True
     failures: list[str] = field(default_factory=list)
     notes: dict = field(default_factory=dict)
-    ok: bool = True
 
-    def fail(self, message: str):
-        self.failed += 1
-        if len(self.failures) < 20:
-            self.failures.append(message)
+    def record(self, label: str, check: Callable):
+        """Count one case.
 
-    def finish(self) -> "SuiteReport":
-        self.ok = self.failed == 0 and self.ok
+        ``check()`` returns None for a pass, :data:`SKIP` for a skip, or a
+        failure message.  A :class:`KolmoError` it raises is a failure naming
+        the error type; any other exception propagates.
+        """
+        self.total += 1
+        try:
+            outcome = check()
+        except KolmoError as exc:
+            outcome = f"{type(exc).__name__}: {exc}"
+        if outcome is None:
+            self.passed += 1
+        elif outcome is SKIP:
+            self.skipped += 1
+        else:
+            self.failed += 1
+            if len(self.failures) < 20:
+                self.failures.append(f"{label}: {outcome}")
+
+    def run(self, cases: int, seed: int, case: Callable) -> "SuiteReport":
+        """Record ``case(rng)`` ``cases`` times from one seeded generator, then set ``ok``."""
+        rng = np.random.default_rng(seed)
+        for i in range(cases):
+            self.record(f"case {i}", lambda: case(rng))
+        self.ok = self.failed == 0
         return self
 
     def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "total": self.total,
-            "passed": self.passed,
-            "failed": self.failed,
-            "skipped": self.skipped,
-            "ok": self.ok,
-            "failures": list(self.failures),
-            "notes": dict(self.notes),
-        }
+        return asdict(self)
 
 
 def _separated_nodes(rng, count, lo, hi, min_gap):
@@ -91,80 +109,57 @@ def _exponents_with_zero(rng, d, kmax, r):
     return ExponentVector((0, *(int(k) for k in extra)), r)
 
 
+def _mismatch(got, want, rel: float) -> bool:
+    """True when some pair differs by more than ``rel`` of its larger magnitude."""
+    return any(abs(a - b) > rel * max(abs(a), abs(b)) for a, b in zip(got, want))
+
+
 def roundtrip_suite(cases: int = 200, seed: int = DEFAULT_SEED) -> SuiteReport:
     """Principal representation recovers the measure behind exact moments."""
-    rep_out = SuiteReport("roundtrip")
-    rng = np.random.default_rng(seed)
-    for case in range(cases):
-        rep_out.total += 1
+
+    def case(rng):
         m = int(rng.integers(1, 4))
         with_zero = bool(rng.integers(0, 2))
         n_pos = m - 1 if with_zero else m
-        if n_pos == 0 and not with_zero:
-            with_zero = True
         target = _random_representation(rng, n_pos, with_zero)
         d = 2 * n_pos + (1 if with_zero else 0)
         k = _exponents_with_zero(rng, d, 8, 8)
-        c = moments_of(target, k)
-        try:
-            got = principal_representation(c)
-        except KolmoError as exc:
-            rep_out.fail(f"case {case}: solver failed: {exc}")
-            continue
+        got = principal_representation(moments_of(target, k))
         if len(got) != len(target):
-            rep_out.fail(
-                f"case {case}: atom count {len(got)} != {len(target)}"
-            )
-            continue
-        bad = None
+            return f"atom count {len(got)} != {len(target)}"
         for a, b in zip(got.atoms, target.atoms):
             if abs(a.node - b.node) > 1e-6 * max(b.node, 1e-3):
-                bad = f"node {a.node} vs {b.node}"
-            elif abs(a.weight - b.weight) > 1e-6 * b.weight:
-                bad = f"weight {a.weight} vs {b.weight}"
-        if bad:
-            rep_out.fail(f"case {case}: {bad}")
-        else:
-            rep_out.passed += 1
-    return rep_out.finish()
+                return f"node {a.node} vs {b.node}"
+            if abs(a.weight - b.weight) > 1e-6 * b.weight:
+                return f"weight {a.weight} vs {b.weight}"
+        return None
+
+    return SuiteReport("roundtrip").run(cases, seed, case)
 
 
 def lemma1_suite(cases: int = 500, seed: int = DEFAULT_SEED) -> SuiteReport:
     """Matched thin splines never exceed the source function's spare norms."""
-    rep_out = SuiteReport("lemma1")
-    rng = np.random.default_rng(seed)
-    nonconv = 0
-    for case in range(cases):
-        rep_out.total += 1
+
+    def case(rng):
         d = int(rng.choice([2, 3, 4]))
         r = int(rng.integers(max(2, d), 9))
         chain = sorted(int(v) for v in rng.choice(r, size=d, replace=False)) + [r]
-        family = FunctionFamily(Family.MM, r)
-        x = random_member(family, 6, int(rng.integers(2 ** 31)))
+        x = random_member(FunctionFamily(Family.MM, r), 6, int(rng.integers(2 ** 31)))
         matched = tuple(chain[1 : 1 + 2 * (d // 2)])
-        M = norms(x, ExponentVector(matched, r))
         try:
-            phi = interior_spline(M)
+            phi = interior_spline(norms(x, ExponentVector(matched, r)))
         except KolmoError:
-            nonconv += 1
-            rep_out.skipped += 1
-            continue
-        k0 = chain[0]
-        ok = evaluate(phi, 0.0, k0) <= evaluate(x, 0.0, k0) + 1e-9
-        if ok and d % 2 == 1:
-            ok = evaluate(phi, 0.0, r) <= evaluate(x, 0.0, r) + 1e-9
-        if ok:
-            rep_out.passed += 1
-        else:
-            rep_out.fail(
-                f"case {case}: d={d} r={r} chain={chain}: matched spline "
-                f"exceeds the source norm"
-            )
-    rate = (cases - nonconv) / cases if cases else 1.0
-    rep_out.notes["convergence_rate"] = rate
-    rep_out.notes["nonconvergent"] = nonconv
-    rep_out.ok = rate >= 0.95
-    return rep_out.finish()
+            return SKIP
+        spare = (chain[0], r) if d % 2 == 1 else (chain[0],)
+        if all(evaluate(phi, 0.0, k) <= evaluate(x, 0.0, k) + 1e-9 for k in spare):
+            return None
+        return f"d={d} r={r} chain={chain}: matched spline exceeds the source norm"
+
+    report = SuiteReport("lemma1").run(cases, seed, case)
+    rate = (report.total - report.skipped) / report.total if report.total else 1.0
+    report.notes = {"convergence_rate": rate, "nonconvergent": report.skipped}
+    report.ok = report.ok and rate >= 0.95
+    return report
 
 
 def oracle_suite(cases: int = 500, seed: int = DEFAULT_SEED) -> SuiteReport:
@@ -173,10 +168,8 @@ def oracle_suite(cases: int = 500, seed: int = DEFAULT_SEED) -> SuiteReport:
     Disagreements are excused only inside a relative margin of 1e-4 around
     the cone boundary, measured by the oracle's own residual.
     """
-    rep_out = SuiteReport("oracle")
-    rng = np.random.default_rng(seed)
-    for case in range(cases):
-        rep_out.total += 1
+
+    def case(rng):
         d = int(rng.integers(2, 6))
         k = _exponents_with_zero(rng, d, 8, 8)
         base = _random_representation(
@@ -187,31 +180,21 @@ def oracle_suite(cases: int = 500, seed: int = DEFAULT_SEED) -> SuiteReport:
         if rng.random() < 0.5:
             vals = vals * (1.0 + rng.uniform(-0.3, 0.3, d))
         c = MomentVector(tuple(vals), k)
-        try:
-            cls = classify(c)
-        except KolmoError as exc:
-            rep_out.fail(f"case {case}: classify raised: {exc}")
-            continue
+        kind = classify(c).kind
         report = cone_membership(c)
-        in_cone = cls.kind in (ClassKind.BOUNDARY, ClassKind.INTERIOR, ClassKind.ZERO)
-        if in_cone == report.feasible:
-            rep_out.passed += 1
-        elif report.residual <= 1e-4:
-            rep_out.skipped += 1  # within the boundary margin band
-        else:
-            rep_out.fail(
-                f"case {case}: classify={cls.kind.value} but oracle residual "
-                f"{report.residual:.3e}"
-            )
-    return rep_out.finish()
+        if (kind is not ClassKind.EXTERIOR) == report.feasible:
+            return None
+        if report.residual <= 1e-4:
+            return SKIP  # within the boundary margin band
+        return f"classify={kind.value} but oracle residual {report.residual:.3e}"
+
+    return SuiteReport("oracle").run(cases, seed, case)
 
 
 def correspondence_suite(cases: int = 200, seed: int = DEFAULT_SEED) -> SuiteReport:
     """AM norms equal diag((r-k_i)!) times MM norms for matched spline pairs."""
-    rep_out = SuiteReport("correspondence")
-    rng = np.random.default_rng(seed)
-    for case in range(cases):
-        rep_out.total += 1
+
+    def case(rng):
         r = int(rng.integers(1, 9))
         rep = _random_representation(
             rng, int(rng.integers(1, 5)), bool(rng.integers(0, 2)),
@@ -222,24 +205,24 @@ def correspondence_suite(cases: int = 200, seed: int = DEFAULT_SEED) -> SuiteRep
         k = ExponentVector(tuple(exps), r)
         am = norms(spline_from_representation(rep, FunctionFamily(Family.AM, r)), k)
         mm = norms(spline_from_representation(rep, FunctionFamily(Family.MM, r)), k)
-        lifted = factorial_scale(mm)
-        bad = any(
-            abs(a - b) > 1e-12 * max(abs(a), abs(b))
-            for a, b in zip(am.values, lifted.values)
-        )
-        if bad:
-            rep_out.fail(f"case {case}: r={r} k={exps}: factorial mismatch")
-        else:
-            rep_out.passed += 1
-    return rep_out.finish()
+        if _mismatch(am.values, factorial_scale(mm).values, 1e-12):
+            return f"r={r} k={exps}: factorial mismatch"
+        return None
+
+    return SuiteReport("correspondence").run(cases, seed, case)
 
 
 def theorem_main_suite(cases: int = 100, seed: int = DEFAULT_SEED) -> SuiteReport:
     """Trichotomy on the worked threshold family plus random attainable tuples."""
-    rep_out = SuiteReport("theorem-main")
+    report = SuiteReport("theorem-main")
     family = FunctionFamily(Family.MM, 2)
     k = ExponentVector((0, 1, 2), 2)
-    ladder = [
+
+    def rung(m0, want):
+        got = decide_admissible(NormVector((m0, 2.0, 2.0), k, family)).status
+        return None if got is want else f"got {got.value}, want {want.value}"
+
+    for m0, want in [
         (0.5, Status.NOT_ADMISSIBLE),
         (0.9, Status.NOT_ADMISSIBLE),
         (0.99, Status.NOT_ADMISSIBLE),
@@ -247,18 +230,10 @@ def theorem_main_suite(cases: int = 100, seed: int = DEFAULT_SEED) -> SuiteRepor
         (1.01, Status.ADMISSIBLE_INTERIOR),
         (1.5, Status.ADMISSIBLE_INTERIOR),
         (10.0, Status.ADMISSIBLE_INTERIOR),
-    ]
-    for m0, want in ladder:
-        rep_out.total += 1
-        res = decide_admissible(NormVector((m0, 2.0, 2.0), k, family))
-        if res.status is want:
-            rep_out.passed += 1
-        else:
-            rep_out.fail(f"M0={m0}: got {res.status.value}, want {want.value}")
+    ]:
+        report.record(f"M0={m0}", partial(rung, m0, want))
 
-    rng = np.random.default_rng(seed)
-    for case in range(cases):
-        rep_out.total += 1
+    def case(rng):
         d = int(rng.choice([3, 4, 5]))
         r = int(rng.integers(max(2, d - 1), 9))
         lower = sorted(int(v) for v in rng.choice(r, size=d - 1, replace=False))
@@ -268,90 +243,66 @@ def theorem_main_suite(cases: int = 100, seed: int = DEFAULT_SEED) -> SuiteRepor
         if not (d % 2 == 1 and exps.exponents[0] == 0):
             x = IdealSpline(fam, x.knots, x.weights, 0.0)
         M = norms(x, exps)
-        try:
-            res = decide_admissible(M)
-        except KolmoError as exc:
-            rep_out.fail(f"case {case}: decide raised: {exc}")
-            continue
+        res = decide_admissible(M)
         if res.status is Status.NOT_ADMISSIBLE or res.witness is None:
-            rep_out.fail(
-                f"case {case}: attainable tuple judged {res.status.value}"
-            )
-            continue
-        got = norms(res.witness, exps)
-        bad = any(
-            abs(a - b) > 1e-6 * max(abs(a), abs(b))
-            for a, b in zip(got.values, M.values)
-        )
-        if bad:
-            rep_out.fail(f"case {case}: witness norms mismatch")
-        else:
-            rep_out.passed += 1
-    return rep_out.finish()
+            return f"attainable tuple judged {res.status.value}"
+        if _mismatch(norms(res.witness, exps).values, M.values, 1e-6):
+            return "witness norms mismatch"
+        return None
+
+    return report.run(cases, seed, case)
 
 
 def canonical_suite(cases: int = 100, seed: int = DEFAULT_SEED) -> SuiteReport:
     """Prescribed-root representations: exact pin, exact moments."""
-    rep_out = SuiteReport("canonical")
+    report = SuiteReport("canonical")
 
-    # Closed-form instance: two unit atoms at 1 and 2.
-    rep_out.total += 1
-    k = ExponentVector((0, 1, 2), 2)
-    c = MomentVector((2.0, 3.0, 5.0), k)
-    got = canonical_representation(c, 1.0)
-    want = ((1.0, 1.0), (2.0, 1.0))
-    if len(got) == 2 and all(
-        abs(a.node - n) <= 1e-8 and abs(a.weight - w) <= 1e-8
-        for a, (n, w) in zip(got.atoms, want)
-    ):
-        rep_out.passed += 1
-    else:
-        rep_out.fail(f"closed form: got {[(a.node, a.weight) for a in got.atoms]}")
+    def closed_form():
+        # Two unit atoms at 1 and 2.
+        c = MomentVector((2.0, 3.0, 5.0), ExponentVector((0, 1, 2), 2))
+        got = canonical_representation(c, 1.0)
+        want = ((1.0, 1.0), (2.0, 1.0))
+        if len(got) == 2 and all(
+            abs(a.node - n) <= 1e-8 and abs(a.weight - w) <= 1e-8
+            for a, (n, w) in zip(got.atoms, want)
+        ):
+            return None
+        return f"got {[(a.node, a.weight) for a in got.atoms]}"
 
-    rng = np.random.default_rng(seed)
-    for case in range(cases):
-        rep_out.total += 1
+    report.record("closed form", closed_form)
+
+    def case(rng):
         d = int(rng.integers(2, 6))
-        kk = _exponents_with_zero(rng, d, 8, 8)
-        # Build the target with the index-(d+1)/2 structure itself and pin
+        k = _exponents_with_zero(rng, d, 8, 8)
+        # Build the target with the index-(d+1)/2 structure itself, (d+1)/2
+        # positive atoms for odd d and d/2 plus one at 0 for even d, and pin
         # one of its positive nodes: prescribed roots are only attainable on
         # the bands swept by that family, so sampling roots freely would mix
         # in unrepresentable instances.
-        if d % 2 == 1:
-            n_pos, with_zero = (d + 1) // 2, False
-        else:
-            n_pos, with_zero = d // 2, True
-        target = _random_representation(rng, n_pos, with_zero)
-        cc = moments_of(target, kk)
+        target = _random_representation(rng, (d + 1) // 2, d % 2 == 0)
+        c = moments_of(target, k)
         pos_nodes = [a.node for a in target.atoms if a.node > 0]
         t_star = float(pos_nodes[int(rng.integers(len(pos_nodes)))])
         try:
-            got = canonical_representation(cc, t_star)
+            got = canonical_representation(c, t_star)
         except PinnedNodeCoincidenceError:
-            rep_out.skipped += 1
-            continue
-        except KolmoError as exc:
-            rep_out.fail(f"case {case}: solver failed: {exc}")
-            continue
+            return SKIP
         if not any(a.node == t_star for a in got.atoms):
-            rep_out.fail(f"case {case}: pinned node {t_star} not present exactly")
-            continue
-        back = np.asarray(moments_of(got, kk).values)
-        ref = np.asarray(cc.values)
+            return f"pinned node {t_star} not present exactly"
+        back = np.asarray(moments_of(got, k).values)
+        ref = np.asarray(c.values)
         scale = np.maximum(np.abs(ref), 0.01 * np.max(np.abs(ref)))
         if np.max(np.abs(back - ref) / scale) > 1e-8:
-            rep_out.fail(f"case {case}: moments not reproduced to 1e-8")
-        else:
-            rep_out.passed += 1
-    return rep_out.finish()
+            return "moments not reproduced to 1e-8"
+        return None
+
+    return report.run(cases, seed, case)
 
 
 def uniqueness_suite(cases: int = 100, seed: int = DEFAULT_SEED) -> SuiteReport:
     """Interior spline solves from distinct initializations coincide."""
-    rep_out = SuiteReport("uniqueness")
-    rng = np.random.default_rng(seed)
-    for case in range(cases):
-        rep_out.total += 1
+
+    def case(rng):
         d = int(rng.choice([2, 4, 6]))
         r = 8
         exps = sorted(int(v) for v in rng.choice(r + 1, size=d, replace=False))
@@ -375,24 +326,13 @@ def uniqueness_suite(cases: int = 100, seed: int = DEFAULT_SEED) -> SuiteReport:
             0.0,
         )
         M = norms(x, k)
-        solved = []
-        try:
-            for init_seed in (0, 1, 2):
-                solved.append(interior_spline(M, init_seed=init_seed))
-        except KolmoError as exc:
-            rep_out.fail(f"case {case}: solver failed: {exc}")
-            continue
-        ref = solved[0]
-        bad = False
-        for other in solved[1:]:
-            for a, b in zip(ref.knots + ref.weights, other.knots + other.weights):
-                if abs(a - b) > 1e-6 * max(abs(a), abs(b)):
-                    bad = True
-        if bad:
-            rep_out.fail(f"case {case}: initializations disagree beyond 1e-6")
-        else:
-            rep_out.passed += 1
-    return rep_out.finish()
+        ref, *others = [interior_spline(M, init_seed=s) for s in (0, 1, 2)]
+        if any(_mismatch(ref.knots + ref.weights, other.knots + other.weights, 1e-6)
+               for other in others):
+            return "initializations disagree beyond 1e-6"
+        return None
+
+    return SuiteReport("uniqueness").run(cases, seed, case)
 
 
 SUITES = {

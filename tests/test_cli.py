@@ -207,6 +207,18 @@ class TestInvalidInput:
             main(argv)
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--suite", "roundtrip", "--cases", "2", "--seed", "-1"],
+        ["verify", "--suite", "correspondence", "--cases", "0"],
+        ["verify", "--suite", "correspondence", "--cases", "-3"],
+        ["random", "--seed", "-1"],
+    ], ids=["verify-seed", "verify-zero-cases", "verify-negative-cases", "random-seed"])
+    def test_negative_seed_or_no_cases_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
     def test_grid_flag_rejected(self, capsys):
         # The oracle grid sizes are the solver's own, not a CLI option.
         with pytest.raises(SystemExit) as exc:
@@ -299,3 +311,18 @@ class TestOtherCommands:
         doc = json.loads(out)
         assert doc["ok"] is True
         assert doc["passed"] == 5
+
+    def test_verify_counterexamples_exit_1(self, capsys, monkeypatch):
+        from kolmo import verify
+
+        def failing(cases, seed):
+            report = verify.SuiteReport("failing")
+            return report.run(cases, seed, lambda rng: "always wrong")
+
+        monkeypatch.setitem(verify.SUITES, "correspondence", failing)
+        code, out, _ = run(capsys, ["verify", "--suite", "correspondence", "--cases", "3"])
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["ok"] is False
+        assert doc["failed"] == 3
+        assert doc["failures"][0] == "case 0: always wrong"

@@ -89,6 +89,7 @@ class TestIndex:
     def test_half_integer_str(self):
         assert str(HalfInteger(3)) == "3/2"
         assert str(HalfInteger(4)) == "2"
+        assert HalfInteger(1) < HalfInteger(3) <= HalfInteger(3)
 
 
 class TestMoments:

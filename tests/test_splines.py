@@ -152,3 +152,7 @@ class TestRandomMember:
     def test_negative_knot_count_rejected(self):
         with pytest.raises(DomainError):
             random_member(MM2, -1, 0)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DomainError, match="seed"):
+            random_member(MM2, 2, -1)
