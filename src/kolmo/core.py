@@ -76,6 +76,8 @@ class MomentVector:
             raise DomainError(
                 f"{len(self.values)} values for {self.exponents.d} exponents"
             )
+        if not all(math.isfinite(v) for v in self.values):
+            raise DomainError(f"moments must be finite, got {self.values}")
 
     @property
     def d(self) -> int:

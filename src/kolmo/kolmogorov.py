@@ -6,6 +6,7 @@ the extremal spline family whose norm tuples exhaust the admissible set.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -106,8 +107,8 @@ def canonical_spline(
     M: NormVector, a_star: float, tol: float = ACCEPT_TOL
 ) -> IdealSpline:
     """Spline with (d+1)/2 knots, one pinned at a_star, matching an odd tuple."""
-    if a_star <= 0:
-        raise DomainError(f"prescribed knot must be positive, got {a_star}")
+    if not 0 < a_star < math.inf:
+        raise DomainError(f"prescribed knot must be positive and finite, got {a_star}")
     if M.d % 2 != 1:
         raise DomainError(f"canonical spline needs an odd norm count, got {M.d}")
     _require_positive(M)

@@ -7,22 +7,20 @@ in every exponent system (:func:`minimal_index` reads it);
 reject the systems without exponent 0 where that index has no structure.
 
 Every solve runs one tracker.  Inside the convex moment cone the principal
-(index d/2) representation is unique and smooth in the moments, so along a
-straight path c(s) = c_a + s (c_b - c_a) between interior points it moves
-smoothly.  :func:`_track` follows it (Euler predictor, Newton corrector, in
-log weights and log nodes) to s = 1 or to an exit where the measure
-degenerates: a weight or node goes to 0, two nodes merge, a node runs off.
+(index d/2) representation is unique and smooth in the moments, so
+:func:`_track` follows it (Euler predictor, Newton corrector, in log weights
+and log nodes) along a straight path c_a + s (c_b - c_a) to s = 1, or to
+the exit s* where the path leaves the cone and the measure loses a degree of
+freedom: a weight or node goes to 0, or the top node runs to infinity.  One
+rule locates every exit: a bordered Newton solve for the exit measure and s*.
 
 - Classification and principal representations track from a start measure
-  spread over the moment-ratio range of c to c.  They get the principal
-  representation if the path reaches c, else the exit measure without its
-  degenerate atoms, polished against c, if it reproduces c (else c is
-  exterior); the verdict is the index of that measure against d/2.
+  spread over the moment-ratio range of c to c, and get the principal
+  representation at c, else the exit measure polished against c if it
+  reproduces c (else c is exterior); the verdict is its index against d/2.
 - A root pinned at t* tracks the ray c - s w v(t*), v(t*) the powers of t*,
-  from the principal representation toward its exit, where the mass at t* is
-  maximal.  Which atom vanishes there is known, so once its tangent predicts
-  the exit reliably, one pinned Newton solve lands on it; the exit measure
-  plus that atom is the canonical representation.
+  from the principal representation to its exit, where the mass at t* is
+  maximal; the exit measure plus that atom is the canonical representation.
 
 Every returned representation is re-checked against c in the original
 system.  The brute-force oracle takes no part; it stays an independent
@@ -55,6 +53,9 @@ ACCEPT_TOL = 1e-8
 
 #: Iteration budget of one Newton polish.
 MAX_ITER = 80
+
+LAND_TOL = 0.1  # a loss below it starts the tracker's exit solve ...
+LAND_ITER = 8  # ... of at most this many Newton iterations
 
 
 class ClassKind(Enum):
@@ -105,8 +106,15 @@ def _relative(lw, lu, k, log_s):
     return np.exp(np.minimum(lw[None, :] + np.outer(k, lu) - log_s[:, None], 300.0))
 
 
-def _system(y, layout, k, target, log_s):
-    """Scaled residual and Jacobian of the moment equations in log variables."""
+def _system(y, layout, k, target, log_s, dc=None):
+    """Scaled residual and Jacobian of the moment equations in log variables.
+
+    With ``dc`` the last variable is a path offset σ and the target is
+    target + σ dc: the bordered system of an exit.
+    """
+    if dc is not None:
+        F, J = _system(y[:-1], layout, k, target + y[-1] * dc, log_s)
+        return F, np.column_stack([J, -dc * np.exp(-log_s)])
     lz, lw, lu = _unpack(y, layout)
     R = _relative(lw, lu, k, log_s)
     if lz is not None:
@@ -117,11 +125,6 @@ def _system(y, layout, k, target, log_s):
     # d/dlog w = contribution, d/dlog u = k * contribution (free nodes last).
     n_free = len(y) - R.shape[1]
     return F, np.hstack([R, k[:, None] * R[:, R.shape[1] - n_free:]])
-
-
-def _moments(y, layout, k):
-    """Moments of the measure y."""
-    return _system(y, layout, k, np.zeros(len(k)), np.zeros(len(k)))[0]
 
 
 def _lstsq(J, rhs):
@@ -140,8 +143,8 @@ def _lstsq(J, rhs):
     return np.linalg.lstsq(J, rhs, rcond=None)[0] / norms
 
 
-def _correct(y, layout, k, target, tol, max_iter):
-    """Gauss-Newton in log variables: the best (y, residual).
+def _correct(y, layout, k, target, tol, max_iter, dc=None):
+    """Gauss-Newton in log variables (and σ, with ``dc``): the best (y, residual).
 
     A step is halved until it lowers the residual or the next step from the
     same Jacobian is shorter: with weights over many decades a full step can
@@ -149,7 +152,7 @@ def _correct(y, layout, k, target, tol, max_iter):
     makes steps noisy.  Stops at ``tol``, ``max_iter`` or steps < NEWTON_TOL.
     """
     log_s = _log_scales(target)
-    F, J = _system(y, layout, k, target, log_s)
+    F, J = _system(y, layout, k, target, log_s, dc)
     res = float(np.abs(F).max())
     best = (y, res)
     for _ in range(max_iter):
@@ -161,7 +164,7 @@ def _correct(y, layout, k, target, tol, max_iter):
             break
         for alpha in 0.5 ** np.arange(8):
             trial = y + alpha * step
-            Ft, Jt = _system(trial, layout, k, target, log_s)
+            Ft, Jt = _system(trial, layout, k, target, log_s, dc)
             rt = float(np.abs(Ft).max())
             if rt < res or np.abs(_lstsq(J, -Ft)).max() <= (1.0 - alpha / 2) * size:
                 break
@@ -175,8 +178,9 @@ def _correct(y, layout, k, target, tol, max_iter):
 
 def _losses(y, layout, k, log_s):
     """The measure (atoms by node), the costs (largest relative moment change)
-    of dropping the zero atom, of moving each positive atom to 0 and of
-    merging each adjacent pair at their weighted log mean, and the merged atoms.
+    of dropping the zero atom, of moving each positive atom to 0, of merging
+    each adjacent pair at their weighted log mean and of moving the top atom
+    to infinity (it then feeds the top moment only), and the merged atoms.
     """
     lz, lw, lu = _unpack(y, layout)
     order = np.argsort(lu)
@@ -188,50 +192,62 @@ def _losses(y, layout, k, log_s):
         [math.inf if lz is None else math.exp(min(lz - log_s[0], 300.0))],
         R[1:].max(axis=0, initial=0.0),
         np.abs(_relative(mw, mu, k, log_s) - R[:, :-1] - R[:, 1:]).max(axis=0, initial=0.0),
+        [R[:-1, -1].max(initial=0.0) if len(lu) else math.inf],
     ]).astype(float)
     return (lz, lw, lu), costs, (mw, mu)
 
 
-def _track(y, layout, k, c_a, c_b, vanish=None):
-    """Follow the representation y of c_a along c_a + s (c_b - c_a): (s, y).
+def _track(y, layout, k, c_a, c_b):
+    """Follow the representation y of c_a along c_a + s (c_b - c_a): (1, y,
+    layout) at c_b, or (s*, y, layout) of the exit measure where it leaves.
 
     Euler predictor, Newton corrector; the step doubles after a success and
     halves after a failure, and moves no log variable by more than one unit.
-    It stops at s = 1, where a loss of :func:`_losses` falls below ACCEPT_TOL
-    (an exit), or where the step falls below NEWTON_TOL.
 
-    ``vanish`` = (i, q) names an exit known in advance, where y[i] runs to
-    -inf like log(s* - s) / q.  Its tangent t predicts s* = s - 1 / (q t);
-    steps stop at the fraction 1 - e^-q of the way, where y[i] has moved by
-    one unit.  Once two successive predictions agree within 1 % of the
-    distance and that bound caps the step, the tracker returns s* and y
-    moved along the tangent to s*, for the caller to solve for the exit.
+    One exit rule: a loss of :func:`_losses` vanishes linearly at an exit,
+    so its last two values predict s*.  Once the earliest predicted loss is
+    below LAND_TOL (a decade below its last try), one Newton solve of the
+    bordered system, the exit measure of :func:`_exit_measure` without that
+    loss (moved along the tangent to s*) and s* with moments c_a + s* (c_b -
+    c_a), lands on it; a miss tracks on.  A loss below ACCEPT_TOL is the
+    exit of last resort, without the solve.  A step below NEWTON_TOL raises.
     """
     dc = c_b - c_a
     # Degeneracy is measured against the larger end of the path: along a ray
     # a moment shrinks to 0 together with the atoms that feed it.
     log_ref = _log_scales(np.maximum(np.abs(c_a), np.abs(c_b)))
-    s, h, last = 0.0, 0.5, math.nan
+    s, h, s_prev = 0.0, 0.5, 0.0
     while s < 1.0:
-        if _losses(y, layout, k, log_ref)[1].min() < ACCEPT_TOL:
-            return s, y
+        costs = _losses(y, layout, k, log_ref)[1]
+        if s == 0.0:
+            level, prev = np.full(len(costs), LAND_TOL), costs
+        if costs[:-1].min() < ACCEPT_TOL:
+            return (s, *_exit_measure(y, layout, k, log_ref))
         log_s = _log_scales(c_a + s * dc)
         tangent = _lstsq(_system(y, layout, k, c_a + s * dc, log_s)[1], dc * np.exp(-log_s))
         h = min(2.0 * h, 1.0 / max(float(np.abs(tangent).max()), 1e-300))
-        if vanish is not None:
-            rate = -vanish[1] * float(tangent[vanish[0]])
-            dist = 1.0 / rate if rate > 0 else math.inf
-            sure = abs(s + dist - last) <= 0.01 * dist
-            last = s + dist
-            near = (1.0 - math.exp(-vanish[1])) * dist
-            if sure and near <= h:
-                return last, y + dist * tangent
-            h = min(h, near)
+        fall = (costs < level) & (costs < prev)
+        # A merge, or a move to 0 onto a zero atom, loses two degrees of freedom.
+        fall[1 if costs[0] < math.inf else len(costs) // 2 + 1:-1] = False
+        exits = np.full(len(costs), math.inf)
+        exits[fall] = s + costs[fall] * (s - s_prev) / (prev[fall] - costs[fall])
+        s_prev, prev, j = s, costs, int(np.argmin(exits))
+        if exits[j] <= 1.0:
+            level[j] = 0.1 * costs[j]
+            y_e, layout_e = _exit_measure(y + (exits[j] - s) * tangent, layout, k, log_ref, j)
+            n = len(k) - (j == len(costs) - 1)  # an atom at infinity frees the top moment
+            z, res = _correct(np.append(y_e, exits[j] - s), layout_e, k[:n], (c_a + s * dc)[:n],
+                              1e-2 * ACCEPT_TOL, LAND_ITER, dc[:n])
+            # Its mass must be nonnegative.  An exit within the corrector's resolution
+            # of c_b is c_b's own, or within ACCEPT_TOL if a far atom can carry c_b.
+            excess = _system(z, layout_e, k, c_a + s * dc, log_s, dc)[0][-1]
+            gap = (1.0 - s - z[-1]) * np.abs(dc * np.exp(-log_s)).max()
+            if (max(res, excess) <= 1e-2 * ACCEPT_TOL and z[-1] >= 0.0
+                    and gap > (ACCEPT_TOL if n < len(k) else -1e-2 * ACCEPT_TOL)):
+                return s + z[-1], z[:-1], layout_e
         while True:
-            # A step below NEWTON_TOL is below the resolution of the path: a
-            # node runs off, or the corrector keeps failing as two nodes merge.
             if h < NEWTON_TOL:
-                return s, y
+                raise NumericalFailureError(f"the path's step underflows at s = {s!r}")
             s_new = min(s + h, 1.0)
             # Two decades below the degeneracy level, so that every atom
             # still in the structure is resolved.
@@ -241,7 +257,7 @@ def _track(y, layout, k, c_a, c_b, vanish=None):
                 break
             h *= 0.5
         s, y = s_new, y_new
-    return s, y
+    return s, y, layout
 
 
 class _Problem:
@@ -327,20 +343,17 @@ def _log_max_mass(c, k, lu):
     return np.min(np.log(c)[:, None] - np.outer(k, np.atleast_1d(lu)), axis=0)
 
 
-def _exit_measure(y, layout, k, log_s, lost):
+def _exit_measure(y, layout, k, log_s, drop=None):
     """The measure without its degenerate atoms: (y, layout).
 
-    Takes every loss of :func:`_losses` below ACCEPT_TOL, or if none is and a
-    degree of freedom is ``lost`` (a node ran off, or c is within a tol above
-    ACCEPT_TOL of a thinner measure) the cheapest; drops a zero atom left
-    below ACCEPT_TOL.  An atom feeding only the top moment stays, for the polish.
+    Takes every loss of :func:`_losses` below ACCEPT_TOL but the top atom's
+    to infinity, and the loss ``drop`` (an index into the costs); drops a zero
+    atom left below ACCEPT_TOL.  An atom moved to infinity leaves the measure.
     """
     (lz, lw, lu), costs, (mw, mu) = _losses(y, layout, k, log_s)
-    taken = costs < ACCEPT_TOL
-    if lost and not taken.any():
-        taken[np.argmin(costs)] = True
+    taken = np.append(costs[:-1] < ACCEPT_TOL, False) | (np.arange(len(costs)) == drop)
     p = len(lw)
-    moved, merged = taken[1:p + 1], taken[p + 1:]
+    moved, merged = taken[1:p + 1], taken[p + 1:-1]
     zero = ([] if lz is None or taken[0] else [lz]) + list(lw[moved])
     atoms, j = [], 0
     while j < p:
@@ -349,6 +362,8 @@ def _exit_measure(y, layout, k, log_s, lost):
             atoms.append((mw[j], mu[j]) if pair else (lw[j], lu[j]))
             j += pair
         j += 1
+    if taken[-1]:
+        atoms.pop()
     lz = np.logaddexp.reduce(zero) if zero else -math.inf
     lz = None if math.exp(min(lz - log_s[0], 300.0)) < ACCEPT_TOL else lz
     y = [w for w, _ in atoms] + [u for _, u in atoms]
@@ -367,20 +382,24 @@ def _principal_path(prob: _Problem, tol: float, init_seed: int = 0):
         res = float(np.abs(_system(y, layout, k, c, log_c)[0]).max())
         return (y, layout) if res <= tol else None
     y, layout = prob.start(init_seed)
-    s, y = _track(y, layout, k, _moments(y, layout, k), c)
+    c_a = _system(y, layout, k, np.zeros(len(k)), np.zeros(len(k)))[0]
+    s, y, layout = _track(y, layout, k, c_a, c)
+    found = y, layout
     if s == 1.0:
         y, res = _correct(y, layout, k, c, 0.0, MAX_ITER)
         if res > tol:
             raise NumericalFailureError(f"the path misses c by {res:.3e}", residual=res)
-        if _losses(y, layout, k, log_c)[1].min() >= tol:
+        costs = _losses(y, layout, k, log_c)[1][:-1]
+        if costs.min() >= tol:
             return y, layout
+        # Within tol of a thinner measure, the cheapest loss is the lost freedom.
+        found = _exit_measure(y, layout, k, log_c, int(np.argmin(costs)))
     # An exit can lose several degrees of freedom at once; the polish drives
     # out the rest, and they are taken after it.
-    y_thin, layout_thin = _exit_measure(y, layout, k, log_c, lost=True)
-    if len(y_thin):
-        y_thin, res = _correct(y_thin, layout_thin, k, c, 0.0, MAX_ITER)
+    if len(found[0]):
+        y_thin, res = _correct(*found, k, c, 0.0, MAX_ITER)
         if res <= tol:
-            return _exit_measure(y_thin, layout_thin, k, log_c, lost=False)
+            return _exit_measure(y_thin, found[1], k, log_c)
     # A near-degenerate principal representation whose thinning misses c.
     return (y, layout) if s == 1.0 else None
 
@@ -388,46 +407,27 @@ def _principal_path(prob: _Problem, tol: float, init_seed: int = 0):
 def _canonical(prob: _Problem, y, layout, t_star: float, tol: float):
     """Canonical representation through t_star from the principal y.
 
-    Along the ray c - s w v(t_star) the mass at t_star is maximal at the exit
-    s*, and the exit is known in advance: for odd d the zero atom's mass
-    vanishes like s* - s, for even d the smallest node like (s* - s)^(1/k_2).
-    :func:`_track` follows the ray until its prediction of s* settles; the
-    pinned Newton then lands on the exit in one solve: the exit measure plus
-    (t_star, s* w), with the pin mass in place of s, is the canonical
-    representation.  Raises :class:`NumericalFailureError` when it misses c
-    (a node ran to infinity: t_star is off the swept bands).
+    Along the ray c - s w v(t_star) the mass at t_star is maximal at the
+    exit s* (for odd d the zero atom vanishes, for even d the smallest node
+    goes to 0).  :func:`_track` lands there like on any exit; the exit
+    measure plus (t_star, s* w), polished, is the canonical representation.
+    Raises :class:`NumericalFailureError` when it misses c.
     """
     k, c = prob.k, prob.values
     pin = math.ldexp(t_star, -prob.m)  # exact
     w_max = math.exp(_log_max_mass(c, k, math.log(pin))[0])
-    if len(k) == 1:
-        return np.log([w_max]), (False, (pin,))
     # The ray runs on to twice that mass, so that its exit lies inside the
     # path and not where a moment reaches 0.
-    lu = _unpack(y, layout)[2]
-    vanish = (0, 1.0) if layout[0] else (len(lu) + int(np.argmin(lu)), k[1])
-    s, y = _track(y, layout, k, c, c - 2.0 * w_max * np.exp(k * math.log(pin)), vanish)
-    if s <= 0.0:
-        raise NumericalFailureError("the ray leaves the cone at once")
-    # The exit measure has index (d-1)/2 and interlaces with the principal
-    # one: for odd d the zero atom vanishes, for even d the smallest node
-    # goes to 0.
-    lz, lw, lu = _unpack(y, layout)
-    if lz is None:
-        j = int(np.argmin(lu))
-        lz, lw, lu = lw[j], np.delete(lw, j), np.delete(lu, j)
-    else:
-        lz = None
-    y = np.concatenate([[] if lz is None else [lz], [math.log(2.0 * s * w_max)], lw, lu])
-    layout = (lz is not None, (pin,))
+    s, y, layout = _track(y, layout, k, c, c - 2.0 * w_max * np.exp(k * math.log(pin)))
+    if not 0.0 < s < 1.0 or len(y) != len(k) - 1:
+        raise NumericalFailureError("the ray has no exit of index (d-1)/2 inside its path")
+    y, layout = np.insert(y, int(layout[0]), math.log(2.0 * s * w_max)), (layout[0], (pin,))
     y, res = _correct(y, layout, k, c, 0.0, MAX_ITER)
     if res > tol:
         raise NumericalFailureError(
-            f"no representation of index (d+1)/2 with root {t_star} was found "
-            f"(residual {res:.3e}); prescribed roots are attainable only on "
-            "the bands swept by that family, and this root may lie outside them",
-            residual=res,
-        )
+            f"no representation of index (d+1)/2 with root {t_star} reproduces c "
+            f"(residual {res:.3e}); this root may lie off the bands its family sweeps",
+            residual=res)
     return y, layout
 
 
@@ -500,8 +500,8 @@ def canonical_representation(
     an atom feeds no moment.
     """
     require_tolerance(tol)
-    if t_star <= 0:
-        raise DomainError(f"prescribed root must be positive, got {t_star}")
+    if not 0 < t_star < math.inf:
+        raise DomainError(f"prescribed root must be positive and finite, got {t_star}")
     if c.d % 2 == 0 and c.exponents.exponents[0]:
         raise UnsupportedSystemError("even-dimensional canonical structure needs exponent 0")
     prob = _Problem(c)

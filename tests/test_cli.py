@@ -174,6 +174,21 @@ class TestInvalidInput:
         assert code == 2
         assert '"k"' in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_moment_exit_2(self, capsys, monkeypatch, value):
+        doc = {"k": [0, 1, 2], "c": [1, value, 1]}
+        code, _, err = run(capsys, ["classify"], stdin=doc, monkeypatch=monkeypatch)
+        assert code == 2
+        assert "finite" in err
+
+    @pytest.mark.parametrize("root", ["nan", "inf"])
+    def test_non_finite_root_exit_2(self, capsys, monkeypatch, root):
+        doc = {"k": [0, 1, 2], "c": [2.0, 3.0, 5.0]}
+        code, _, err = run(capsys, ["represent", "--canonical", "--root", root],
+                           stdin=doc, monkeypatch=monkeypatch)
+        assert code == 2
+        assert "root" in err
+
     def test_fractional_order_exit_2(self, capsys, monkeypatch):
         doc = {"family": "mm", "r": 2.7, "k": [0, 1, 2], "M": [1.0, 2.0, 2.0]}
         code, _, err = run(capsys, ["decide"], stdin=doc, monkeypatch=monkeypatch)

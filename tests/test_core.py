@@ -11,6 +11,7 @@ from kolmo import (
     Family,
     FunctionFamily,
     HalfInteger,
+    MomentVector,
     NormVector,
     Representation,
     curve_point,
@@ -121,6 +122,13 @@ class TestMoments:
         p = curve_point(t, k)
         for got, want in zip(c.values, p.values):
             assert got == pytest.approx(w * want, rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_moment_rejected(self, bad):
+        # classify crashed on these: numpy LinAlgError for nan, a float
+        # conversion ValueError for inf.
+        with pytest.raises(DomainError, match="finite"):
+            MomentVector((1.0, bad, 1.0), ExponentVector((0, 1, 2), 2))
 
 
 class TestFactorialTransport:

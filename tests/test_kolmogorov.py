@@ -1,4 +1,5 @@
 """Admissibility decision procedure and witness splines."""
+import numpy as np
 import pytest
 
 from kolmo import (
@@ -21,7 +22,7 @@ from kolmo import (
 )
 from kolmo.core import factorial_scale
 from kolmo.kolmogorov import _check_witness
-from kolmo.splines import norms
+from kolmo.splines import IdealSpline, norms, random_member
 
 MM2 = FunctionFamily(Family.MM, 2)
 AM2 = FunctionFamily(Family.AM, 2)
@@ -172,6 +173,14 @@ class TestCanonicalSpline:
         with pytest.raises(DomainError):
             canonical_spline(M, -1.0)
 
+    @pytest.mark.parametrize("a_star", [float("nan"), float("inf")])
+    def test_non_finite_knot_rejected(self, a_star):
+        # nan crashed with numpy's LinAlgError, and inf was reported as a
+        # pin mass "must be positive, got 0.0".
+        M = NormVector((2.0, 3.0, 5.0), K012, AM2)
+        with pytest.raises(DomainError, match="prescribed knot"):
+            canonical_spline(M, a_star)
+
     def test_knot_on_minimal_spline_knot_rejected(self):
         # AM moments (2, 3, 5) have principal root 5/3, i.e. the knot 0.6.
         M = NormVector((2.0, 3.0, 5.0), K012, AM2)
@@ -237,3 +246,45 @@ class TestExtremalFamily:
         k = ExponentVector((0, 1, 2), 2)
         phi = extremal_family_member(MM2, k, (1.0,), (2.0,))
         assert evaluate(phi, 0.0, 0) == pytest.approx(1.0)
+
+
+@pytest.fixture(scope="module")
+def separated_tuples():
+    """Perturbed random attainable tuples (criterion 5's draws, each norm
+    times e^u, u uniform in [-0.3, 0.3]) whose recursion levels all compare
+    norms at least 1e-4 apart, with their statuses."""
+    rng = np.random.default_rng(11)
+    cases = []
+    while len(cases) < 60:
+        d = int(rng.choice([3, 4, 5]))
+        r = int(rng.integers(max(2, d - 1), 9))
+        lower = sorted(int(v) for v in rng.choice(r, size=d - 1, replace=False))
+        k = ExponentVector((*lower, r), r)
+        family = FunctionFamily(Family(rng.choice(["am", "mm"])), r)
+        x = random_member(family, d // 2, int(rng.integers(2 ** 31)))
+        if not (d % 2 == 1 and lower[0] == 0):
+            x = IdealSpline(family, x.knots, x.weights, 0.0)
+        values = np.asarray(norms(x, k).values) * np.exp(rng.uniform(-0.3, 0.3, d))
+        M = NormVector(tuple(values), k, family)
+        result = decide_admissible(M)
+        gaps = [abs(rec.lhs - rec.rhs) / max(rec.lhs, rec.rhs)
+                for rec in result.trace if rec.lhs is not None]
+        if min(gaps, default=1.0) >= 1e-4:
+            cases.append((M, result.status, float(rng.uniform(-2, 2)), float(rng.uniform(-1, 1))))
+    return cases
+
+
+@pytest.mark.parametrize("transform", ["weight", "knot", "family"])
+def test_status_invariant_under_symmetries(separated_tuples, transform):
+    # M -> lam M is f -> lam f; M_k -> s^(r-k) M_k is f -> s^r f(x / s);
+    # factorial_scale maps AM and MM onto each other.
+    for M, status, log_lam, log_s in separated_tuples:
+        r = M.family.r
+        if transform == "weight":
+            image = NormVector(tuple(10.0 ** log_lam * v for v in M.values), M.exponents, M.family)
+        elif transform == "knot":
+            image = NormVector(tuple(10.0 ** (log_s * (r - ki)) * v for v, ki in
+                                     zip(M.values, M.exponents.exponents)), M.exponents, M.family)
+        else:
+            image = factorial_scale(M)
+        assert decide_admissible(image).status is status, M

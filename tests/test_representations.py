@@ -328,6 +328,13 @@ class TestCanonicalRepresentation:
         with pytest.raises(DomainError):
             canonical_representation(C235, 0.0)
 
+    @pytest.mark.parametrize("t_star", [float("nan"), float("inf")])
+    def test_non_finite_pin_rejected(self, t_star):
+        # nan crashed with numpy's LinAlgError, and inf was reported as
+        # coinciding with the principal root.
+        with pytest.raises(DomainError):
+            canonical_representation(C235, t_star)
+
     def test_requires_exponent_zero(self):
         # Without exponent 0 an even d has no canonical structure: the ray's
         # exit drives a node to 0.
@@ -345,10 +352,11 @@ class TestCanonicalRepresentation:
 
 
 class TestCanonicalExit:
-    """The ray's exit is solved for once its predicted location settles.
+    """The ray's exit is solved for, not crept up to.
 
-    Handed over on a single prediction, the pinned Newton misses c on these
-    inputs (canonical_suite(200) seed 1 case 18, seed 3 cases 30 and 145).
+    A landing started from a single early prediction of the exit once
+    missed c on these inputs (canonical_suite(200) seed 1 case 18, seed 3
+    cases 30 and 145).
     """
 
     @pytest.mark.parametrize("ks, values, t_star", [
@@ -379,6 +387,27 @@ class TestCanonicalExit:
                             lambda *args: calls.append(1) or correct(*args))
         canonical_representation(c, t_star)
         assert len(calls) <= before // 2
+
+
+class TestTrackerExit:
+    """Every exit of the tracker is landed by one bordered Newton solve."""
+
+    # Oracle-suite case 436 (default seed): a node runs to infinity at
+    # s = 0.5117.  Only a step below NEWTON_TOL once ended that path, after
+    # about 200 corrector calls.
+    C436 = MomentVector((5.562467355532347, 33.87486849636027, 258.85281275009135,
+                         4791822.853040424, 47017567.068835765),
+                        ExponentVector((0, 1, 2, 7, 8), 8))
+
+    def test_node_running_off_is_landed(self, monkeypatch):
+        calls = []
+        correct = kolmo.representations._correct
+        monkeypatch.setattr(kolmo.representations, "_correct",
+                            lambda *args: calls.append(args[5]) or correct(*args))
+        assert classify(self.C436).kind is ClassKind.EXTERIOR
+        # At most 10 tracker steps, then the landing and the polish.
+        assert len(calls) <= 12, calls
+        assert kolmo.representations.LAND_ITER in calls
 
 
 class TestSingleMoment:
@@ -511,3 +540,43 @@ def test_canonical_mass_is_maximal(case):
     # less what the boundary's tangent absorbs, which can fall below
     # ACCEPT_TOL; a tighter tolerance tells it from a boundary vector.
     assert classify(minus((1 + 1e-6) * w_star), tol=1e-12).kind is ClassKind.EXTERIOR
+
+
+def _hankel_margins(c):
+    """Smallest eigenvalues of the Stieltjes Hankel matrices [c_(i+j)] and
+    [c_(i+j+1)] of c_0..c_(d-1), after balancing c_i -> c_i s^i (first and
+    last equal) and scaling each matrix to unit diagonal."""
+    d = len(c)
+    c = c * (c[0] / c[-1]) ** (np.arange(d) / max(d - 1, 1))
+    margins = []
+    for shift, size in ((0, (d + 1) // 2), (1, d // 2)):
+        H = np.array([[c[i + j + shift] for j in range(size)] for i in range(size)])
+        scale = 1.0 / np.sqrt(np.diag(H))
+        margins.append(float(np.linalg.eigvalsh(H * np.outer(scale, scale)).min()))
+    return margins
+
+
+def test_classify_agrees_with_hankel_positivity():
+    """For k = (0, ..., d-1), c is interior exactly when both Hankel matrices
+    of the truncated Stieltjes moment problem are positive definite."""
+    rng = np.random.default_rng(7)
+    band = 1e-6
+    agreed = {ClassKind.INTERIOR: 0, ClassKind.EXTERIOR: 0}
+    for _ in range(400):
+        d = int(rng.integers(2, 7))
+        n_pos = int(rng.integers(1, 4))
+        nodes = rng.uniform(0.05, 20.0, n_pos)
+        weights = rng.uniform(0.2, 3.0, n_pos)
+        vals = (weights[None, :] * nodes[None, :] ** np.arange(d)[:, None]).sum(axis=1)
+        if rng.integers(0, 2):
+            vals[0] += rng.uniform(0.2, 3.0)  # an atom at 0
+        if rng.random() < 0.5:
+            vals = vals * (1.0 + rng.uniform(-0.3, 0.3, d))
+        margin = min(_hankel_margins(vals))
+        if abs(margin) <= band:
+            continue
+        want = ClassKind.INTERIOR if margin > 0 else ClassKind.EXTERIOR
+        c = MomentVector(tuple(vals), ExponentVector(tuple(range(d)), 8))
+        assert classify(c).kind is want, c
+        agreed[want] += 1
+    assert min(agreed.values()) >= 100, agreed
