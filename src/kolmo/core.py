@@ -7,6 +7,7 @@ monotone and the multiply monotone scales.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -205,11 +206,36 @@ class NormVector:
         )
 
 
+def scaled_power(w: float, x: float, p: int) -> float:
+    """w * x**p for finite w > 0, x >= 0 and integer p with |p| <= 1000.
+
+    The plain product keeps its bits wherever x**p is a normal float.  Where
+    it is not, mantissas and binary exponents are multiplied apart, so a
+    product within float range is found although x**p overflows or
+    underflows.  A product beyond float range raises DomainError.
+    """
+    try:
+        power = x ** p
+    except OverflowError:
+        power = math.inf
+    if x == 0.0 or sys.float_info.min <= power < math.inf:
+        value = w * power
+    else:
+        (mw, ew), (mx, ex) = math.frexp(w), math.frexp(x)
+        try:
+            value = math.ldexp(mw * mx ** p, ew + ex * p)
+        except OverflowError:
+            value = math.inf
+    if value == math.inf:
+        raise DomainError(f"{w} * {x}**{p} exceeds the float range")
+    return value
+
+
 def curve_point(t: float, k: ExponentVector) -> MomentVector:
     """Point (t^{k_1}, ..., t^{k_d}) of the moment curve."""
     if t < 0:
         raise DomainError(f"curve parameter must be >= 0, got {t}")
-    return MomentVector(tuple(t ** ki for ki in k.exponents), k)
+    return MomentVector(tuple(scaled_power(1.0, t, ki) for ki in k.exponents), k)
 
 
 def moments_of(rep: Representation, k: ExponentVector) -> MomentVector:
@@ -221,7 +247,7 @@ def moments_of(rep: Representation, k: ExponentVector) -> MomentVector:
     vals = [0.0] * k.d
     for atom in rep.atoms:
         for i, ki in enumerate(k.exponents):
-            vals[i] += atom.weight * atom.node ** ki
+            vals[i] += scaled_power(atom.weight, atom.node, ki)
     return MomentVector(tuple(vals), k)
 
 

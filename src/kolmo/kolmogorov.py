@@ -34,12 +34,6 @@ from .representations import (
 )
 from .splines import IdealSpline, evaluate, norms, spline_from_representation
 
-#: Relative band inside which the recursion's "=" comparison is declared.
-EQUALITY_BAND = 1e-7
-
-#: Relative tolerance at which a witness must reproduce the norm tuple.
-WITNESS_TOL = 1e-6
-
 
 class Status(Enum):
     NOT_ADMISSIBLE = "not_admissible"
@@ -153,7 +147,7 @@ def decide_admissible(M: NormVector, tol: float = ACCEPT_TOL) -> AdmissibilityRe
         witness = _lowest_spline(M, tol)[1]
         if witness is None:
             raise NumericalFailureError("no spline realized the admissible tuple")
-        _check_witness(witness, M)
+        _check_witness(witness, M, tol)
     return AdmissibilityResult(status, witness, tuple(trace))
 
 
@@ -173,31 +167,36 @@ def _decide(M: NormVector, tol: float, trace: list[LevelRecord]) -> Status:
     phi = matching_spline(cmp_M, tol)
     lhs = M.values[0]
     rhs = evaluate(phi, 0.0, k[0])
-    band = EQUALITY_BAND * max(lhs, rhs)
-    if sub is Status.ADMISSIBLE_INTERIOR:
-        if lhs > rhs + band:
-            status = Status.ADMISSIBLE_INTERIOR
-        elif lhs >= rhs - band:
-            status = Status.ADMISSIBLE_BOUNDARY
-        else:
-            status = Status.NOT_ADMISSIBLE
+    order = _compare(lhs, rhs, tol)
+    if order < 0:
+        status = Status.NOT_ADMISSIBLE
+    elif order == 0:
+        status = Status.ADMISSIBLE_BOUNDARY
+    elif sub is Status.ADMISSIBLE_INTERIOR:
+        status = Status.ADMISSIBLE_INTERIOR
+    elif k[0] == 0:
+        # Over a boundary sublevel a constant absorbs the excess of M_0.
+        status = Status.ADMISSIBLE_BOUNDARY
     else:
-        if k[0] > 0:
-            admissible = abs(lhs - rhs) <= band
-        else:
-            admissible = lhs >= rhs - band
-        status = Status.ADMISSIBLE_BOUNDARY if admissible else Status.NOT_ADMISSIBLE
+        status = Status.NOT_ADMISSIBLE
     trace.append(LevelRecord(k, status.value, lhs, rhs))
     return status
 
 
-def _check_witness(spline: IdealSpline, M: NormVector):
+def _compare(a: float, b: float, tol: float) -> int:
+    """-1, 0 or 1 as norm a is below, equal to or above norm b: equal within
+    10*tol of the larger, as a comparison norm extrapolates a spline that
+    fits the other norms within tol."""
+    band = 10 * tol * max(a, b)
+    return -1 if a < b - band else int(a > b + band)
+
+
+def _check_witness(spline: IdealSpline, M: NormVector, tol: float):
     got = norms(spline, M.exponents)
-    for g, want in zip(got.values, M.values):
-        if abs(g - want) > WITNESS_TOL * max(abs(want), abs(g)):
-            raise NumericalFailureError(
-                f"witness norms {got.values} do not reproduce {M.values}"
-            )
+    if any(_compare(g, want, tol) for g, want in zip(got.values, M.values)):
+        raise NumericalFailureError(
+            f"witness norms {got.values} do not reproduce {M.values}"
+        )
 
 
 def extremal_family_member(

@@ -19,6 +19,7 @@ from .core import (
     HalfInteger,
     NormVector,
     Representation,
+    scaled_power,
 )
 from .errors import DomainError
 
@@ -76,7 +77,7 @@ def spline_from_representation(rep: Representation, family: FunctionFamily) -> I
             constant = atom.weight if family.kind is Family.AM else atom.weight / math.factorial(r)
         else:
             u = atom.node
-            pairs.append((1.0 / u, atom.weight * u ** r))
+            pairs.append((1.0 / u, scaled_power(atom.weight, u, r)))
     pairs.sort(key=lambda p: -p[0])
     knots = tuple(a for a, _ in pairs)
     weights = tuple(w for _, w in pairs)
@@ -93,7 +94,7 @@ def representation_of(spline: IdealSpline) -> Representation:
             w0 = spline.constant * math.factorial(r)
         atoms.append(Atom(0.0, w0))
     for a, lam in zip(spline.knots, spline.weights):
-        atoms.append(Atom(1.0 / a, lam * a ** r))
+        atoms.append(Atom(1.0 / a, scaled_power(lam, a, r)))
     return Representation(tuple(atoms))
 
 
@@ -112,7 +113,7 @@ def evaluate(spline: IdealSpline, t: float, j: int = 0) -> float:
     total = spline.constant if j == 0 else 0.0
     if spline.family.kind is Family.AM:
         for a, lam in zip(spline.knots, spline.weights):
-            total += lam * a ** (r - j) * math.exp(t / a)
+            total += scaled_power(lam, a, r - j) * math.exp(t / a)
         return total
     if j > r:
         return total
@@ -121,7 +122,7 @@ def evaluate(spline: IdealSpline, t: float, j: int = 0) -> float:
         x = a + t
         if x < 0:
             continue
-        total += lam * inv * (x ** (r - j) if r > j else 1.0)
+        total += scaled_power(lam * inv, x, r - j)
     return total
 
 

@@ -3,13 +3,25 @@ import json
 
 import pytest
 
+from kolmo import ExponentVector
 from kolmo.cli import main
+from kolmo.splines import norms, spline_from_dict
 
 DECIDE_BOUNDARY = {
     "family": "mm",
     "r": 2,
     "k": [0, 1, 2],
     "M": [1.0, 2.0, 2.0],
+}
+
+# A threshold tuple whose comparison spline has an atom at node 4.1e15 of
+# weight 1e-312: its spline weight is finite although node^20 overflows.
+DECIDE_OVERFLOW = {
+    "family": "mm",
+    "r": 20,
+    "k": [2, 10, 19, 20],
+    "M": [1.8937508646657673e-11, 0.0004193527144419581, 11.049838911572566,
+          8.30761380095551],
 }
 
 
@@ -40,6 +52,16 @@ class TestDecide:
         code, out, _ = run(capsys, ["decide"], stdin=doc, monkeypatch=monkeypatch)
         assert code == 0
         assert json.loads(out)["status"] == "not_admissible"
+
+    def test_power_overflow_in_the_witness(self, capsys, monkeypatch):
+        code, out, _ = run(capsys, ["decide"], stdin=DECIDE_OVERFLOW,
+                           monkeypatch=monkeypatch)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["status"] == "admissible_boundary"
+        k = ExponentVector(tuple(DECIDE_OVERFLOW["k"]), 20)
+        got = norms(spline_from_dict(doc["witness"]), k).values
+        assert got == pytest.approx(DECIDE_OVERFLOW["M"], rel=1e-7)
 
     def test_reads_stdin_writes_file(self, capsys, monkeypatch, tmp_path):
         out_path = tmp_path / "out.json"
@@ -280,6 +302,24 @@ class TestOtherCommands:
         )
         assert code == 0
         assert json.loads(out)["M"] == pytest.approx([1.0, 2.0, 2.0])
+
+    def test_spline_norms_beyond_float_range_exit_2(self, capsys, monkeypatch):
+        doc = {"spline": {"family": "mm", "r": 20, "knots": [1e20], "weights": [1.0]},
+               "k": [0, 20]}
+        code, _, err = run(capsys, ["spline-norms"], stdin=doc, monkeypatch=monkeypatch)
+        assert code == 2
+        assert "float range" in err
+
+    def test_sweep_over_a_power_overflow(self, capsys, monkeypatch):
+        m = str(DECIDE_OVERFLOW["M"][0])
+        code, out, _ = run(
+            capsys,
+            ["sweep", "--component", "1", "--from", m, "--to", m, "--steps", "1"],
+            stdin=DECIDE_OVERFLOW,
+            monkeypatch=monkeypatch,
+        )
+        assert code == 0
+        assert out.strip().splitlines() == ["M,status", f"{m},admissible_boundary"]
 
     def test_sweep_csv(self, capsys, monkeypatch):
         code, out, _ = run(

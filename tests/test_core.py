@@ -21,6 +21,7 @@ from kolmo import (
     moments_of,
     norms_from_moments,
 )
+from kolmo.core import scaled_power
 
 
 class TestExponentVector:
@@ -129,6 +130,39 @@ class TestMoments:
         # conversion ValueError for inf.
         with pytest.raises(DomainError, match="finite"):
             MomentVector((1.0, bad, 1.0), ExponentVector((0, 1, 2), 2))
+
+
+class TestScaledPower:
+    @given(
+        w=st.floats(min_value=1e-300, max_value=1e300),
+        x=st.floats(min_value=1e-15, max_value=1e15),
+        p=st.integers(min_value=0, max_value=20),
+    )
+    def test_plain_product_where_the_power_is_normal(self, w, x, p):
+        if x ** p * w < math.inf:
+            assert scaled_power(w, x, p) == w * x ** p
+
+    def test_power_overflow_with_a_finite_product(self):
+        # Powers of two make the products exact.
+        assert scaled_power(2.0 ** -1040, 2.0 ** 60, 20) == 2.0 ** 160
+
+    def test_power_underflow_with_a_normal_product(self):
+        assert scaled_power(2.0 ** 1000, 2.0 ** -60, 20) == 2.0 ** -200
+
+    def test_zero_node_keeps_the_zero_power_convention(self):
+        assert scaled_power(3.0, 0.0, 0) == 3.0
+        assert scaled_power(3.0, 0.0, 2) == 0.0
+
+    def test_product_beyond_float_range_rejected(self):
+        with pytest.raises(DomainError, match="float range"):
+            scaled_power(1.0, 1e20, 20)
+
+    def test_moments_beyond_float_range_rejected(self):
+        k = ExponentVector((0, 20), 20)
+        with pytest.raises(DomainError):
+            moments_of(Representation((Atom(1e20, 1.0),)), k)
+        with pytest.raises(DomainError):
+            curve_point(1e20, k)
 
 
 class TestFactorialTransport:

@@ -9,6 +9,7 @@ from kolmo import (
     FunctionFamily,
     NormVector,
     NotBoundaryError,
+    NumericalFailureError,
     PinnedNodeCoincidenceError,
     Status,
     UnsupportedSystemError,
@@ -22,6 +23,7 @@ from kolmo import (
 )
 from kolmo.core import factorial_scale
 from kolmo.kolmogorov import _check_witness
+from kolmo.representations import ACCEPT_TOL
 from kolmo.splines import IdealSpline, norms, random_member
 
 MM2 = FunctionFamily(Family.MM, 2)
@@ -85,7 +87,7 @@ class TestInteriorWitness:
         M = NormVector(values, ExponentVector(k, r), FunctionFamily(Family.MM, r))
         result = decide_admissible(M)
         assert result.status is Status.ADMISSIBLE_INTERIOR
-        _check_witness(result.witness, M)
+        _check_witness(result.witness, M, ACCEPT_TOL)
 
 
 class TestExtendedPrecision:
@@ -93,7 +95,7 @@ class TestExtendedPrecision:
         # An AM tuple whose witness search raises NumericalFailureError when
         # the scaled residuals of representations._system are formed in
         # float64 instead of np.longdouble.  Its level (3, 4, 8, 9, 20) sits
-        # within EQUALITY_BAND of equality, so the status is not pinned.
+        # within the 10*tol equality band, so the status is not pinned.
         k = ExponentVector((2, 3, 4, 8, 9, 20), 20)
         M = NormVector((777128150.8545218, 245600115.23815385, 77618365.65844025,
                         774298.7264258795, 244706.2670571239, 2.2286594438939105), k,
@@ -102,6 +104,45 @@ class TestExtendedPrecision:
         assert result.status is not Status.NOT_ADMISSIBLE
         got = norms(result.witness, k)
         assert got.values == pytest.approx(M.values, rel=1e-6)
+
+
+class TestEqualityRule:
+    # Two norms are equal within 10*tol relative to the larger, so a looser
+    # tol widens the band with the comparison spline's own accuracy.  Both
+    # tuples are attainable (decide-mixed seed 1, round 1 item 19 and round 2
+    # item 27); a band fixed at 1e-7 called them not admissible at these tol.
+    @pytest.mark.parametrize("family, k, values, tol", [
+        (Family.AM, (2, 3, 4, 8, 9, 20),
+         (760258255.1602819, 240531355.50004354, 76099579.2575742,
+          762473.6344877689, 241232.6118614608, 2.228648874737896), 1e-4),
+        (Family.MM, (2, 3, 4, 5, 7, 10, 20),
+         (1.5861048219079463e-18, 3.5691876378586036e-17, 7.585483902934727e-16,
+          1.5172888396407872e-14, 4.97986466072505e-12, 1.66966811771773e-08,
+          6.439952492562571), 1e-6),
+    ])
+    def test_attainable_tuple_at_loose_tol(self, family, k, values, tol):
+        M = NormVector(values, ExponentVector(k, 20), FunctionFamily(family, 20))
+        result = decide_admissible(M, tol=tol)
+        assert result.status is Status.ADMISSIBLE_BOUNDARY
+        _check_witness(result.witness, M, tol)
+
+    @pytest.mark.parametrize("constant", [0.0, 0.5, 5.0])
+    def test_constant_over_boundary_sublevel(self, constant):
+        # k_1 = 0 over a boundary sublevel: the one-knot spline's norms are
+        # on the boundary, and any excess in M_0 is a constant.
+        k = ExponentVector((0, 1, 2, 3), 3)
+        spline = IdealSpline(FunctionFamily(Family.MM, 3), (1.0,), (2.0,), constant)
+        result = decide_admissible(norms(spline, k))
+        assert result.trace[-2].classification == "admissible_boundary"
+        assert result.status is Status.ADMISSIBLE_BOUNDARY
+
+    def test_witness_check_uses_the_band(self):
+        M = _mm_tuple(1.5)
+        witness = decide_admissible(M).witness
+        off = NormVector((1.5 * (1 + 5e-7), 2.0, 2.0), K012, MM2)
+        _check_witness(witness, off, 1e-7)
+        with pytest.raises(NumericalFailureError):
+            _check_witness(witness, off, 1e-8)
 
 
 class TestDecidePreconditions:

@@ -72,6 +72,18 @@ class TestRepresentationRoundTrip:
                 assert a.node == pytest.approx(b.node, rel=1e-15)
                 assert a.weight == pytest.approx(b.weight, rel=1e-15)
 
+    def test_weight_of_an_atom_whose_power_overflows(self):
+        # u^20 overflows, but the spline weight w * u^20 is about 1.9.
+        rep = Representation((Atom(4107178163655787.0, 1.02625868501e-312),))
+        s = spline_from_representation(rep, FunctionFamily(Family.MM, 20))
+        assert s.weights[0] == pytest.approx(1.02625868501e-312 * 4107178163655787.0 ** 10
+                                             * 4107178163655787.0 ** 10, rel=1e-12)
+
+    def test_weight_beyond_float_range_rejected(self):
+        spline = IdealSpline(FunctionFamily(Family.MM, 20), (1e20,), (1.0,))
+        with pytest.raises(DomainError):
+            representation_of(spline)
+
 
 class TestEvaluate:
     def test_rejects_positive_argument(self):
@@ -116,6 +128,12 @@ class TestEvaluate:
 
 
 class TestNorms:
+    def test_norm_beyond_float_range_rejected(self):
+        # (1e20)^20 / 20! is about 4e381.
+        spline = IdealSpline(FunctionFamily(Family.MM, 20), (1e20,), (1.0,))
+        with pytest.raises(DomainError):
+            norms(spline, ExponentVector((0, 20), 20))
+
     def test_single_knot_threshold_example(self):
         # MM r=2 spline with knot 1, weight 2: norms (1, 2, 2) at k=(0,1,2).
         s = IdealSpline(MM2, (1.0,), (2.0,))
