@@ -33,6 +33,7 @@ from .kolmogorov import (
     boundary_spline,
     canonical_spline,
     decide_admissible,
+    decide_status,
     extremal_family_member,
     interior_spline,
     matching_spline,

@@ -24,7 +24,7 @@ from .core import (
     moment_coordinates,
 )
 from .errors import DomainError, KolmoError, UnsupportedSystemError
-from .kolmogorov import decide_admissible
+from .kolmogorov import decide_admissible, decide_status
 from .oracle import DEFAULT_FEASIBILITY_TOL, cone_membership
 from .representations import (
     ACCEPT_TOL,
@@ -220,6 +220,11 @@ def _cmd_sweep(args) -> str:
         raise InputError(f"--component must be in 1..{M.d}")
     if args.steps < 1:
         raise InputError("--steps must be >= 1")
+    for flag, bound in (("--from", args.sweep_from), ("--to", args.sweep_to)):
+        if not math.isfinite(bound):
+            raise InputError(f"{flag} must be finite, got {bound}")
+    if not math.isfinite(args.sweep_to - args.sweep_from):
+        raise InputError("--to minus --from exceeds the float range")
     lines = ["M,status"]
     for step in range(args.steps):
         frac = step / (args.steps - 1) if args.steps > 1 else 0.0
@@ -228,7 +233,7 @@ def _cmd_sweep(args) -> str:
         values[i - 1] = value
         try:
             swept = NormVector(tuple(values), M.exponents, M.family)
-            status = decide_admissible(swept, tol=args.tol).status.value
+            status = decide_status(swept, tol=args.tol)[0].value
         except KolmoError:
             status = "error"
         lines.append(f"{jsonio.format_number(value)},{status}")

@@ -6,6 +6,7 @@ the extremal spline family whose norm tuples exhaust the admissible set.
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -131,8 +132,11 @@ def matching_spline(M: NormVector, tol: float = ACCEPT_TOL) -> IdealSpline:
     return spline
 
 
-def decide_admissible(M: NormVector, tol: float = ACCEPT_TOL) -> AdmissibilityResult:
-    """Trichotomy for a norm tuple with k_d = r, with a realizing witness."""
+def decide_status(
+    M: NormVector, tol: float = ACCEPT_TOL
+) -> tuple[Status, tuple[LevelRecord, ...]]:
+    """Trichotomy for a norm tuple with k_d = r: the verdict and the trace of
+    the recursion, without building a witness."""
     k = M.exponents
     if k.exponents[-1] != k.r:
         raise UnsupportedSystemError(
@@ -142,13 +146,19 @@ def decide_admissible(M: NormVector, tol: float = ACCEPT_TOL) -> AdmissibilityRe
     _require_positive(M)
     trace: list[LevelRecord] = []
     status = _decide(M, tol, trace)
+    return status, tuple(trace)
+
+
+def decide_admissible(M: NormVector, tol: float = ACCEPT_TOL) -> AdmissibilityResult:
+    """Trichotomy for a norm tuple with k_d = r, with a realizing witness."""
+    status, trace = decide_status(M, tol)
     witness = None
     if status is not Status.NOT_ADMISSIBLE:
         witness = _lowest_spline(M, tol)[1]
         if witness is None:
             raise NumericalFailureError("no spline realized the admissible tuple")
         _check_witness(witness, M, tol)
-    return AdmissibilityResult(status, witness, tuple(trace))
+    return AdmissibilityResult(status, witness, trace)
 
 
 def _decide(M: NormVector, tol: float, trace: list[LevelRecord]) -> Status:
@@ -164,9 +174,8 @@ def _decide(M: NormVector, tol: float, trace: list[LevelRecord]) -> Status:
         trace.append(LevelRecord(k, "not_admissible (from sublevel)"))
         return Status.NOT_ADMISSIBLE
     cmp_M = M.drop_first() if d % 2 == 1 else M.drop_first_and_last()
-    phi = matching_spline(cmp_M, tol)
     lhs = M.values[0]
-    rhs = evaluate(phi, 0.0, k[0])
+    rhs = _comparison_norm(cmp_M, k[0], tol)
     order = _compare(lhs, rhs, tol)
     if order < 0:
         status = Status.NOT_ADMISSIBLE
@@ -181,6 +190,17 @@ def _decide(M: NormVector, tol: float, trace: list[LevelRecord]) -> Status:
         status = Status.NOT_ADMISSIBLE
     trace.append(LevelRecord(k, status.value, lhs, rhs))
     return status
+
+
+@functools.lru_cache(maxsize=256)
+def _comparison_norm(cmp_M: NormVector, k0: int, tol: float) -> float:
+    """The k0-th derivative norm of the spline matching cmp_M.
+
+    cmp_M is a trailing sub-tuple, so the points of a sweep over one
+    component share it.  The solve is deterministic, so a cached norm has the
+    bits of a fresh one; a solve that raises is not cached and raises again.
+    """
+    return evaluate(matching_spline(cmp_M, tol), 0.0, k0)
 
 
 def _compare(a: float, b: float, tol: float) -> int:
@@ -235,6 +255,7 @@ __all__ = [
     "boundary_spline",
     "canonical_spline",
     "decide_admissible",
+    "decide_status",
     "extremal_family_member",
     "interior_spline",
     "matching_spline",

@@ -24,7 +24,7 @@ from .core import (
     moments_of,
 )
 from .errors import KolmoError, PinnedNodeCoincidenceError
-from .kolmogorov import Status, decide_admissible, interior_spline
+from .kolmogorov import Status, decide_admissible, decide_status, interior_spline
 from .oracle import cone_membership
 from .representations import (
     ClassKind,
@@ -219,7 +219,7 @@ def theorem_main_suite(cases: int = 100, seed: int = DEFAULT_SEED) -> SuiteRepor
     k = ExponentVector((0, 1, 2), 2)
 
     def rung(m0, want):
-        got = decide_admissible(NormVector((m0, 2.0, 2.0), k, family)).status
+        got = decide_status(NormVector((m0, 2.0, 2.0), k, family))[0]
         return None if got is want else f"got {got.value}, want {want.value}"
 
     for m0, want in [

@@ -3,8 +3,8 @@ import json
 
 import pytest
 
-from kolmo import ExponentVector
-from kolmo.cli import main
+from kolmo import ExponentVector, NormVector, decide_admissible
+from kolmo.cli import _parse_problem, main
 from kolmo.splines import norms, spline_from_dict
 
 DECIDE_BOUNDARY = {
@@ -348,6 +348,50 @@ class TestOtherCommands:
         )
         assert code == 0
         assert out.strip().splitlines() == ["M,status", "-1,error", "1,admissible_boundary"]
+
+    @pytest.mark.parametrize("component", [2, 3])
+    def test_sweep_matches_decide_at_each_point(self, capsys, monkeypatch, component):
+        # Components past the first change the suffixes the recursion compares
+        # against, so cached comparison norms must not carry over between points.
+        code, out, _ = run(
+            capsys,
+            ["sweep", "--component", str(component), "--from", "1", "--to", "3",
+             "--steps", "5"],
+            stdin=DECIDE_BOUNDARY,
+            monkeypatch=monkeypatch,
+        )
+        assert code == 0
+        M = _parse_problem(DECIDE_BOUNDARY)
+        rows = [ln.split(",") for ln in out.strip().splitlines()[1:]]
+        want = []
+        for value, _ in rows:
+            values = list(M.values)
+            values[component - 1] = float(value)
+            point = NormVector(tuple(values), M.exponents, M.family)
+            want.append(decide_admissible(point).status.value)
+        assert [status for _, status in rows] == want
+        assert len(set(want)) == 3
+
+    @pytest.mark.parametrize("bounds, flag", [
+        (["--from", "nan", "--to", "1"], "--from"),
+        (["--from", "0.5", "--to", "inf"], "--to"),
+        (["--from=-inf", "--to", "1"], "--from"),
+        (["--from=-1e308", "--to", "1e308"], "--to minus --from"),
+    ])
+    def test_sweep_non_finite_bounds_exit_2(self, capsys, monkeypatch, bounds, flag):
+        def no_decide(*args, **kwargs):
+            raise AssertionError("sweep decided a point before rejecting its bounds")
+
+        monkeypatch.setattr("kolmo.cli.decide_status", no_decide)
+        code, out, err = run(
+            capsys,
+            ["sweep", "--component", "1", *bounds, "--steps", "3"],
+            stdin=DECIDE_BOUNDARY,
+            monkeypatch=monkeypatch,
+        )
+        assert code == 2
+        assert out == ""
+        assert flag in err
 
     def test_sweep_component_out_of_range(self, capsys, monkeypatch):
         code, _, _ = run(

@@ -16,13 +16,15 @@ from kolmo import (
     boundary_spline,
     canonical_spline,
     decide_admissible,
+    decide_status,
     evaluate,
     extremal_family_member,
     interior_spline,
     matching_spline,
 )
+from kolmo import kolmogorov
 from kolmo.core import factorial_scale
-from kolmo.kolmogorov import _check_witness
+from kolmo.kolmogorov import _check_witness, _comparison_norm
 from kolmo.representations import ACCEPT_TOL
 from kolmo.splines import IdealSpline, norms, random_member
 
@@ -33,6 +35,30 @@ K012 = ExponentVector((0, 1, 2), 2)
 
 def _mm_tuple(m0):
     return NormVector((m0, 2.0, 2.0), K012, MM2)
+
+
+# Interior tuples whose witness search once raised: an odd count without
+# exponent 0 next to the boundary, whose canonical spline has its pinned atom
+# far out, and an even count whose weights span 14 decades.
+INTERIOR_WITNESS_CASES = [
+    (8, (3, 4, 6, 7, 8), (3.6420559131614474, 6.306408597051427,
+                          14.181348480821843, 12.29053577051052,
+                          6.101511099586861)),
+    (20, (3, 15, 17, 20), (352990474807.0876, 73074.8458116912,
+                           1016.9642967596833, 1.6204598113195503)),
+]
+
+# Attainable tuples (decide-mixed seed 1, round 1 item 19 and round 2 item
+# 27) that a band fixed at 1e-7 called not admissible at these tol.
+LOOSE_TOL_CASES = [
+    (Family.AM, (2, 3, 4, 8, 9, 20),
+     (760258255.1602819, 240531355.50004354, 76099579.2575742,
+      762473.6344877689, 241232.6118614608, 2.228648874737896), 1e-4),
+    (Family.MM, (2, 3, 4, 5, 7, 10, 20),
+     (1.5861048219079463e-18, 3.5691876378586036e-17, 7.585483902934727e-16,
+      1.5172888396407872e-14, 4.97986466072505e-12, 1.66966811771773e-08,
+      6.439952492562571), 1e-6),
+]
 
 
 class TestDecideThresholdLadder:
@@ -73,16 +99,7 @@ class TestDecideThresholdLadder:
 
 
 class TestInteriorWitness:
-    # Interior tuples whose witness search once raised: an odd count without
-    # exponent 0 next to the boundary, whose canonical spline has its pinned
-    # atom far out, and an even count whose weights span 14 decades.
-    @pytest.mark.parametrize("r, k, values", [
-        (8, (3, 4, 6, 7, 8), (3.6420559131614474, 6.306408597051427,
-                              14.181348480821843, 12.29053577051052,
-                              6.101511099586861)),
-        (20, (3, 15, 17, 20), (352990474807.0876, 73074.8458116912,
-                               1016.9642967596833, 1.6204598113195503)),
-    ])
+    @pytest.mark.parametrize("r, k, values", INTERIOR_WITNESS_CASES)
     def test_witness_reproduces_tuple(self, r, k, values):
         M = NormVector(values, ExponentVector(k, r), FunctionFamily(Family.MM, r))
         result = decide_admissible(M)
@@ -108,18 +125,8 @@ class TestExtendedPrecision:
 
 class TestEqualityRule:
     # Two norms are equal within 10*tol relative to the larger, so a looser
-    # tol widens the band with the comparison spline's own accuracy.  Both
-    # tuples are attainable (decide-mixed seed 1, round 1 item 19 and round 2
-    # item 27); a band fixed at 1e-7 called them not admissible at these tol.
-    @pytest.mark.parametrize("family, k, values, tol", [
-        (Family.AM, (2, 3, 4, 8, 9, 20),
-         (760258255.1602819, 240531355.50004354, 76099579.2575742,
-          762473.6344877689, 241232.6118614608, 2.228648874737896), 1e-4),
-        (Family.MM, (2, 3, 4, 5, 7, 10, 20),
-         (1.5861048219079463e-18, 3.5691876378586036e-17, 7.585483902934727e-16,
-          1.5172888396407872e-14, 4.97986466072505e-12, 1.66966811771773e-08,
-          6.439952492562571), 1e-6),
-    ])
+    # tol widens the band with the comparison spline's own accuracy.
+    @pytest.mark.parametrize("family, k, values, tol", LOOSE_TOL_CASES)
     def test_attainable_tuple_at_loose_tol(self, family, k, values, tol):
         M = NormVector(values, ExponentVector(k, 20), FunctionFamily(family, 20))
         result = decide_admissible(M, tol=tol)
@@ -159,6 +166,59 @@ class TestDecidePreconditions:
         k = ExponentVector((1, 2), 2)
         result = decide_admissible(NormVector((7.0, 0.3), k, MM2))
         assert result.status is Status.ADMISSIBLE_INTERIOR
+
+
+def _fixed_tuples():
+    """(M, tol) for the fixed tuples of this module."""
+    cases = [(_mm_tuple(m0), ACCEPT_TOL) for m0 in (0.5, 0.9, 0.99, 1.0, 1.01, 1.5, 10.0)]
+    cases += [(NormVector(values, ExponentVector(k, r), FunctionFamily(Family.MM, r)),
+               ACCEPT_TOL) for r, k, values in INTERIOR_WITNESS_CASES]
+    cases += [(NormVector(values, ExponentVector(k, 20), FunctionFamily(family, 20)), tol)
+              for family, k, values, tol in LOOSE_TOL_CASES]
+    return cases
+
+
+def _assert_status_matches(M, tol):
+    # Fresh comparison solves on both sides, then cached ones: all agree to the bit.
+    _comparison_norm.cache_clear()
+    fresh = decide_status(M, tol)
+    _comparison_norm.cache_clear()
+    result = decide_admissible(M, tol)
+    assert fresh == (result.status, result.trace), M
+    assert decide_status(M, tol) == fresh, M
+
+
+class TestDecideStatus:
+    def test_matches_decide_admissible_on_fixed_tuples(self):
+        for M, tol in _fixed_tuples():
+            _assert_status_matches(M, tol)
+
+    def test_matches_decide_admissible_on_random_tuples(self, separated_tuples):
+        for M, *_ in separated_tuples:
+            _assert_status_matches(M, ACCEPT_TOL)
+
+    @pytest.mark.parametrize("tols", [(1e-8, 1e-7), (1e-7, 1e-8)])
+    def test_cached_comparison_is_keyed_by_tol(self, tols):
+        # 5e-7 above the threshold M_0 = 1: outside the band 10*tol at 1e-8,
+        # inside it at 1e-7.
+        want = {1e-8: Status.ADMISSIBLE_INTERIOR, 1e-7: Status.ADMISSIBLE_BOUNDARY}
+        _comparison_norm.cache_clear()
+        for tol in tols:
+            assert decide_status(_mm_tuple(1 + 5e-7), tol)[0] is want[tol]
+
+    def test_failed_comparison_is_not_cached(self, monkeypatch):
+        calls = []
+
+        def failing(M, tol):
+            calls.append(M)
+            raise NumericalFailureError("comparison solve failed")
+
+        monkeypatch.setattr(kolmogorov, "matching_spline", failing)
+        _comparison_norm.cache_clear()
+        for _ in range(2):
+            with pytest.raises(NumericalFailureError):
+                decide_status(_mm_tuple(1.5))
+        assert len(calls) == 2
 
 
 class TestInteriorSpline:
