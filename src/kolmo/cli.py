@@ -304,10 +304,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The options that take a float, which may be negative.
+FLOAT_OPTIONS = ("--tol", "--root", "--from", "--to")
+
+
+def _attach_float_values(argv: list[str]) -> list[str]:
+    """argv with ``--from -1e-3`` written ``--from=-1e-3``.
+
+    argparse takes a token after an option as its value only if it does not
+    start with '-' or reads like -1 or -1.5; ``-1e-3`` and ``-inf`` would be
+    read as unknown options.
+    """
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in FLOAT_OPTIONS and token.startswith("-"):
+            try:
+                float(token)
+            except ValueError:
+                pass
+            else:
+                out[-1] = f"{out[-1]}={token}"
+                continue
+        out.append(token)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     _configure_logging()
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_float_values(sys.argv[1:] if argv is None else argv))
     if hasattr(args, "tol") and not 0 < args.tol < math.inf:
         print("error: --tol must be finite and > 0", file=sys.stderr)
         return EXIT_INVALID_INPUT

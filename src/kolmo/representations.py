@@ -13,6 +13,10 @@ and log nodes) along a straight path c_a + s (c_b - c_a) to s = 1, or to
 the exit s* where the path leaves the cone and the measure loses a degree of
 freedom: a weight or node goes to 0, or the top node runs to infinity.  One
 rule locates every exit: a bordered Newton solve for the exit measure and s*.
+Each step's tangent reuses the Jacobian the corrector formed at the point it
+accepted; only a path's first tangent forms its own.  A two-moment system
+needs no path: one atom attains any positive pair, so its principal
+representation starts in closed form and gets the same polish and check.
 
 - Classification and principal representations track from a start measure
   spread over the moment-ratio range of c to c, and get the principal
@@ -91,11 +95,11 @@ def _unpack(y, layout):
     has_zero, pins = layout
     rest = y[1:] if has_zero else y
     p = (len(rest) + len(pins)) // 2
-    lu = np.concatenate([np.log(np.asarray(pins, dtype=float)), rest[p:]])
+    lu = np.concatenate([np.log(np.asarray(pins, dtype=float)), rest[p:]]) if pins else rest[p:]
     return (y[0] if has_zero else None), rest[:p], lu
 
 
-def _relative(lw, lu, k, log_s):
+def _relative(lw, lu, k, log_s, out=None):
     """Contributions of atoms (rows: exponents) relative to each equation's scale.
 
     Logarithms keep hundreds of decades finite; the cap at e^300 keeps squared
@@ -103,34 +107,47 @@ def _relative(lw, lu, k, log_s):
     keeps residual rounding from limiting close nodes to about 1e-6.
     """
     lw, lu = np.asarray(lw, np.longdouble), np.asarray(lu, np.longdouble)
-    return np.exp(np.minimum(lw[None, :] + np.outer(k, lu) - log_s[:, None], 300.0))
+    return np.exp(np.minimum(lw[None, :] + k[:, None] * lu[None, :] - log_s[:, None], 300.0),
+                  out=out)
 
 
-def _system(y, layout, k, target, log_s, dc=None):
+def _inverse_scales(log_s):
+    """e^(-log_s) in extended precision: it scales the target of each equation."""
+    return np.exp(-log_s.astype(np.longdouble))
+
+
+def _system(y, layout, k, target, log_s, dc=None, inv_s=None):
     """Scaled residual and Jacobian of the moment equations in log variables.
 
     With ``dc`` the last variable is a path offset σ and the target is
-    target + σ dc: the bordered system of an exit.
+    target + σ dc: the bordered system of an exit.  ``inv_s`` is
+    :func:`_inverse_scales` of ``log_s``, for callers that evaluate often.
     """
+    n = len(y) - (dc is not None)
+    lz, lw, lu = _unpack(y[:n], layout)
+    z, p = int(lz is not None), len(lw)
+    R = np.zeros((len(k), z + p), np.longdouble)
+    _relative(lw, lu, k, log_s, out=R[:, z:])
+    if z and k[0] == 0:  # the zero atom feeds exponent 0 alone
+        R[0, 0] = np.exp(np.minimum(np.longdouble(lz) - log_s[0], 300.0))
     if dc is not None:
-        F, J = _system(y[:-1], layout, k, target + y[-1] * dc, log_s)
-        return F, np.column_stack([J, -dc * np.exp(-log_s)])
-    lz, lw, lu = _unpack(y, layout)
-    R = _relative(lw, lu, k, log_s)
-    if lz is not None:
-        zero = np.exp(np.minimum(np.longdouble(lz) - log_s, 300.0))
-        R = np.column_stack([np.where(k == 0, zero, 0.0), R])
-    F = (R.sum(axis=1) - target * np.exp(-log_s.astype(np.longdouble))).astype(float)
-    R = R.astype(float)
-    # d/dlog w = contribution, d/dlog u = k * contribution (free nodes last).
-    n_free = len(y) - R.shape[1]
-    return F, np.hstack([R, k[:, None] * R[:, R.shape[1] - n_free:]])
+        target = target + y[-1] * dc
+    F = (R.sum(axis=1) - target * (_inverse_scales(log_s) if inv_s is None else inv_s)).astype(float)
+    # d/dlog w = contribution, d/dlog u = k * contribution (free nodes last),
+    # d/dσ = -dc.
+    J = np.empty((len(k), len(y)))
+    J[:, :z + p] = R
+    n_free = n - z - p
+    np.multiply(k[:, None], J[:, z + p - n_free:z + p], out=J[:, z + p:n])
+    if dc is not None:
+        J[:, -1] = -dc * np.exp(-log_s)
+    return F, J
 
 
 def _lstsq(J, rhs):
     """Solve (square) or least squares, with unit-norm columns: contributions
     span tens of decades, and a rank cutoff would drop what small atoms need."""
-    norms = np.linalg.norm(J, axis=0)
+    norms = np.sqrt(np.add.reduce(J * J, axis=0))
     norms[norms == 0] = 1.0
     J = J / norms
     if J.shape[0] == J.shape[1]:
@@ -144,7 +161,8 @@ def _lstsq(J, rhs):
 
 
 def _correct(y, layout, k, target, tol, max_iter, dc=None):
-    """Gauss-Newton in log variables (and σ, with ``dc``): the best (y, residual).
+    """Gauss-Newton in log variables (and σ, with ``dc``): the best (y,
+    residual, Jacobian at y).
 
     A step is halved until it lowers the residual or the next step from the
     same Jacobian is shorter: with weights over many decades a full step can
@@ -152,9 +170,10 @@ def _correct(y, layout, k, target, tol, max_iter, dc=None):
     makes steps noisy.  Stops at ``tol``, ``max_iter`` or steps < NEWTON_TOL.
     """
     log_s = _log_scales(target)
-    F, J = _system(y, layout, k, target, log_s, dc)
+    inv_s = _inverse_scales(log_s)
+    F, J = _system(y, layout, k, target, log_s, dc, inv_s)
     res = float(np.abs(F).max())
-    best = (y, res)
+    best = (y, res, J)
     for _ in range(max_iter):
         if best[1] <= tol:
             break
@@ -164,7 +183,7 @@ def _correct(y, layout, k, target, tol, max_iter, dc=None):
             break
         for alpha in 0.5 ** np.arange(8):
             trial = y + alpha * step
-            Ft, Jt = _system(trial, layout, k, target, log_s, dc)
+            Ft, Jt = _system(trial, layout, k, target, log_s, dc, inv_s)
             rt = float(np.abs(Ft).max())
             if rt < res or np.abs(_lstsq(J, -Ft)).max() <= (1.0 - alpha / 2) * size:
                 break
@@ -172,7 +191,7 @@ def _correct(y, layout, k, target, tol, max_iter, dc=None):
             break
         y, F, J, res = trial, Ft, Jt, rt
         if res < best[1]:
-            best = (y, res)
+            best = (y, res, J)
     return best
 
 
@@ -224,7 +243,9 @@ def _track(y, layout, k, c_a, c_b):
         if costs[:-1].min() < ACCEPT_TOL:
             return (s, *_exit_measure(y, layout, k, log_ref))
         log_s = _log_scales(c_a + s * dc)
-        tangent = _lstsq(_system(y, layout, k, c_a + s * dc, log_s)[1], dc * np.exp(-log_s))
+        if s == 0.0:  # later, the corrector's Jacobian at the accepted point
+            J = _system(y, layout, k, c_a, log_s)[1]
+        tangent = _lstsq(J, dc * np.exp(-log_s))
         h = min(2.0 * h, 1.0 / max(float(np.abs(tangent).max()), 1e-300))
         fall = (costs < level) & (costs < prev)
         # A merge, or a move to 0 onto a zero atom, loses two degrees of freedom.
@@ -236,8 +257,8 @@ def _track(y, layout, k, c_a, c_b):
             level[j] = 0.1 * costs[j]
             y_e, layout_e = _exit_measure(y + (exits[j] - s) * tangent, layout, k, log_ref, j)
             n = len(k) - (j == len(costs) - 1)  # an atom at infinity frees the top moment
-            z, res = _correct(np.append(y_e, exits[j] - s), layout_e, k[:n], (c_a + s * dc)[:n],
-                              1e-2 * ACCEPT_TOL, LAND_ITER, dc[:n])
+            z, res, _ = _correct(np.append(y_e, exits[j] - s), layout_e, k[:n], (c_a + s * dc)[:n],
+                                 1e-2 * ACCEPT_TOL, LAND_ITER, dc[:n])
             # Its mass must be nonnegative.  An exit within the corrector's resolution
             # of c_b is c_b's own, or within ACCEPT_TOL if a far atom can carry c_b.
             excess = _system(z, layout_e, k, c_a + s * dc, log_s, dc)[0][-1]
@@ -251,12 +272,12 @@ def _track(y, layout, k, c_a, c_b):
             s_new = min(s + h, 1.0)
             # Two decades below the degeneracy level, so that every atom
             # still in the structure is resolved.
-            y_new, res = _correct(y + (s_new - s) * tangent, layout, k,
-                                  c_a + s_new * dc, 1e-2 * ACCEPT_TOL, 4)
+            y_new, res, J_new = _correct(y + (s_new - s) * tangent, layout, k,
+                                         c_a + s_new * dc, 1e-2 * ACCEPT_TOL, 4)
             if res <= 1e-2 * ACCEPT_TOL:
                 break
             h *= 0.5
-        s, y = s_new, y_new
+        s, y, J = s_new, y_new, J_new
     return s, y, layout
 
 
@@ -381,12 +402,16 @@ def _principal_path(prob: _Problem, tol: float, init_seed: int = 0):
         y, layout = np.log([max(c[0], 1e-300)]), (True, ())
         res = float(np.abs(_system(y, layout, k, c, log_c)[0]).max())
         return (y, layout) if res <= tol else None
-    y, layout = prob.start(init_seed)
-    c_a = _system(y, layout, k, np.zeros(len(k)), np.zeros(len(k)))[0]
-    s, y, layout = _track(y, layout, k, c_a, c)
+    if len(k) == 2:
+        # One atom attains any positive pair: w = c_0 and w u^k_1 = c_1.
+        s, y, layout = 1.0, np.array([math.log(c[0]), math.log(c[1] / c[0]) / k[1]]), (False, ())
+    else:
+        y, layout = prob.start(init_seed)
+        c_a = _system(y, layout, k, np.zeros(len(k)), np.zeros(len(k)))[0]
+        s, y, layout = _track(y, layout, k, c_a, c)
     found = y, layout
     if s == 1.0:
-        y, res = _correct(y, layout, k, c, 0.0, MAX_ITER)
+        y, res, _ = _correct(y, layout, k, c, 0.0, MAX_ITER)
         if res > tol:
             raise NumericalFailureError(f"the path misses c by {res:.3e}", residual=res)
         costs = _losses(y, layout, k, log_c)[1][:-1]
@@ -397,7 +422,7 @@ def _principal_path(prob: _Problem, tol: float, init_seed: int = 0):
     # An exit can lose several degrees of freedom at once; the polish drives
     # out the rest, and they are taken after it.
     if len(found[0]):
-        y_thin, res = _correct(*found, k, c, 0.0, MAX_ITER)
+        y_thin, res, _ = _correct(*found, k, c, 0.0, MAX_ITER)
         if res <= tol:
             return _exit_measure(y_thin, found[1], k, log_c)
     # A near-degenerate principal representation whose thinning misses c.
@@ -422,7 +447,7 @@ def _canonical(prob: _Problem, y, layout, t_star: float, tol: float):
     if not 0.0 < s < 1.0 or len(y) != len(k) - 1:
         raise NumericalFailureError("the ray has no exit of index (d-1)/2 inside its path")
     y, layout = np.insert(y, int(layout[0]), math.log(2.0 * s * w_max)), (layout[0], (pin,))
-    y, res = _correct(y, layout, k, c, 0.0, MAX_ITER)
+    y, res, _ = _correct(y, layout, k, c, 0.0, MAX_ITER)
     if res > tol:
         raise NumericalFailureError(
             f"no representation of index (d+1)/2 with root {t_star} reproduces c "
@@ -432,11 +457,20 @@ def _canonical(prob: _Problem, y, layout, t_star: float, tol: float):
 
 
 def _witness(prob: _Problem, found, tol: float) -> Representation | None:
-    """The measure of ``found``, (y, layout) or None, if it reproduces c within tol."""
-    rep = prob.representation(*found) if found else None
-    if rep is None or prob.scaled_residual(rep) > tol:
+    """The measure of ``found``, (y, layout) or None, if it reproduces c within tol.
+
+    Raises :class:`NumericalFailureError` when y reproduces c but its measure
+    in floats does not: a node or weight beyond the float range, or a weight
+    too far below it to keep its digits.  Such a c is not exterior.
+    """
+    if not found:
         return None
-    return rep
+    rep = prob.representation(*found)
+    if rep is not None and prob.scaled_residual(rep) <= tol:
+        return rep
+    if np.abs(_system(*found, prob.k, prob.values, _log_scales(prob.values))[0]).max() <= tol:
+        raise NumericalFailureError("the measure reproduces c, but not in floating point")
+    return None
 
 
 def classify(c: MomentVector, tol: float = ACCEPT_TOL) -> Classification:

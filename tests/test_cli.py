@@ -393,6 +393,35 @@ class TestOtherCommands:
         assert out == ""
         assert flag in err
 
+    @pytest.mark.parametrize("bound", ["-1e-3", "-.5e-2", "-1", "-2.5"])
+    def test_sweep_negative_bound_as_its_own_argument(self, capsys, monkeypatch, bound):
+        rows = []
+        for argv in (["--from", bound], [f"--from={bound}"]):
+            code, out, err = run(
+                capsys,
+                ["sweep", "--component", "1", *argv, "--to", "2", "--steps", "3"],
+                stdin=DECIDE_BOUNDARY,
+                monkeypatch=monkeypatch,
+            )
+            assert code == 0, err
+            rows.append(out.strip().splitlines())
+        assert rows[0] == rows[1]
+        value, status = rows[0][1].split(",")
+        assert float(value) == float(bound) and status == "error"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "--component", "1", "--from", "0", "--to", "-inf", "--steps", "3"],
+         "--to"),
+        (["classify", "--tol", "-1e-3"], "--tol must be finite and > 0"),
+    ])
+    def test_negative_float_reaches_validation(self, capsys, monkeypatch, argv, message):
+        # Not argparse's "expected one argument": the value is read, then rejected.
+        code, out, err = run(capsys, argv, stdin=DECIDE_BOUNDARY, monkeypatch=monkeypatch)
+        assert code == 2
+        assert out == ""
+        assert message in err
+        assert "expected one argument" not in err
+
     def test_sweep_component_out_of_range(self, capsys, monkeypatch):
         code, _, _ = run(
             capsys,

@@ -1,5 +1,7 @@
 """Exact structure solves: classification, principal and pinned representations."""
+import sys
 import types
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from kolmo import (
     MomentVector,
     NormVector,
     NotInteriorError,
+    NumericalFailureError,
     PinnedNodeCoincidenceError,
     Representation,
     UnsupportedSystemError,
@@ -410,6 +413,46 @@ class TestTrackerExit:
         assert kolmo.representations.LAND_ITER in calls
 
 
+class TestSavedJacobians:
+    """A tracker step's tangent reuses the Jacobian its corrector formed."""
+
+    def test_corrector_returns_the_jacobian_of_its_best_point(self):
+        R = kolmo.representations
+        prob = R._Problem(C235)
+        y, layout = prob.start(0)
+        z, res, J = R._correct(y, layout, prob.k, prob.values, 0.0, R.MAX_ITER)
+        assert res <= 1e-12 and not np.array_equal(z, y)
+        fresh = R._system(z, layout, prob.k, prob.values, R._log_scales(prob.values))[1]
+        assert np.array_equal(J, fresh)
+
+    def test_only_the_first_tangent_forms_a_jacobian(self, monkeypatch):
+        R = kolmo.representations
+        system, correct, track = R._system, R._correct, R._track
+        systems, corrections, tracks = [], [], []
+
+        def counted_system(*args):
+            bordered = len(args) > 5 and args[5] is not None
+            systems.append((sys._getframe(1).f_code.co_name, bordered))
+            return system(*args)
+
+        monkeypatch.setattr(R, "_system", counted_system)
+        monkeypatch.setattr(R, "_correct", lambda *args: corrections.append(
+            (sys._getframe(1).f_code.co_name, len(args) > 6)) or correct(*args))
+        monkeypatch.setattr(R, "_track", lambda *args: tracks.append(1) or track(*args))
+        canonical_representation(C235, 1.0)
+        # The principal path and the canonical ray.
+        assert len(tracks) == 2
+        steps = corrections.count(("_track", False))
+        landings = corrections.count(("_track", True))
+        assert steps > len(tracks)
+        # Outside the corrector: one tangent per path at s = 0, and the check
+        # of each landing, a bordered system.
+        assert systems.count(("_track", False)) == len(tracks)
+        assert systems.count(("_track", True)) == landings
+        assert {caller for caller, _ in systems} <= {
+            "_correct", "_track", "_principal_path", "scaled_residual"}
+
+
 class TestSingleMoment:
     """d = 1: the moment c_0 = 3 of k = (0,), carried by one atom anywhere."""
 
@@ -430,6 +473,98 @@ class TestSingleMoment:
         rep = principal_representation(self.C3)
         assert rep.nodes == (0.0,)
         assert rep.weights == pytest.approx((3.0,), rel=1e-12)
+
+
+def _exact_atom(ks, cs):
+    """The one atom (u, w) with w u^k_a = c_a and w u^k_b = c_b, in 50 digits."""
+    (ka, kb), (ca, cb) = ks, (Decimal(c) for c in cs)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        log_u = (cb.ln() - ca.ln()) / (kb - ka)
+        return log_u.exp(), (ca.ln() - ka * log_u).exp()
+
+
+class TestTwoMoments:
+    """d = 2: one atom attains any positive pair, u = (c_b/c_a)^(1/(k_b-k_a))
+    and w = c_a/u^k_a; the solve starts there instead of tracking a path."""
+
+    @staticmethod
+    def draws():
+        rng = np.random.default_rng(20261018)
+        for _ in range(200):
+            ka, kb = sorted(int(k) for k in rng.choice(21, 2, replace=False))
+            yield (ka, kb), tuple(float(c) for c in 10.0 ** rng.uniform(-150, 150, 2))
+
+    def test_interior_with_the_exact_atom(self):
+        counts = {"normal": 0, "subnormal": 0, "beyond": 0}
+        for ks, cs in self.draws():
+            c = MomentVector(cs, ExponentVector(ks, 20))
+            u, w = _exact_atom(ks, cs)
+            if not all(Decimal("5e-324") < v < Decimal("1.79e308") for v in (u, w)):
+                # No float measure carries c; it is not exterior either.
+                with pytest.raises(NumericalFailureError):
+                    classify(c)
+                with pytest.raises(NumericalFailureError):
+                    principal_representation(c)
+                counts["beyond"] += 1
+                continue
+            if min(u, w) < Decimal(sys.float_info.min):
+                # A subnormal keeps fewer digits: the atom if it still
+                # reproduces c within tol, else a typed failure.
+                try:
+                    assert classify(c).kind is ClassKind.INTERIOR, (ks, cs)
+                except NumericalFailureError:
+                    pass
+                counts["subnormal"] += 1
+                continue
+            result = classify(c)
+            assert result.kind is ClassKind.INTERIOR, (ks, cs)
+            (atom,) = result.witness.atoms
+            assert atom.node == pytest.approx(float(u), rel=1e-12, abs=0), (ks, cs)
+            assert atom.weight == pytest.approx(float(w), rel=1e-12, abs=0), (ks, cs)
+            assert principal_representation(c) == result.witness
+            counts["normal"] += 1
+        assert counts["normal"] >= 100 and counts["subnormal"] and counts["beyond"] >= 20, counts
+
+    @pytest.mark.parametrize("ks, cs", [
+        ((5, 20), (1e-150, 1e150)),  # u = 1e20, w = 1e-250
+        ((0, 20), (1e-150, 1e150)),  # u = 1e15
+        ((0, 3), (2.0, 16.0)),       # u = 2, w = 2
+    ])
+    def test_extreme_pairs(self, ks, cs):
+        (atom,) = classify(MomentVector(cs, ExponentVector(ks, 20))).witness.atoms
+        u, w = _exact_atom(ks, cs)
+        assert atom.node == pytest.approx(float(u), rel=1e-12, abs=0)
+        assert atom.weight == pytest.approx(float(w), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("ks, cs", [
+        ((18, 19), (1e-150, 1e150)),  # w = 1e-2850: once called EXTERIOR
+        ((0, 1), (1e-300, 1e300)),    # u = 1e600: once called EXTERIOR
+        ((3, 4), (1e150, 1e-150)),    # w = 1e1050
+        # w = 3.9e-317 keeps 8 digits, too few to reproduce c: once EXTERIOR.
+        ((5, 9), (9.459570934925369e-91, 1.2105579967826057e91)),
+    ])
+    def test_atom_beyond_the_float_range_raises(self, ks, cs):
+        c = MomentVector(cs, ExponentVector(ks, 20))
+        with pytest.raises(NumericalFailureError):
+            classify(c)
+        with pytest.raises(NumericalFailureError):
+            principal_representation(c)
+
+    @pytest.mark.parametrize("kb, cs, factor", [
+        (3, (2.0, 16.0), 1.5),
+        (20, (1e-150, 1e150), 3.0),
+        (7, (4.2e40, 3.3e-12), 2.0),
+    ])
+    def test_canonical_reproduces_c(self, kb, cs, factor):
+        # Exponent 0: the canonical representation is a zero atom and the atom
+        # at t_star, z = c_0 - c_1/t_star^k_b and w = c_1/t_star^k_b.
+        c = MomentVector(cs, ExponentVector((0, kb), 20))
+        t_star = factor * float(_exact_atom((0, kb), cs)[0])
+        rep = canonical_representation(c, t_star)
+        assert rep.nodes == (0.0, t_star)
+        back = moments_of(rep, c.exponents).values
+        assert back == pytest.approx(cs, rel=1e-12, abs=0)
 
 
 README_TUPLE = NormVector((1.0, 2.0, 2.0), K012, FunctionFamily(Family.MM, 2))
