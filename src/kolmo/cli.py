@@ -248,8 +248,24 @@ def _cmd_verify(args) -> dict:
     return verify.SUITES[args.suite](cases=args.cases, seed=args.seed).to_dict()
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads every float token as a value.
+
+    argparse takes a token that starts with '-' for an option unless it reads
+    like -1 or -1.5, so ``--from -1e-3`` and ``--to -inf`` would miss their
+    value.  The subcommand parsers are of this class too.
+    """
+
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kolmo",
         description=(
             "Decide admissibility of derivative-norm tuples on absolutely / "
@@ -304,35 +320,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# The options that take a float, which may be negative.
-FLOAT_OPTIONS = ("--tol", "--root", "--from", "--to")
-
-
-def _attach_float_values(argv: list[str]) -> list[str]:
-    """argv with ``--from -1e-3`` written ``--from=-1e-3``.
-
-    argparse takes a token after an option as its value only if it does not
-    start with '-' or reads like -1 or -1.5; ``-1e-3`` and ``-inf`` would be
-    read as unknown options.
-    """
-    out: list[str] = []
-    for token in argv:
-        if out and out[-1] in FLOAT_OPTIONS and token.startswith("-"):
-            try:
-                float(token)
-            except ValueError:
-                pass
-            else:
-                out[-1] = f"{out[-1]}={token}"
-                continue
-        out.append(token)
-    return out
-
-
 def main(argv: list[str] | None = None) -> int:
     _configure_logging()
     parser = build_parser()
-    args = parser.parse_args(_attach_float_values(sys.argv[1:] if argv is None else argv))
+    args = parser.parse_args(argv)
     if hasattr(args, "tol") and not 0 < args.tol < math.inf:
         print("error: --tol must be finite and > 0", file=sys.stderr)
         return EXIT_INVALID_INPUT

@@ -461,14 +461,19 @@ def _witness(prob: _Problem, found, tol: float) -> Representation | None:
 
     Raises :class:`NumericalFailureError` when y reproduces c but its measure
     in floats does not: a node or weight beyond the float range, or a weight
-    too far below it to keep its digits.  Such a c is not exterior.
+    too far below it to keep its digits.  Such a c is not exterior.  Without
+    exponent 0 the zero atom is left out of both, as it feeds no moment.
     """
     if not found:
         return None
     rep = prob.representation(*found)
     if rep is not None and prob.scaled_residual(rep) <= tol:
         return rep
-    if np.abs(_system(*found, prob.k, prob.values, _log_scales(prob.values))[0]).max() <= tol:
+    y, (has_zero, pins) = found
+    if has_zero and prob.shift:
+        y, has_zero = y[1:], False
+    if len(y) and np.abs(_system(y, (has_zero, pins), prob.k, prob.values,
+                                 _log_scales(prob.values))[0]).max() <= tol:
         raise NumericalFailureError("the measure reproduces c, but not in floating point")
     return None
 

@@ -102,6 +102,16 @@ class TestClassify:
         assert parsed["kind"] == "interior"
         assert parsed["witness"]["index"] == 2
 
+    @pytest.mark.parametrize("doc", [
+        {"k": [1, 2, 3], "c": [1, 0, 0]},
+        {"k": [1, 2, 3, 4], "c": [2, 1, 1, 1]},
+    ])
+    def test_exterior_without_exponent_zero(self, capsys, monkeypatch, doc):
+        # Only a zero atom would carry these; without exponent 0 it feeds no moment.
+        code, out, err = run(capsys, ["classify"], stdin=doc, monkeypatch=monkeypatch)
+        assert code == 0, err
+        assert json.loads(out)["kind"] == "exterior"
+
 
 class TestRepresent:
     def test_principal(self, capsys, monkeypatch):
@@ -396,7 +406,7 @@ class TestOtherCommands:
     @pytest.mark.parametrize("bound", ["-1e-3", "-.5e-2", "-1", "-2.5"])
     def test_sweep_negative_bound_as_its_own_argument(self, capsys, monkeypatch, bound):
         rows = []
-        for argv in (["--from", bound], [f"--from={bound}"]):
+        for argv in (["--from", bound], ["--fro", bound], [f"--from={bound}"]):
             code, out, err = run(
                 capsys,
                 ["sweep", "--component", "1", *argv, "--to", "2", "--steps", "3"],
@@ -405,13 +415,15 @@ class TestOtherCommands:
             )
             assert code == 0, err
             rows.append(out.strip().splitlines())
-        assert rows[0] == rows[1]
+        assert rows[0] == rows[1] == rows[2]
         value, status = rows[0][1].split(",")
         assert float(value) == float(bound) and status == "error"
 
     @pytest.mark.parametrize("argv, message", [
         (["sweep", "--component", "1", "--from", "0", "--to", "-inf", "--steps", "3"],
          "--to"),
+        (["sweep", "--component", "1", "--fr", "-inf", "--to", "0", "--steps", "3"],
+         "--from"),
         (["classify", "--tol", "-1e-3"], "--tol must be finite and > 0"),
     ])
     def test_negative_float_reaches_validation(self, capsys, monkeypatch, argv, message):

@@ -567,6 +567,19 @@ class TestTwoMoments:
         assert back == pytest.approx(cs, rel=1e-12, abs=0)
 
 
+class TestZeroAtomWithoutExponentZero:
+    """Without exponent 0 a zero atom feeds no moment, and a measure leaves it
+    out.  A c that the principal path reaches only with one is exterior: the
+    measure without it misses c, in floats and in the scaled system alike."""
+
+    @pytest.mark.parametrize("ks, cs", [
+        ((1, 2, 3), (1.0, 0.0, 0.0)),       # the lone zero atom: int u dmu = 1, int u^2 dmu = 0
+        ((1, 2, 3, 4), (2.0, 1.0, 1.0, 1.0)),  # (0..3) moments of delta_0 + delta_1
+    ])
+    def test_exterior(self, ks, cs):
+        assert classify(MomentVector(cs, ExponentVector(ks, 20))).kind is ClassKind.EXTERIOR
+
+
 README_TUPLE = NormVector((1.0, 2.0, 2.0), K012, FunctionFamily(Family.MM, 2))
 
 
