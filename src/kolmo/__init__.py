@@ -18,7 +18,6 @@ from .core import (
 )
 from .errors import (
     DomainError,
-    InconsistencyError,
     KolmoError,
     NotAttainableError,
     NotBoundaryError,
@@ -44,7 +43,6 @@ from .representations import (
     Classification,
     canonical_representation,
     classify,
-    minimal_index,
     principal_representation,
 )
 from .splines import (

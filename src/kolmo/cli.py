@@ -21,7 +21,6 @@ from .core import (
     NormVector,
     Representation,
     index_of,
-    moment_coordinates,
 )
 from .errors import DomainError, KolmoError, UnsupportedSystemError
 from .kolmogorov import decide_admissible, decide_status
@@ -101,10 +100,7 @@ def _parse_exponents(doc: dict, r: int | None = None) -> ExponentVector:
             r = _integer(doc.get("r", max(ks[-1], 1) if ks else 1))
         except (TypeError, ValueError) as exc:
             raise InputError(f'field "r" must be an integer: {exc}') from exc
-    try:
-        return ExponentVector(tuple(ks), r)
-    except DomainError as exc:
-        raise InputError(str(exc)) from exc
+    return ExponentVector(tuple(ks), r)
 
 
 def _parse_problem(doc: dict) -> NormVector:
@@ -124,16 +120,14 @@ def _parse_problem(doc: dict) -> NormVector:
 
 
 def _parse_moments(doc: dict) -> MomentVector:
-    """Moment input: either raw {"k", "c"} or a problem JSON with norms."""
-    if "c" in doc:
-        k = _parse_exponents(doc)
-        try:
-            return MomentVector(tuple(float(v) for v in doc["c"]), k)
-        except (TypeError, ValueError, DomainError) as exc:
-            raise InputError(f'invalid "c": {exc}') from exc
-    if "M" in doc:
-        return moment_coordinates(_parse_problem(doc))
-    raise InputError('input needs either "c" (moments) or "M" (norms)')
+    """Moment input {"k", "c"}, with an optional "r"."""
+    if "c" not in doc:
+        raise InputError('input needs "c" (moments)')
+    k = _parse_exponents(doc)
+    try:
+        return MomentVector(tuple(float(v) for v in doc["c"]), k)
+    except (TypeError, ValueError, DomainError) as exc:
+        raise InputError(f'invalid "c": {exc}') from exc
 
 
 def _representation_doc(rep: Representation) -> dict:
@@ -169,10 +163,7 @@ def _cmd_spline_norms(args) -> dict:
     doc = _read_input(args.input)
     if "spline" not in doc or "k" not in doc:
         raise InputError('input needs "spline" and "k"')
-    try:
-        spline = spline_from_dict(doc["spline"])
-    except DomainError as exc:
-        raise InputError(str(exc)) from exc
+    spline = spline_from_dict(doc["spline"])
     k = _parse_exponents(doc, spline.family.r)
     M = norms(spline, k)
     return {

@@ -38,10 +38,6 @@ class PinnedNodeCoincidenceError(KolmoError):
     """The prescribed root coincides with a root of the principal representation."""
 
 
-class InconsistencyError(NumericalFailureError):
-    """Membership and representation search contradict each other."""
-
-
 def require_tolerance(tol: float):
     """Raise :class:`DomainError` unless ``tol`` is finite and positive."""
     if not 0 < tol < math.inf:

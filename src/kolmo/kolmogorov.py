@@ -25,6 +25,7 @@ from .errors import (
     NumericalFailureError,
     PinnedNodeCoincidenceError,
     UnsupportedSystemError,
+    require_tolerance,
 )
 from .representations import (
     ACCEPT_TOL,
@@ -137,6 +138,7 @@ def decide_status(
 ) -> tuple[Status, tuple[LevelRecord, ...]]:
     """Trichotomy for a norm tuple with k_d = r: the verdict and the trace of
     the recursion, without building a witness."""
+    require_tolerance(tol)
     k = M.exponents
     if k.exponents[-1] != k.r:
         raise UnsupportedSystemError(

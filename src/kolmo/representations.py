@@ -1,7 +1,7 @@
 """Exact-structure solves for the power-moment problem on [0, inf).
 
 One entry per structure: :func:`classify` solves for the lowest-index one
-in every exponent system (:func:`minimal_index` reads it);
+in every exponent system (its witness is the minimal-index representation);
 :func:`principal_representation` (index d/2) and
 :func:`canonical_representation` (index (d+1)/2, through a prescribed root)
 reject the systems without exponent 0 where that index has no structure.
@@ -38,10 +38,9 @@ from enum import Enum
 
 import numpy as np
 
-from .core import NODE_MERGE_REL, Atom, HalfInteger, MomentVector, Representation, index_of
+from .core import NODE_MERGE_REL, Atom, MomentVector, Representation, index_of
 from .errors import (
     DomainError,
-    InconsistencyError,
     NotInteriorError,
     NumericalFailureError,
     PinnedNodeCoincidenceError,
@@ -128,7 +127,7 @@ def _system(y, layout, k, target, log_s, dc=None, inv_s=None):
     z, p = int(lz is not None), len(lw)
     R = np.zeros((len(k), z + p), np.longdouble)
     _relative(lw, lu, k, log_s, out=R[:, z:])
-    if z and k[0] == 0:  # the zero atom feeds exponent 0 alone
+    if z:  # the zero atom feeds exponent 0 alone (_Problem shifts k_1 to 0)
         R[0, 0] = np.exp(np.minimum(np.longdouble(lz) - log_s[0], 300.0))
     if dc is not None:
         target = target + y[-1] * dc
@@ -236,15 +235,14 @@ def _track(y, layout, k, c_a, c_b):
     # a moment shrinks to 0 together with the atoms that feed it.
     log_ref = _log_scales(np.maximum(np.abs(c_a), np.abs(c_b)))
     s, h, s_prev = 0.0, 0.5, 0.0
+    # Later tangents reuse the corrector's Jacobian at the accepted point.
+    J = _system(y, layout, k, c_a, _log_scales(c_a))[1]
+    costs = prev = _losses(y, layout, k, log_ref)[1]
+    level = np.full(len(costs), LAND_TOL)
     while s < 1.0:
-        costs = _losses(y, layout, k, log_ref)[1]
-        if s == 0.0:
-            level, prev = np.full(len(costs), LAND_TOL), costs
         if costs[:-1].min() < ACCEPT_TOL:
             return (s, *_exit_measure(y, layout, k, log_ref))
         log_s = _log_scales(c_a + s * dc)
-        if s == 0.0:  # later, the corrector's Jacobian at the accepted point
-            J = _system(y, layout, k, c_a, log_s)[1]
         tangent = _lstsq(J, dc * np.exp(-log_s))
         h = min(2.0 * h, 1.0 / max(float(np.abs(tangent).max()), 1e-300))
         fall = (costs < level) & (costs < prev)
@@ -278,6 +276,7 @@ def _track(y, layout, k, c_a, c_b):
                 break
             h *= 0.5
         s, y, J = s_new, y_new, J_new
+        costs = _losses(y, layout, k, log_ref)[1]
     return s, y, layout
 
 
@@ -500,16 +499,6 @@ def classify(c: MomentVector, tol: float = ACCEPT_TOL) -> Classification:
         return Classification(ClassKind.EXTERIOR)
     kind = ClassKind.BOUNDARY if index_of(rep).twice < c.d else ClassKind.INTERIOR
     return Classification(kind, rep)
-
-
-def minimal_index(c: MomentVector, tol: float = ACCEPT_TOL) -> tuple[HalfInteger, Representation]:
-    """Smallest half-integer index whose representation reproduces c."""
-    result = classify(c, tol)
-    if result.kind is ClassKind.ZERO:
-        return HalfInteger(0), Representation(())
-    if result.kind is ClassKind.EXTERIOR:
-        raise InconsistencyError("no representation up to index (d+1)/2: c is outside the cone")
-    return index_of(result.witness), result.witness
 
 
 def principal_representation(

@@ -112,6 +112,19 @@ class TestClassify:
         assert code == 0, err
         assert json.loads(out)["kind"] == "exterior"
 
+    @pytest.mark.parametrize("argv, kind, atoms", [
+        (["classify", "--tol", "1e-6"], "boundary", 1),
+        (["classify"], "interior", 2),
+    ])
+    def test_readme_tol_example(self, capsys, monkeypatch, argv, kind, atoms):
+        # A larger tol accepts the lower-index witness within it.
+        doc = {"k": [0, 1, 2], "c": [1, 1, 1.0000001]}
+        code, out, err = run(capsys, argv, stdin=doc, monkeypatch=monkeypatch)
+        assert code == 0, err
+        parsed = json.loads(out)
+        assert parsed["kind"] == kind
+        assert len(parsed["witness"]["atoms"]) == atoms
+
 
 class TestRepresent:
     def test_principal(self, capsys, monkeypatch):
@@ -158,6 +171,12 @@ class TestInvalidInput:
             capsys, ["decide"], stdin={"family": "mm"}, monkeypatch=monkeypatch
         )
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [["classify"], ["represent", "--principal"]])
+    def test_norm_document_is_not_moments_exit_2(self, capsys, monkeypatch, argv):
+        code, _, err = run(capsys, argv, stdin=DECIDE_BOUNDARY, monkeypatch=monkeypatch)
+        assert code == 2
+        assert '"c"' in err
 
     def test_malformed_json_exit_2(self, capsys, monkeypatch):
         import io

@@ -143,6 +143,22 @@ class TestEqualityRule:
         assert result.trace[-2].classification == "admissible_boundary"
         assert result.status is Status.ADMISSIBLE_BOUNDARY
 
+    @pytest.mark.parametrize("scale, status", [
+        (1.0, Status.ADMISSIBLE_BOUNDARY),
+        (1.5, Status.NOT_ADMISSIBLE),
+        (0.5, Status.NOT_ADMISSIBLE),
+    ])
+    def test_excess_over_boundary_sublevel_without_exponent_zero(self, scale, status):
+        # k_1 > 0 over a boundary sublevel: no constant carries a norm, so
+        # only the boundary value of M_1 is attained, and more is as wrong as less.
+        k = ExponentVector((1, 2, 3, 4), 4)
+        M = norms(IdealSpline(FunctionFamily(Family.MM, 4), (1.0,), (2.0,)), k)
+        M = NormVector((scale * M.values[0], *M.values[1:]), k, M.family)
+        verdict, trace = decide_status(M)
+        assert verdict is status
+        assert [rec.classification for rec in trace] == [
+            "interior (base case)", "admissible_boundary", status.value]
+
     def test_witness_check_uses_the_band(self):
         M = _mm_tuple(1.5)
         witness = decide_admissible(M).witness

@@ -13,7 +13,6 @@ from kolmo import (
     ExponentVector,
     Family,
     FunctionFamily,
-    InconsistencyError,
     MomentVector,
     NormVector,
     NotInteriorError,
@@ -24,8 +23,8 @@ from kolmo import (
     canonical_representation,
     classify,
     decide_admissible,
+    decide_status,
     index_of,
-    minimal_index,
     moments_of,
     principal_representation,
     spline_from_representation,
@@ -113,32 +112,13 @@ class TestClassify:
         assert witness.knots == pytest.approx((11.0 / 15.0, 0.3), rel=1e-12)
 
 
-class TestMinimalIndex:
-    def test_interior_has_index_d_halves(self):
-        idx, rep = minimal_index(C235)
-        assert idx.twice == 3
-        assert len(rep) == 2
-
-    def test_single_atom_has_index_one(self):
-        c = moments_of(Representation((Atom(2.0, 1.0),)), K012)
-        idx, rep = minimal_index(c)
-        assert idx.twice == 2
-        assert len(rep) == 1
-        assert rep.atoms[0].node == pytest.approx(2.0, rel=1e-8)
-
-    def test_zero_vector_has_index_zero(self):
-        idx, rep = minimal_index(MomentVector((0.0, 0.0, 0.0), K012))
-        assert idx.twice == 0
-        assert rep == Representation(())
-
-
 class TestLowestStructure:
-    """The lowest-index structure, as ``classify`` and ``minimal_index`` read it."""
+    """The lowest-index structure: the witness of ``classify`` and its index."""
 
     def test_interior_vector_needs_principal_index(self):
-        idx, rep = minimal_index(C235)
-        assert idx.twice == 3
-        assert rep == classify(C235).witness
+        rep = classify(C235).witness
+        assert index_of(rep).twice == 3
+        assert len(rep) == 2
         assert rep.has_zero_atom
 
     def test_single_atom(self):
@@ -150,9 +130,9 @@ class TestLowestStructure:
 
     def test_exterior_vector_has_no_structure(self):
         c = MomentVector((1.0, 2.0, 3.0), K012)
-        assert classify(c).witness is None
-        with pytest.raises(InconsistencyError):
-            minimal_index(c)
+        result = classify(c)
+        assert result.kind is ClassKind.EXTERIOR
+        assert result.witness is None
 
     @pytest.mark.filterwarnings("error")
     def test_zero_moment_row_weight_stays_finite(self):
@@ -164,8 +144,8 @@ class TestLowestStructure:
         # Without exponent 0 only even indices exist: index 1/2 is skipped.
         k = ExponentVector((1, 2), 2)
         c = moments_of(Representation((Atom(2.0, 1.0),)), k)
-        idx, rep = minimal_index(c)
-        assert idx.twice == 2
+        rep = classify(c).witness
+        assert index_of(rep).twice == 2
         assert rep.atoms[0].node == pytest.approx(2.0, rel=1e-8)
 
 
@@ -581,6 +561,8 @@ class TestZeroAtomWithoutExponentZero:
 
 
 README_TUPLE = NormVector((1.0, 2.0, 2.0), K012, FunctionFamily(Family.MM, 2))
+# d <= 2 is the recursion's base case, which compares no norms.
+BASE_CASE_PAIR = NormVector((1.0, 1.0), ExponentVector((1, 2), 2), FunctionFamily(Family.MM, 2))
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
@@ -590,7 +572,10 @@ README_TUPLE = NormVector((1.0, 2.0, 2.0), K012, FunctionFamily(Family.MM, 2))
     lambda tol: canonical_representation(C235, 1.0, tol),
     lambda tol: oracle.cone_membership(C235, tol),
     lambda tol: decide_admissible(README_TUPLE, tol),
-], ids=["classify", "principal", "canonical", "cone_membership", "decide"])
+    lambda tol: decide_status(README_TUPLE, tol),
+    lambda tol: decide_status(BASE_CASE_PAIR, tol),
+], ids=["classify", "principal", "canonical", "cone_membership", "decide", "decide_status",
+        "decide_status_base_case"])
 def test_tolerance_must_be_finite_and_positive(entry, tol):
     # At tol = inf every c would be reproduced by any thin measure: classify
     # called (2, 3, 5) BOUNDARY and decide the README tuple interior.
