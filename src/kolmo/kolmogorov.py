@@ -152,11 +152,21 @@ def decide_status(
 
 
 def decide_admissible(M: NormVector, tol: float = ACCEPT_TOL) -> AdmissibilityResult:
-    """Trichotomy for a norm tuple with k_d = r, with a realizing witness."""
+    """Trichotomy for a norm tuple with k_d = r, with a realizing witness.
+
+    For odd d whose top level compared equal, the witness is that level's
+    comparison spline: it matches M_{k_2..k_d} and its k_1-norm is the rhs
+    found equal to M_{k_1}, so it attains all d norms with no further solve.
+    :func:`classify` builds every other witness.
+    """
     status, trace = decide_status(M, tol)
     witness = None
     if status is not Status.NOT_ADMISSIBLE:
-        witness = _lowest_spline(M, tol)[1]
+        top = trace[-1]
+        if M.d % 2 == 1 and top.lhs is not None and _compare(top.lhs, top.rhs, tol) == 0:
+            witness = _comparison_spline(M.drop_first(), tol)
+        else:
+            witness = _lowest_spline(M, tol)[1]
         if witness is None:
             raise NumericalFailureError("no spline realized the admissible tuple")
         _check_witness(witness, M, tol)
@@ -177,7 +187,7 @@ def _decide(M: NormVector, tol: float, trace: list[LevelRecord]) -> Status:
         return Status.NOT_ADMISSIBLE
     cmp_M = M.drop_first() if d % 2 == 1 else M.drop_first_and_last()
     lhs = M.values[0]
-    rhs = _comparison_norm(cmp_M, k[0], tol)
+    rhs = evaluate(_comparison_spline(cmp_M, tol), 0.0, k[0])
     order = _compare(lhs, rhs, tol)
     if order < 0:
         status = Status.NOT_ADMISSIBLE
@@ -195,14 +205,15 @@ def _decide(M: NormVector, tol: float, trace: list[LevelRecord]) -> Status:
 
 
 @functools.lru_cache(maxsize=256)
-def _comparison_norm(cmp_M: NormVector, k0: int, tol: float) -> float:
-    """The k0-th derivative norm of the spline matching cmp_M.
+def _comparison_spline(cmp_M: NormVector, tol: float) -> IdealSpline:
+    """The spline matching cmp_M, whose norm a level compares with M_{k_1}.
 
     cmp_M is a trailing sub-tuple, so the points of a sweep over one
-    component share it.  The solve is deterministic, so a cached norm has the
-    bits of a fresh one; a solve that raises is not cached and raises again.
+    component share it, and an odd-d boundary witness is the top level's.
+    The solve is deterministic, so a cached spline has the bits of a fresh
+    one; a solve that raises is not cached and raises again.
     """
-    return evaluate(matching_spline(cmp_M, tol), 0.0, k0)
+    return matching_spline(cmp_M, tol)
 
 
 def _compare(a: float, b: float, tol: float) -> int:

@@ -7,6 +7,7 @@ from kolmo import (
     ExponentVector,
     Family,
     FunctionFamily,
+    MomentVector,
     NormVector,
     NotBoundaryError,
     NumericalFailureError,
@@ -23,8 +24,8 @@ from kolmo import (
     matching_spline,
 )
 from kolmo import kolmogorov
-from kolmo.core import factorial_scale
-from kolmo.kolmogorov import _check_witness, _comparison_norm
+from kolmo.core import factorial_scale, moment_coordinates, norms_from_moments
+from kolmo.kolmogorov import _check_witness, _comparison_spline
 from kolmo.representations import ACCEPT_TOL
 from kolmo.splines import IdealSpline, norms, random_member
 
@@ -196,9 +197,9 @@ def _fixed_tuples():
 
 def _assert_status_matches(M, tol):
     # Fresh comparison solves on both sides, then cached ones: all agree to the bit.
-    _comparison_norm.cache_clear()
+    _comparison_spline.cache_clear()
     fresh = decide_status(M, tol)
-    _comparison_norm.cache_clear()
+    _comparison_spline.cache_clear()
     result = decide_admissible(M, tol)
     assert fresh == (result.status, result.trace), M
     assert decide_status(M, tol) == fresh, M
@@ -218,7 +219,7 @@ class TestDecideStatus:
         # 5e-7 above the threshold M_0 = 1: outside the band 10*tol at 1e-8,
         # inside it at 1e-7.
         want = {1e-8: Status.ADMISSIBLE_INTERIOR, 1e-7: Status.ADMISSIBLE_BOUNDARY}
-        _comparison_norm.cache_clear()
+        _comparison_spline.cache_clear()
         for tol in tols:
             assert decide_status(_mm_tuple(1 + 5e-7), tol)[0] is want[tol]
 
@@ -230,11 +231,78 @@ class TestDecideStatus:
             raise NumericalFailureError("comparison solve failed")
 
         monkeypatch.setattr(kolmogorov, "matching_spline", failing)
-        _comparison_norm.cache_clear()
+        _comparison_spline.cache_clear()
         for _ in range(2):
             with pytest.raises(NumericalFailureError):
                 decide_status(_mm_tuple(1.5))
         assert len(calls) == 2
+
+
+def _thin_boundary_tuple(kind, r, k, seed):
+    """Norms of a random member with floor(d/2) knots and no constant."""
+    family = FunctionFamily(kind, r)
+    x = random_member(family, len(k) // 2, seed)
+    return norms(IdealSpline(family, x.knots, x.weights), ExponentVector(k, r))
+
+
+class TestBoundaryWitnessFromRecursion:
+    # An odd-count tuple whose top level compares equal has the top
+    # comparison spline as its witness: no classify on the whole tuple.
+    @pytest.mark.parametrize("M", [
+        _mm_tuple(1.0),
+        _thin_boundary_tuple(Family.AM, 8, (1, 2, 4, 6, 8), 0),
+        _thin_boundary_tuple(Family.MM, 20, (0, 3, 6, 9, 12, 16, 20), 1),
+    ], ids=["readme", "d5", "d7"])
+    def test_witness_is_the_top_comparison_spline(self, M, monkeypatch):
+        solve = kolmogorov.classify
+
+        def even_only(c, tol):
+            if c.exponents.d % 2:
+                raise AssertionError(f"classify on the odd tuple {c.exponents}")
+            return solve(c, tol)
+
+        monkeypatch.setattr(kolmogorov, "classify", even_only)
+        _comparison_spline.cache_clear()
+        result = decide_admissible(M)
+        assert result.status is Status.ADMISSIBLE_BOUNDARY
+        assert result.witness == matching_spline(M.drop_first())
+        assert result.witness.knot_index.twice < M.d
+
+
+# k = (a, b, c) with k_d = r: the one atom matching (c_b, c_c) has
+# c_a = c_b^((c-a)/(c-b)) * c_c^((a-b)/(c-b)), the Lyapunov bound on c_a.
+LYAPUNOV_CASES = [(2, (0, 1, 2)), (8, (0, 3, 8)), (8, (2, 5, 8)),
+                  (20, (0, 7, 20)), (20, (4, 13, 20))]
+
+
+class TestThreeNormsExact:
+    @staticmethod
+    def _tuple(kind, r, k, scale):
+        family = FunctionFamily(kind, r)
+        kv = ExponentVector(k, r)
+        a, b, c = k
+        c_b, c_c = moment_coordinates(NormVector((1.0, 3.0, 0.7), kv, family)).values[1:]
+        c_a = c_b ** ((c - a) / (c - b)) * c_c ** ((a - b) / (c - b))
+        M = norms_from_moments(MomentVector((c_a, c_b, c_c), kv), family)
+        return NormVector((scale * M.values[0], *M.values[1:]), kv, family)
+
+    @pytest.mark.parametrize("kind", [Family.AM, Family.MM])
+    @pytest.mark.parametrize("r, k", LYAPUNOV_CASES)
+    def test_closed_form_is_boundary(self, kind, r, k):
+        M = self._tuple(kind, r, k, 1.0)
+        result = decide_admissible(M)
+        assert result.status is Status.ADMISSIBLE_BOUNDARY
+        assert result.witness.knot_index.twice == 2
+        assert evaluate(result.witness, 0.0, k[0]) == pytest.approx(M.values[0], rel=1e-12)
+
+    @pytest.mark.parametrize("kind", [Family.AM, Family.MM])
+    @pytest.mark.parametrize("r, k", LYAPUNOV_CASES)
+    @pytest.mark.parametrize("scale, status", [
+        (1 + 1e-3, Status.ADMISSIBLE_INTERIOR),
+        (1 - 1e-3, Status.NOT_ADMISSIBLE),
+    ])
+    def test_off_the_closed_form(self, kind, r, k, scale, status):
+        assert decide_admissible(self._tuple(kind, r, k, scale)).status is status
 
 
 class TestInteriorSpline:
