@@ -34,7 +34,7 @@ from .representations import (
     classify,
     principal_representation,
 )
-from .splines import IdealSpline, evaluate, norms, spline_from_representation
+from .splines import IdealSpline, evaluate, norms, spline_from_representation, with_constant
 
 
 class Status(Enum):
@@ -154,17 +154,21 @@ def decide_status(
 def decide_admissible(M: NormVector, tol: float = ACCEPT_TOL) -> AdmissibilityResult:
     """Trichotomy for a norm tuple with k_d = r, with a realizing witness.
 
-    For odd d whose top level compared equal, the witness is that level's
-    comparison spline: it matches M_{k_2..k_d} and its k_1-norm is the rhs
-    found equal to M_{k_1}, so it attains all d norms with no further solve.
-    :func:`classify` builds every other witness.
+    For odd d the top level's comparison spline matches M_{k_2..k_d}, and its
+    k_1-norm is the rhs compared with M_{k_1}.  Where they compared equal it
+    is the witness; where k_1 = 0 and M_0 is above, the witness is it plus
+    a constant of the excess, as a constant feeds M_0 alone.  Either way it
+    attains all d norms with no further solve.  :func:`classify` builds
+    every other witness: even d, and odd d with k_1 > 0 above its comparison.
     """
     status, trace = decide_status(M, tol)
     witness = None
     if status is not Status.NOT_ADMISSIBLE:
         top = trace[-1]
-        if M.d % 2 == 1 and top.lhs is not None and _compare(top.lhs, top.rhs, tol) == 0:
-            witness = _comparison_spline(M.drop_first(), tol)
+        order = None if top.lhs is None else _compare(top.lhs, top.rhs, tol)
+        if M.d % 2 == 1 and (order == 0 or order == 1 and M.exponents.exponents[0] == 0):
+            excess = top.lhs - top.rhs if order == 1 else 0.0
+            witness = with_constant(_comparison_spline(M.drop_first(), tol), excess)
         else:
             witness = _lowest_spline(M, tol)[1]
         if witness is None:

@@ -14,9 +14,9 @@ the exit s* where the path leaves the cone and the measure loses a degree of
 freedom: a weight or node goes to 0, or the top node runs to infinity.  One
 rule locates every exit: a bordered Newton solve for the exit measure and s*.
 Each step's tangent reuses the Jacobian the corrector formed at the point it
-accepted; only a path's first tangent forms its own.  A two-moment system
-needs no path: one atom attains any positive pair, so its principal
-representation starts in closed form and gets the same polish and check.
+accepted; only a path's first tangent forms its own.  A positive pair needs
+no solve at all: one atom attains it, found in closed form and checked in
+floats, and it is the verdict and the principal representation both.
 
 - Classification and principal representations track from a start measure
   spread over the moment-ratio range of c to c, and get the principal
@@ -38,7 +38,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import NODE_MERGE_REL, Atom, MomentVector, Representation, index_of
+from .core import NODE_MERGE_REL, Atom, MomentVector, Representation, index_of, moments_of
 from .errors import (
     DomainError,
     NotInteriorError,
@@ -401,13 +401,9 @@ def _principal_path(prob: _Problem, tol: float, init_seed: int = 0):
         y, layout = np.log([max(c[0], 1e-300)]), (True, ())
         res = float(np.abs(_system(y, layout, k, c, log_c)[0]).max())
         return (y, layout) if res <= tol else None
-    if len(k) == 2:
-        # One atom attains any positive pair: w = c_0 and w u^k_1 = c_1.
-        s, y, layout = 1.0, np.array([math.log(c[0]), math.log(c[1] / c[0]) / k[1]]), (False, ())
-    else:
-        y, layout = prob.start(init_seed)
-        c_a = _system(y, layout, k, np.zeros(len(k)), np.zeros(len(k)))[0]
-        s, y, layout = _track(y, layout, k, c_a, c)
+    y, layout = prob.start(init_seed)
+    c_a = _system(y, layout, k, np.zeros(len(k)), np.zeros(len(k)))[0]
+    s, y, layout = _track(y, layout, k, c_a, c)
     found = y, layout
     if s == 1.0:
         y, res, _ = _correct(y, layout, k, c, 0.0, MAX_ITER)
@@ -477,10 +473,35 @@ def _witness(prob: _Problem, found, tol: float) -> Representation | None:
     return None
 
 
+def _pair_atom(c: MomentVector, tol: float) -> Representation | None:
+    """The one atom attaining a positive pair c, or None if c is no such pair.
+
+    In logs, log u = (log c_b - log c_a)/(k_b - k_a) and log w = log c_a -
+    k_a log u, so no power leaves the float range on the way.  Raises
+    :class:`NumericalFailureError` when the atom is beyond the float range,
+    or too subnormal to reproduce c within ``tol``: such a c is not exterior.
+    """
+    if c.d != 2 or min(c.values) <= 0:
+        return None
+    (ka, kb), (ca, cb) = c.exponents.exponents, c.values
+    log_u = (math.log(cb) - math.log(ca)) / (kb - ka)
+    try:
+        rep = Representation((Atom(math.exp(log_u), math.exp(math.log(ca) - ka * log_u)),))
+        back = moments_of(rep, c.exponents).values
+    except (OverflowError, DomainError) as exc:
+        raise NumericalFailureError("the one atom of c is beyond the float range") from exc
+    res = max(abs(b / v - 1.0) for b, v in zip(back, c.values))
+    if not res <= tol:
+        raise NumericalFailureError("the one atom of c does not reproduce it in floating point",
+                                    residual=res)
+    return rep
+
+
 def classify(c: MomentVector, tol: float = ACCEPT_TOL) -> Classification:
     """Trichotomy of c relative to the moment cone, with a lowest-index witness.
 
-    The principal path finds the witness and its index alone is the verdict:
+    A positive pair is INTERIOR with its one atom, in closed form.  Otherwise
+    the principal path finds the witness and its index alone is the verdict:
     below d/2 BOUNDARY, else INTERIOR.  Without exponent 0 an odd d has no
     index d/2 (its zero atom feeds no moment): an interior c gets the
     canonical representation through twice the largest principal root, of
@@ -489,6 +510,8 @@ def classify(c: MomentVector, tol: float = ACCEPT_TOL) -> Classification:
     require_tolerance(tol)
     if not any(c.values):
         return Classification(ClassKind.ZERO)
+    if (atom := _pair_atom(c, tol)) is not None:
+        return Classification(ClassKind.INTERIOR, atom)
     prob = _Problem(c)
     found = _principal_path(prob, tol)
     if found and len(found[0]) == c.d and found[1][0] and prob.shift:
@@ -509,6 +532,8 @@ def principal_representation(
     require_tolerance(tol)
     if c.d % 2 and c.exponents.exponents[0]:
         raise UnsupportedSystemError("odd-dimensional principal structure needs exponent 0")
+    if (atom := _pair_atom(c, tol)) is not None:
+        return atom
     prob = _Problem(c)
     found = _principal_path(prob, tol, init_seed)
     rep = _witness(prob, found, tol) if found and len(found[0]) == c.d else None
@@ -533,7 +558,8 @@ def canonical_representation(
     if c.d % 2 == 0 and c.exponents.exponents[0]:
         raise UnsupportedSystemError("even-dimensional canonical structure needs exponent 0")
     prob = _Problem(c)
-    found = _principal_path(prob, tol)
+    atom = _pair_atom(c, tol)
+    found = _principal_path(prob, tol) if atom is None else prob.variables(atom)
     if not found or len(found[0]) != c.d:
         raise NotInteriorError("a canonical representation needs an interior vector")
     for u in prob.nodes(_unpack(*found)[2]):

@@ -16,18 +16,20 @@ from kolmo import (
     UnsupportedSystemError,
     boundary_spline,
     canonical_spline,
+    classify,
     decide_admissible,
     decide_status,
     evaluate,
     extremal_family_member,
     interior_spline,
     matching_spline,
+    principal_representation,
 )
-from kolmo import kolmogorov
+from kolmo import kolmogorov, representations
 from kolmo.core import factorial_scale, moment_coordinates, norms_from_moments
 from kolmo.kolmogorov import _check_witness, _comparison_spline
-from kolmo.representations import ACCEPT_TOL
-from kolmo.splines import IdealSpline, norms, random_member
+from kolmo.representations import ACCEPT_TOL, ClassKind
+from kolmo.splines import IdealSpline, norms, random_member, with_constant
 
 MM2 = FunctionFamily(Family.MM, 2)
 AM2 = FunctionFamily(Family.AM, 2)
@@ -267,6 +269,76 @@ class TestBoundaryWitnessFromRecursion:
         assert result.status is Status.ADMISSIBLE_BOUNDARY
         assert result.witness == matching_spline(M.drop_first())
         assert result.witness.knot_index.twice < M.d
+
+
+def _constant_tuple(kind, r, k, knot_count, seed):
+    """Norms of a random member with ``knot_count`` knots and a constant as
+    large as their own M_0 (k_1 = 0)."""
+    family = FunctionFamily(kind, r)
+    x = random_member(family, knot_count, seed)
+    M = norms(IdealSpline(family, x.knots, x.weights), ExponentVector(k, r))
+    return norms(IdealSpline(family, x.knots, x.weights, M.values[0]), M.exponents)
+
+
+class TestConstantWitnessFromRecursion:
+    # An odd-count tuple with k_1 = 0 above its top comparison has that
+    # level's comparison spline plus the excess of M_0 as its witness: no
+    # classify on the whole tuple.
+    @pytest.mark.parametrize("M, status", [
+        (_mm_tuple(1.5), Status.ADMISSIBLE_INTERIOR),
+        (_constant_tuple(Family.AM, 8, (0, 2, 4, 6, 8), 2, 0), Status.ADMISSIBLE_INTERIOR),
+        (_constant_tuple(Family.MM, 8, (0, 1, 2, 4, 5, 6, 8), 3, 0), Status.ADMISSIBLE_INTERIOR),
+        # Over a boundary sublevel: one knot for four norms.
+        (_constant_tuple(Family.MM, 8, (0, 2, 4, 6, 8), 1, 2), Status.ADMISSIBLE_BOUNDARY),
+    ], ids=["readme", "d5", "d7", "d5-boundary-sublevel"])
+    def test_witness_is_the_comparison_spline_plus_a_constant(self, M, status, monkeypatch):
+        solve = kolmogorov.classify
+
+        def not_odd_from_zero(c, tol):
+            if c.exponents.d % 2 and c.exponents.exponents[0] == 0:
+                raise AssertionError(f"classify on the odd tuple {c.exponents}")
+            return solve(c, tol)
+
+        monkeypatch.setattr(kolmogorov, "classify", not_odd_from_zero)
+        _comparison_spline.cache_clear()
+        result = decide_admissible(M)
+        top = result.trace[-1]
+        assert result.status is status
+        assert result.witness == with_constant(matching_spline(M.drop_first()), top.lhs - top.rhs)
+        knots = (M.d - 1) // 2 if status is Status.ADMISSIBLE_INTERIOR else 1
+        assert len(result.witness.knots) == knots and result.witness.constant > 0
+
+
+class TestPairsWithoutSolver:
+    # One atom attains a positive pair, in closed form: no structure solve runs
+    # for a pair, nor for a decision whose comparisons are all pairs (d <= 4).
+    @pytest.fixture(autouse=True)
+    def no_solver(self, monkeypatch):
+        def solver(*args):
+            raise AssertionError("a structure solve ran")
+
+        monkeypatch.setattr(representations, "_Problem", solver)
+        monkeypatch.setattr(representations, "_correct", solver)
+        _comparison_spline.cache_clear()
+
+    @pytest.mark.parametrize("k, c", [((0, 3), (2.0, 16.0)), ((5, 20), (1e-150, 1e150))])
+    def test_moments(self, k, c):
+        c = MomentVector(c, ExponentVector(k, 20))
+        result = classify(c)
+        assert result.kind is ClassKind.INTERIOR and len(result.witness) == 1
+        assert principal_representation(c) == result.witness
+
+    @pytest.mark.parametrize("family", [MM2, AM2])
+    def test_matching_spline(self, family):
+        M = NormVector((2.0, 2.0), ExponentVector((1, 2), 2), family)
+        assert norms(matching_spline(M), M.exponents).values == pytest.approx(M.values, rel=1e-12)
+
+    @pytest.mark.parametrize("M, status", [
+        (_mm_tuple(1.5), Status.ADMISSIBLE_INTERIOR),
+        (_thin_boundary_tuple(Family.AM, 8, (1, 3, 5, 8), 0), Status.ADMISSIBLE_INTERIOR),
+    ], ids=["d3", "d4"])
+    def test_decide_status(self, M, status):
+        assert decide_status(M)[0] is status
 
 
 # k = (a, b, c) with k_d = r: the one atom matching (c_b, c_c) has

@@ -1,4 +1,5 @@
 """Exact structure solves: classification, principal and pinned representations."""
+import math
 import sys
 import types
 from decimal import Decimal, localcontext
@@ -6,6 +7,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import roots_genlaguerre
 
 from kolmo import (
     Atom,
@@ -466,7 +468,7 @@ def _exact_atom(ks, cs):
 
 class TestTwoMoments:
     """d = 2: one atom attains any positive pair, u = (c_b/c_a)^(1/(k_b-k_a))
-    and w = c_a/u^k_a; the solve starts there instead of tracking a path."""
+    and w = c_a/u^k_a, in closed form and checked in floats: no solve runs."""
 
     @staticmethod
     def draws():
@@ -545,6 +547,36 @@ class TestTwoMoments:
         assert rep.nodes == (0.0, t_star)
         back = moments_of(rep, c.exponents).values
         assert back == pytest.approx(cs, rel=1e-12, abs=0)
+
+
+class TestGaussQuadrature:
+    """The moments k! of e^(-t): the principal representation is a Gauss rule.
+
+    For k = 0..2m-1 it is the m-point Gauss-Laguerre rule.  For k = 0..2m it
+    is the Gauss-Radau rule with its fixed node at 0: the free nodes are the
+    Gauss nodes x_i of t e^(-t), with weights lambda_i / x_i, and the zero
+    atom takes the rest of c_0 = 1.
+    """
+
+    @staticmethod
+    def _factorial_moments(d):
+        k = tuple(range(d))
+        return MomentVector(tuple(float(math.factorial(i)) for i in k), ExponentVector(k, d))
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_gauss_laguerre(self, m):
+        rep = principal_representation(self._factorial_moments(2 * m))
+        nodes, weights = np.polynomial.laguerre.laggauss(m)
+        assert rep.nodes == pytest.approx(nodes, rel=1e-12, abs=0)
+        assert rep.weights == pytest.approx(weights, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_gauss_radau(self, m):
+        rep = principal_representation(self._factorial_moments(2 * m + 1))
+        nodes, lam = roots_genlaguerre(m, 1)
+        weights = lam / nodes
+        assert rep.nodes == pytest.approx((0.0, *nodes), rel=1e-12, abs=0)
+        assert rep.weights == pytest.approx((1.0 - weights.sum(), *weights), rel=1e-12, abs=0)
 
 
 class TestZeroAtomWithoutExponentZero:
