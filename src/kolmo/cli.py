@@ -31,12 +31,7 @@ from .representations import (
     classify,
     principal_representation,
 )
-from .splines import (
-    norms,
-    random_member,
-    spline_from_dict,
-    spline_to_dict,
-)
+from .splines import IdealSpline, norms, random_member
 
 log = logging.getLogger("kolmo")
 
@@ -103,14 +98,18 @@ def _parse_exponents(doc: dict, r: int | None = None) -> ExponentVector:
     return ExponentVector(tuple(ks), r)
 
 
+def _parse_family(family, r) -> FunctionFamily:
+    try:
+        return FunctionFamily(Family(family), _integer(r))
+    except (ValueError, TypeError, DomainError) as exc:
+        raise InputError(f"invalid family/order: {exc}") from exc
+
+
 def _parse_problem(doc: dict) -> NormVector:
     for field in ("family", "r", "k", "M"):
         if field not in doc:
             raise InputError(f'problem JSON is missing field "{field}"')
-    try:
-        family = FunctionFamily(Family(doc["family"]), _integer(doc["r"]))
-    except (ValueError, TypeError, DomainError) as exc:
-        raise InputError(f"invalid family/order: {exc}") from exc
+    family = _parse_family(doc["family"], doc["r"])
     k = _parse_exponents(doc, family.r)
     try:
         values = tuple(float(v) for v in doc["M"])
@@ -130,10 +129,28 @@ def _parse_moments(doc: dict) -> MomentVector:
         raise InputError(f'invalid "c": {exc}') from exc
 
 
+def _parse_spline(doc: dict) -> IdealSpline:
+    try:
+        family = _parse_family(doc["family"], doc["r"])
+        return IdealSpline(family, doc["knots"], doc["weights"], doc.get("constant", 0.0))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"malformed spline object: {exc}") from exc
+
+
 def _representation_doc(rep: Representation) -> dict:
     return {
         "atoms": [{"node": a.node, "weight": a.weight} for a in rep.atoms],
         "index": index_of(rep).value,
+    }
+
+
+def _spline_doc(spline: IdealSpline) -> dict:
+    return {
+        "family": spline.family.kind.value,
+        "r": spline.family.r,
+        "knots": list(spline.knots),
+        "weights": list(spline.weights),
+        "constant": spline.constant,
     }
 
 
@@ -163,7 +180,7 @@ def _cmd_spline_norms(args) -> dict:
     doc = _read_input(args.input)
     if "spline" not in doc or "k" not in doc:
         raise InputError('input needs "spline" and "k"')
-    spline = spline_from_dict(doc["spline"])
+    spline = _parse_spline(doc["spline"])
     k = _parse_exponents(doc, spline.family.r)
     M = norms(spline, k)
     return {
@@ -179,7 +196,7 @@ def _cmd_decide(args) -> dict:
     result = decide_admissible(M, tol=args.tol)
     return {
         "status": result.status.value,
-        "witness": spline_to_dict(result.witness) if result.witness else None,
+        "witness": _spline_doc(result.witness) if result.witness else None,
         "trace": [
             {
                 "k": list(rec.exponents),
@@ -196,12 +213,8 @@ def _cmd_decide(args) -> dict:
 
 
 def _cmd_random(args) -> dict:
-    try:
-        family = FunctionFamily(Family(args.family), args.order)
-    except (ValueError, DomainError) as exc:
-        raise InputError(f"invalid family/order: {exc}") from exc
-    spline = random_member(family, args.knot_count, args.seed)
-    return spline_to_dict(spline)
+    family = _parse_family(args.family, args.order)
+    return _spline_doc(random_member(family, args.knot_count, args.seed))
 
 
 def _cmd_sweep(args) -> str:

@@ -76,27 +76,27 @@ def interior_spline(
     return spline_from_representation(rep, M.family)
 
 
-def _lowest_spline(M: NormVector, tol: float):
-    """(kind, spline): the verdict of :func:`classify` on M and its witness as
-    a spline of M's family, None if EXTERIOR.  An interior odd count without
-    exponent 0 gets the canonical spline (its constant carries no norm).
-    """
-    result = classify(moment_coordinates(M), tol)
-    if result.witness is None:
-        return result.kind, None
-    return result.kind, spline_from_representation(result.witness, M.family)
+def _lowest_spline(M: NormVector, tol: float) -> IdealSpline:
+    """The witness of :func:`classify` on M as a spline of M's family, or
+    :class:`NotAttainableError` if M is EXTERIOR.  An interior odd count
+    without exponent 0 gets the canonical spline (its constant carries no
+    norm)."""
+    witness = classify(moment_coordinates(M), tol).witness
+    if witness is None:
+        raise NotAttainableError("no ideal spline attains the tuple")
+    return spline_from_representation(witness, M.family)
 
 
 def boundary_spline(M: NormVector, tol: float = ACCEPT_TOL) -> IdealSpline:
     """Minimal spline with at most floor((d-1)/2) knots matching all d norms."""
     _require_positive(M)
-    kind, spline = _lowest_spline(M, tol)
-    if kind is not ClassKind.BOUNDARY:
+    result = classify(moment_coordinates(M), tol)
+    if result.kind is not ClassKind.BOUNDARY:
         raise NotBoundaryError(
             "no spline with at most floor((d-1)/2) knots matches the tuple; "
             "it is not a boundary point"
         )
-    return spline
+    return spline_from_representation(result.witness, M.family)
 
 
 def canonical_spline(
@@ -118,19 +118,20 @@ def canonical_spline(
     return spline_from_representation(rep, M.family)
 
 
+@functools.lru_cache(maxsize=256)
 def matching_spline(M: NormVector, tol: float = ACCEPT_TOL) -> IdealSpline:
     """The uniquely determined spline attaining an even-count norm tuple.
 
     One principal path gives the lowest-index spline: a boundary tuple
     yields its thin spline and an interior tuple the d/2-knot spline.
+    Cached: the decision's levels, its witness and the points of a sweep
+    share trailing sub-tuples, and the solve is deterministic, so a cached
+    spline has the bits of a fresh one.  A solve that raises is not cached.
     """
     if M.d % 2 != 0:
         raise DomainError(f"matching spline needs an even norm count, got {M.d}")
     _require_positive(M)
-    spline = _lowest_spline(M, tol)[1]
-    if spline is None:
-        raise NotAttainableError("no ideal spline attains the tuple")
-    return spline
+    return _lowest_spline(M, tol)
 
 
 def decide_status(
@@ -154,25 +155,29 @@ def decide_status(
 def decide_admissible(M: NormVector, tol: float = ACCEPT_TOL) -> AdmissibilityResult:
     """Trichotomy for a norm tuple with k_d = r, with a realizing witness.
 
-    For odd d the top level's comparison spline matches M_{k_2..k_d}, and its
-    k_1-norm is the rhs compared with M_{k_1}.  Where they compared equal it
-    is the witness; where k_1 = 0 and M_0 is above, the witness is it plus
-    a constant of the excess, as a constant feeds M_0 alone.  Either way it
-    attains all d norms with no further solve.  :func:`classify` builds
-    every other witness: even d, and odd d with k_1 > 0 above its comparison.
+    Even d takes the spline :func:`matching_spline` gives M.  For odd d the
+    top level's comparison spline matches M_{k_2..k_d}, and its k_1-norm is
+    the rhs compared with M_{k_1}.  Where they compared equal it is the
+    witness; where k_1 = 0 and M_0 is above, the witness is it plus a
+    constant of the excess, as a constant feeds M_0 alone.  Either way it
+    attains all d norms with no further solve.  :func:`classify` builds the
+    rest: d = 1, and odd d with k_1 > 0 above its comparison.
     """
     status, trace = decide_status(M, tol)
     witness = None
     if status is not Status.NOT_ADMISSIBLE:
         top = trace[-1]
         order = None if top.lhs is None else _compare(top.lhs, top.rhs, tol)
-        if M.d % 2 == 1 and (order == 0 or order == 1 and M.exponents.exponents[0] == 0):
-            excess = top.lhs - top.rhs if order == 1 else 0.0
-            witness = with_constant(_comparison_spline(M.drop_first(), tol), excess)
-        else:
-            witness = _lowest_spline(M, tol)[1]
-        if witness is None:
-            raise NumericalFailureError("no spline realized the admissible tuple")
+        try:
+            if M.d % 2 == 0:
+                witness = matching_spline(M, tol)
+            elif order == 0 or order == 1 and M.exponents.exponents[0] == 0:
+                excess = top.lhs - top.rhs if order == 1 else 0.0
+                witness = with_constant(matching_spline(M.drop_first(), tol), excess)
+            else:
+                witness = _lowest_spline(M, tol)
+        except NotAttainableError as exc:
+            raise NumericalFailureError("no spline realized the admissible tuple") from exc
         _check_witness(witness, M, tol)
     return AdmissibilityResult(status, witness, trace)
 
@@ -191,7 +196,7 @@ def _decide(M: NormVector, tol: float, trace: list[LevelRecord]) -> Status:
         return Status.NOT_ADMISSIBLE
     cmp_M = M.drop_first() if d % 2 == 1 else M.drop_first_and_last()
     lhs = M.values[0]
-    rhs = evaluate(_comparison_spline(cmp_M, tol), 0.0, k[0])
+    rhs = evaluate(matching_spline(cmp_M, tol), 0.0, k[0])
     order = _compare(lhs, rhs, tol)
     if order < 0:
         status = Status.NOT_ADMISSIBLE
@@ -206,18 +211,6 @@ def _decide(M: NormVector, tol: float, trace: list[LevelRecord]) -> Status:
         status = Status.NOT_ADMISSIBLE
     trace.append(LevelRecord(k, status.value, lhs, rhs))
     return status
-
-
-@functools.lru_cache(maxsize=256)
-def _comparison_spline(cmp_M: NormVector, tol: float) -> IdealSpline:
-    """The spline matching cmp_M, whose norm a level compares with M_{k_1}.
-
-    cmp_M is a trailing sub-tuple, so the points of a sweep over one
-    component share it, and an odd-d boundary witness is the top level's.
-    The solve is deterministic, so a cached spline has the bits of a fresh
-    one; a solve that raises is not cached and raises again.
-    """
-    return matching_spline(cmp_M, tol)
 
 
 def _compare(a: float, b: float, tol: float) -> int:

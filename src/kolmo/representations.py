@@ -11,8 +11,10 @@ Every solve runs one tracker.  Inside the convex moment cone the principal
 :func:`_track` follows it (Euler predictor, Newton corrector, in log weights
 and log nodes) along a straight path c_a + s (c_b - c_a) to s = 1, or to
 the exit s* where the path leaves the cone and the measure loses a degree of
-freedom: a weight or node goes to 0, or the top node runs to infinity.  One
-rule locates every exit: a bordered Newton solve for the exit measure and s*.
+freedom: a weight or node goes to 0, or the top node runs to infinity.  Two
+rules locate an exit.  Once a loss is predicted to vanish within the path, a
+bordered Newton solve lands on the exit measure and s*; a loss already below
+ACCEPT_TOL at an accepted point ends the path there, without a solve.
 Each step's tangent reuses the Jacobian the corrector formed at the point it
 accepted; only a path's first tangent forms its own.  A positive pair needs
 no solve at all: one atom attains it, found in closed form and checked in
@@ -108,6 +110,18 @@ def _relative(lw, lu, k, log_s, out=None):
     lw, lu = np.asarray(lw, np.longdouble), np.asarray(lu, np.longdouble)
     return np.exp(np.minimum(lw[None, :] + k[:, None] * lu[None, :] - log_s[:, None], 300.0),
                   out=out)
+
+
+def _moments(y, layout, k):
+    """The moments of the measure y, summed like :func:`_system`'s rows but
+    without :func:`_relative`'s cap, which a start's mass can exceed."""
+    lz, lw, lu = _unpack(y, layout)
+    z, lw, lu = int(lz is not None), np.asarray(lw, np.longdouble), np.asarray(lu, np.longdouble)
+    R = np.zeros((len(k), z + len(lw)), np.longdouble)
+    R[:, z:] = np.exp(lw[None, :] + k[:, None] * lu[None, :])
+    if z:
+        R[0, 0] = np.exp(np.longdouble(lz))
+    return R.sum(axis=1).astype(float)
 
 
 def _inverse_scales(log_s):
@@ -285,7 +299,9 @@ class _Problem:
 
     2^m sits mid moment-ratio range, so node logarithms stay small and pins
     scale exactly.  Weights become w u^{k_1}; an atom at 0 then has no
-    counterpart in the original system unless k_1 = 0.
+    counterpart in the original system unless k_1 = 0.  Raises
+    :class:`NumericalFailureError` if the scaling takes a nonzero moment to
+    0 or any moment beyond the float range.
     """
 
     def __init__(self, c: MomentVector):
@@ -293,12 +309,14 @@ class _Problem:
         self.shift = ks[0]
         self.k = np.asarray(ks, dtype=float) - ks[0]
         vals = np.asarray(c.values, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             ratios = np.diff(np.log(np.abs(vals))) / np.diff(self.k)
-        ratios = ratios[(vals[:-1] > 0) & (vals[1:] > 0)]
-        mid = (ratios.min() + ratios.max()) / 2 if len(ratios) else 0.0
-        self.m = int(round(mid / math.log(2.0)))
-        self.values = np.ldexp(vals, (-self.m * self.k).astype(int))
+            ratios = ratios[(vals[:-1] > 0) & (vals[1:] > 0)]
+            mid = (ratios.min() + ratios.max()) / 2 if len(ratios) else 0.0
+            self.m = int(round(mid / math.log(2.0)))
+            self.values = np.ldexp(vals, (-self.m * self.k).astype(int))
+        if not np.isfinite(self.values).all() or np.count_nonzero(self.values) < np.count_nonzero(vals):
+            raise NumericalFailureError("a moment leaves the float range as the nodes are scaled")
 
     def nodes(self, lu):
         """Log scaled nodes back to nodes."""
@@ -402,7 +420,7 @@ def _principal_path(prob: _Problem, tol: float, init_seed: int = 0):
         res = float(np.abs(_system(y, layout, k, c, log_c)[0]).max())
         return (y, layout) if res <= tol else None
     y, layout = prob.start(init_seed)
-    c_a = _system(y, layout, k, np.zeros(len(k)), np.zeros(len(k)))[0]
+    c_a = _moments(y, layout, k)
     s, y, layout = _track(y, layout, k, c_a, c)
     found = y, layout
     if s == 1.0:

@@ -170,27 +170,3 @@ def random_member(
     if rng.random() < 0.5:
         constant = float(np.exp(rng.uniform(np.log(1e-1), np.log(10.0))))
     return IdealSpline(family, knots, weights, constant)
-
-
-def spline_to_dict(spline: IdealSpline) -> dict:
-    """JSON-ready mapping with the fixed field order."""
-    return {
-        "family": spline.family.kind.value,
-        "r": spline.family.r,
-        "knots": list(spline.knots),
-        "weights": list(spline.weights),
-        "constant": spline.constant,
-    }
-
-
-def spline_from_dict(doc: dict) -> IdealSpline:
-    try:
-        family = FunctionFamily(Family(doc["family"]), int(doc["r"]))
-        return IdealSpline(
-            family,
-            tuple(float(a) for a in doc["knots"]),
-            tuple(float(w) for w in doc["weights"]),
-            float(doc.get("constant", 0.0)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DomainError(f"malformed spline object: {exc}") from exc

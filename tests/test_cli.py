@@ -4,8 +4,8 @@ import json
 import pytest
 
 from kolmo import ExponentVector, NormVector, decide_admissible
-from kolmo.cli import _parse_problem, main
-from kolmo.splines import norms, spline_from_dict
+from kolmo.cli import _parse_problem, _parse_spline, main
+from kolmo.splines import norms
 
 DECIDE_BOUNDARY = {
     "family": "mm",
@@ -60,7 +60,7 @@ class TestDecide:
         doc = json.loads(out)
         assert doc["status"] == "admissible_boundary"
         k = ExponentVector(tuple(DECIDE_OVERFLOW["k"]), 20)
-        got = norms(spline_from_dict(doc["witness"]), k).values
+        got = norms(_parse_spline(doc["witness"]), k).values
         assert got == pytest.approx(DECIDE_OVERFLOW["M"], rel=1e-7)
 
     def test_reads_stdin_writes_file(self, capsys, monkeypatch, tmp_path):
@@ -124,6 +124,18 @@ class TestClassify:
         parsed = json.loads(out)
         assert parsed["kind"] == kind
         assert len(parsed["witness"]["atoms"]) == atoms
+
+    @pytest.mark.parametrize("c, message", [
+        # An atom at 0 and one at 1e290 of weight 1e-590: the solve in log
+        # variables reproduces c, but that weight underflows.
+        ([2, 1e-300, 1e-10], "the measure reproduces c, but not in floating point"),
+        # Exterior, but dividing the nodes by 2^m overflows the second moment.
+        ([1e146, 1e147, 1e-198], "a moment leaves the float range as the nodes are scaled"),
+    ], ids=["weight-beyond-floats", "scaled-moment-overflows"])
+    def test_numerical_failure_exit_3(self, capsys, monkeypatch, c, message):
+        doc = {"k": [0, 1, 2], "c": c}
+        code, out, err = run(capsys, ["classify"], stdin=doc, monkeypatch=monkeypatch)
+        assert (code, out, err) == (3, "", f"numerical failure: {message}\n")
 
 
 class TestRepresent:
@@ -245,6 +257,17 @@ class TestInvalidInput:
         code, _, err = run(capsys, ["decide"], stdin=doc, monkeypatch=monkeypatch)
         assert code == 2
         assert "order" in err
+
+    @pytest.mark.parametrize("field, value", [("r", 2.5), ("family", "xx")])
+    def test_spline_family_read_as_decide_reads_it(self, capsys, monkeypatch, field, value):
+        # Truncated, "r": 2.5 would give the norms of an order-2 spline.
+        spline = {"family": "mm", "r": 2, "knots": [1.0], "weights": [2.0], field: value}
+        got = run(capsys, ["spline-norms"], stdin={"spline": spline, "k": [0, 1, 2]},
+                  monkeypatch=monkeypatch)
+        want = run(capsys, ["decide"], stdin={**DECIDE_BOUNDARY, field: value},
+                   monkeypatch=monkeypatch)
+        assert got == want
+        assert got[0] == 2 and got[2].startswith("error: invalid family/order: ")
 
     def test_integral_floats_accepted(self, capsys, monkeypatch):
         doc = {"family": "mm", "r": 2.0, "k": [0, 1.0, 2], "M": [1.0, 2.0, 2.0]}

@@ -9,6 +9,7 @@ from kolmo import (
     FunctionFamily,
     MomentVector,
     NormVector,
+    NotAttainableError,
     NotBoundaryError,
     NumericalFailureError,
     PinnedNodeCoincidenceError,
@@ -27,8 +28,8 @@ from kolmo import (
 )
 from kolmo import kolmogorov, representations
 from kolmo.core import factorial_scale, moment_coordinates, norms_from_moments
-from kolmo.kolmogorov import _check_witness, _comparison_spline
-from kolmo.representations import ACCEPT_TOL, ClassKind
+from kolmo.kolmogorov import _check_witness
+from kolmo.representations import ACCEPT_TOL, Classification, ClassKind
 from kolmo.splines import IdealSpline, norms, random_member, with_constant
 
 MM2 = FunctionFamily(Family.MM, 2)
@@ -199,9 +200,9 @@ def _fixed_tuples():
 
 def _assert_status_matches(M, tol):
     # Fresh comparison solves on both sides, then cached ones: all agree to the bit.
-    _comparison_spline.cache_clear()
+    matching_spline.cache_clear()
     fresh = decide_status(M, tol)
-    _comparison_spline.cache_clear()
+    matching_spline.cache_clear()
     result = decide_admissible(M, tol)
     assert fresh == (result.status, result.trace), M
     assert decide_status(M, tol) == fresh, M
@@ -221,19 +222,32 @@ class TestDecideStatus:
         # 5e-7 above the threshold M_0 = 1: outside the band 10*tol at 1e-8,
         # inside it at 1e-7.
         want = {1e-8: Status.ADMISSIBLE_INTERIOR, 1e-7: Status.ADMISSIBLE_BOUNDARY}
-        _comparison_spline.cache_clear()
+        matching_spline.cache_clear()
         for tol in tols:
             assert decide_status(_mm_tuple(1 + 5e-7), tol)[0] is want[tol]
+
+    def test_comparison_is_solved_once(self, monkeypatch):
+        calls = []
+
+        def counted(c, tol):
+            calls.append(c)
+            return classify(c, tol)
+
+        monkeypatch.setattr(kolmogorov, "classify", counted)
+        matching_spline.cache_clear()
+        for m0 in (0.5, 1.5):
+            decide_status(_mm_tuple(m0))
+        assert len(calls) == 1
 
     def test_failed_comparison_is_not_cached(self, monkeypatch):
         calls = []
 
-        def failing(M, tol):
-            calls.append(M)
+        def failing(c, tol):
+            calls.append(c)
             raise NumericalFailureError("comparison solve failed")
 
-        monkeypatch.setattr(kolmogorov, "matching_spline", failing)
-        _comparison_spline.cache_clear()
+        monkeypatch.setattr(kolmogorov, "classify", failing)
+        matching_spline.cache_clear()
         for _ in range(2):
             with pytest.raises(NumericalFailureError):
                 decide_status(_mm_tuple(1.5))
@@ -264,7 +278,7 @@ class TestBoundaryWitnessFromRecursion:
             return solve(c, tol)
 
         monkeypatch.setattr(kolmogorov, "classify", even_only)
-        _comparison_spline.cache_clear()
+        matching_spline.cache_clear()
         result = decide_admissible(M)
         assert result.status is Status.ADMISSIBLE_BOUNDARY
         assert result.witness == matching_spline(M.drop_first())
@@ -300,13 +314,36 @@ class TestConstantWitnessFromRecursion:
             return solve(c, tol)
 
         monkeypatch.setattr(kolmogorov, "classify", not_odd_from_zero)
-        _comparison_spline.cache_clear()
+        matching_spline.cache_clear()
         result = decide_admissible(M)
         top = result.trace[-1]
         assert result.status is status
         assert result.witness == with_constant(matching_spline(M.drop_first()), top.lhs - top.rhs)
         knots = (M.d - 1) // 2 if status is Status.ADMISSIBLE_INTERIOR else 1
         assert len(result.witness.knots) == knots and result.witness.constant > 0
+
+
+class TestWitnessSolveFails:
+    # An admissible verdict whose witness solve finds no spline is a
+    # numerical failure, not a verdict on the tuple.
+    @pytest.mark.parametrize("M", [
+        _thin_boundary_tuple(Family.AM, 8, (1, 3, 5, 8), 0),
+        NormVector(INTERIOR_WITNESS_CASES[0][2], ExponentVector(INTERIOR_WITNESS_CASES[0][1], 8),
+                   FunctionFamily(Family.MM, 8)),
+    ], ids=["even", "odd-k1-above"])
+    def test_numerical_failure(self, M, monkeypatch):
+        solve = kolmogorov.classify
+
+        def whole_tuple_exterior(c, tol):
+            if c.exponents.d == M.d:
+                return Classification(ClassKind.EXTERIOR)
+            return solve(c, tol)
+
+        monkeypatch.setattr(kolmogorov, "classify", whole_tuple_exterior)
+        matching_spline.cache_clear()
+        assert decide_status(M)[0] is Status.ADMISSIBLE_INTERIOR
+        with pytest.raises(NumericalFailureError, match="no spline realized the admissible tuple"):
+            decide_admissible(M)
 
 
 class TestPairsWithoutSolver:
@@ -319,7 +356,7 @@ class TestPairsWithoutSolver:
 
         monkeypatch.setattr(representations, "_Problem", solver)
         monkeypatch.setattr(representations, "_correct", solver)
-        _comparison_spline.cache_clear()
+        matching_spline.cache_clear()
 
     @pytest.mark.parametrize("k, c", [((0, 3), (2.0, 16.0)), ((5, 20), (1e-150, 1e150))])
     def test_moments(self, k, c):
@@ -466,6 +503,12 @@ class TestMatchingSpline:
     def test_even_count_required(self):
         with pytest.raises(DomainError):
             matching_spline(_mm_tuple(1.5))
+
+    def test_exterior_tuple_is_not_attainable(self):
+        # c_1^2 > c_0 c_2: outside the moment cone.
+        c = MomentVector((1.0, 1.0, 0.5, 1.0), ExponentVector((0, 1, 2, 3), 3))
+        with pytest.raises(NotAttainableError):
+            matching_spline(norms_from_moments(c, FunctionFamily(Family.AM, 3)))
 
     def test_reproduces_norms(self):
         k = ExponentVector((1, 2), 2)

@@ -745,3 +745,76 @@ def test_classify_agrees_with_hankel_positivity():
         assert classify(c).kind is want, c
         agreed[want] += 1
     assert min(agreed.values()) >= 100, agreed
+
+
+def _lyapunov_draws(n, seed):
+    """k = (a, b, c) in 0..20 and positive c_a, c_b, c_c: natural log-moments
+    of c_a and c_c in ±20, and log c_b a log-gap of 1e-5..10 below (interior)
+    or above (exterior) the one-atom value, where the Lyapunov inequality
+    c_b^(c-a) <= c_a^(c-b) c_c^(b-a) holds with equality."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        a, b, c = sorted(int(v) for v in rng.choice(21, 3, replace=False))
+        la, lc = rng.uniform(-20, 20, 2)
+        gap = rng.choice((-1.0, 1.0)) * 10 ** rng.uniform(-5, 1)
+        lb = ((c - b) * la + (b - a) * lc) / (c - a) - gap
+        yield ExponentVector((a, b, c), 20), (math.exp(la), math.exp(lb), math.exp(lc)), gap > 0
+
+
+def test_classify_agrees_with_lyapunov():
+    """Three moments, any exponents: c is interior exactly when the Lyapunov
+    inequality is strict, exterior when it fails."""
+    raised = []
+    for k, vals, interior in _lyapunov_draws(300, 5):
+        c = MomentVector(vals, k)
+        try:
+            kind = classify(c).kind
+        except NumericalFailureError:
+            raised.append(c)
+            continue
+        assert kind is (ClassKind.INTERIOR if interior else ClassKind.EXTERIOR), c
+    # All three are deep-interior odd systems without exponent 0, whose
+    # canonical ray raises.
+    assert len(raised) <= 3, raised
+
+
+def test_classify_keeps_its_side_over_the_float_range():
+    """k = (0, 1, 2) with log10-moments in ±300 and c_0 c_2 at least 1e-5
+    away from c_1^2 relative: classify is INTERIOR above, EXTERIOR below, or
+    raises NumericalFailureError where floats cannot hold the solve."""
+    rng = np.random.default_rng(6)
+    top = 300 * math.log(10)
+    drawn, raised = 0, []
+    while drawn < 300:
+        l0, l2 = rng.uniform(-top, top, 2)
+        gap = rng.choice((-1.0, 1.0)) * math.exp(rng.uniform(math.log(1.00001e-5), math.log(2 * top)))
+        l1 = (l0 + l2 - gap) / 2
+        if abs(l1) > top:
+            continue
+        drawn += 1
+        c = MomentVector((math.exp(l0), math.exp(l1), math.exp(l2)), K012)
+        try:
+            kind = classify(c).kind
+        except NumericalFailureError:
+            raised.append(c)
+            continue
+        assert kind is (ClassKind.INTERIOR if gap > 0 else ClassKind.EXTERIOR), c
+    assert len(raised) <= 10, raised
+
+
+@pytest.mark.parametrize("lam", [1e-300, 1e-100, 1e100, 1e131, 1e200, 1e300])
+@pytest.mark.parametrize("ks, atoms", [
+    ((0, 1, 2), ((0.0, 0.2), (5 / 3, 1.8))),
+    ((0, 2, 5), ((0.0, 1.0), (2.0, 0.5))),
+    ((0, 1, 2, 3), ((0.5, 1.0), (3.0, 2.0))),
+])
+def test_weight_scaling_over_the_float_range(ks, atoms, lam):
+    """λc has c's verdict and c's atoms with their weights times λ.  Past
+    λ ~ 1e130 the start measure's moments exceed e^300."""
+    c = moments_of(Representation(tuple(Atom(u, w) for u, w in atoms)), ExponentVector(ks, 8))
+    scaled = MomentVector(tuple(lam * v for v in c.values), c.exponents)
+    assert classify(scaled).kind is classify(c).kind is ClassKind.INTERIOR
+    for solve in (lambda v: classify(v).witness, principal_representation):
+        for got, want in zip(solve(scaled).atoms, solve(c).atoms, strict=True):
+            assert got.node == pytest.approx(want.node, rel=1e-12)
+            assert got.weight == pytest.approx(lam * want.weight, rel=1e-12)
