@@ -6,6 +6,7 @@ verification, and emits deterministic JSON (or CSV for sweeps).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -76,8 +77,16 @@ def _write_output(path: str | None, text: str):
             fh.write(text)
 
 
+def _number(v):
+    """v if it is a JSON number: a boolean or a numeric string is not one."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise TypeError(f"expected a finite JSON number, got {v!r}")
+    return v
+
+
 def _integer(v) -> int:
-    """int(v) without truncation: 2.0 is 2, 1.5 is rejected."""
+    """int(v) of a JSON number without truncation: 2.0 is 2, 1.5 is rejected."""
+    v = _number(v)
     if isinstance(v, float) and not v.is_integer():
         raise ValueError(f"{v!r} is not an integer")
     return int(v)
@@ -112,7 +121,7 @@ def _parse_problem(doc: dict) -> NormVector:
     family = _parse_family(doc["family"], doc["r"])
     k = _parse_exponents(doc, family.r)
     try:
-        values = tuple(float(v) for v in doc["M"])
+        values = tuple(float(_number(v)) for v in doc["M"])
         return NormVector(values, k, family)
     except (TypeError, ValueError, DomainError) as exc:
         raise InputError(f'invalid "M": {exc}') from exc
@@ -124,7 +133,7 @@ def _parse_moments(doc: dict) -> MomentVector:
         raise InputError('input needs "c" (moments)')
     k = _parse_exponents(doc)
     try:
-        return MomentVector(tuple(float(v) for v in doc["c"]), k)
+        return MomentVector(tuple(float(_number(v)) for v in doc["c"]), k)
     except (TypeError, ValueError, DomainError) as exc:
         raise InputError(f'invalid "c": {exc}') from exc
 
@@ -132,7 +141,12 @@ def _parse_moments(doc: dict) -> MomentVector:
 def _parse_spline(doc: dict) -> IdealSpline:
     try:
         family = _parse_family(doc["family"], doc["r"])
-        return IdealSpline(family, doc["knots"], doc["weights"], doc.get("constant", 0.0))
+        return IdealSpline(
+            family,
+            [_number(a) for a in doc["knots"]],
+            [_number(w) for w in doc["weights"]],
+            _number(doc.get("constant", 0.0)),
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed spline object: {exc}") from exc
 
@@ -269,6 +283,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser of the ``kolmo`` command line."""
     parser = _Parser(
         prog="kolmo",
         description=(
@@ -324,10 +339,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` shares across calls, built on first use.
+
+    Parsing reads it and mutates nothing: every call gets a fresh namespace,
+    so no default or flag of one call reaches the next.
+    """
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     _configure_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     if hasattr(args, "tol") and not 0 < args.tol < math.inf:
         print("error: --tol must be finite and > 0", file=sys.stderr)
         return EXIT_INVALID_INPUT

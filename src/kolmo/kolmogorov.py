@@ -190,11 +190,12 @@ def _decide(M: NormVector, tol: float, trace: list[LevelRecord]) -> Status:
         # knot: two free parameters fit any positive pair exactly.
         trace.append(LevelRecord(k, "interior (base case)"))
         return Status.ADMISSIBLE_INTERIOR
-    sub = _decide(M.drop_first(), tol, trace)
+    suffix = M.drop_first()
+    sub = _decide(suffix, tol, trace)
     if sub is Status.NOT_ADMISSIBLE:
         trace.append(LevelRecord(k, "not_admissible (from sublevel)"))
         return Status.NOT_ADMISSIBLE
-    cmp_M = M.drop_first() if d % 2 == 1 else M.drop_first_and_last()
+    cmp_M = suffix if d % 2 == 1 else M.drop_first_and_last()
     lhs = M.values[0]
     rhs = evaluate(matching_spline(cmp_M, tol), 0.0, k[0])
     order = _compare(lhs, rhs, tol)

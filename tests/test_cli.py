@@ -1,10 +1,12 @@
 """Command-line interface: exit codes, JSON determinism, smoke coverage."""
+import io
 import json
+import sys
 
 import pytest
 
-from kolmo import ExponentVector, NormVector, decide_admissible
-from kolmo.cli import _parse_problem, _parse_spline, main
+from kolmo import ExponentVector, NormVector, cli, decide_admissible
+from kolmo.cli import _parse_problem, _parse_spline, build_parser, main
 from kolmo.splines import norms
 
 DECIDE_BOUNDARY = {
@@ -269,6 +271,31 @@ class TestInvalidInput:
         assert got == want
         assert got[0] == 2 and got[2].startswith("error: invalid family/order: ")
 
+    @pytest.mark.parametrize("argv, doc, message", [
+        (["decide"], {"family": "mm", "r": True, "k": [0, True], "M": [1, 2]},
+         "invalid family/order: "),
+        (["decide"], {"family": "mm", "r": "2", "k": ["0", "1", 2], "M": [1, 2, 2]},
+         "invalid family/order: "),
+        (["decide"], {**DECIDE_BOUNDARY, "k": [0, True, 2]}, 'field "k" '),
+        (["decide"], {**DECIDE_BOUNDARY, "M": [1, "2", 2]}, 'invalid "M": '),
+        (["classify"], {"k": [0, 1, 2], "c": [True, 3, 5]}, 'invalid "c": '),
+        (["spline-norms"], {"spline": {"family": "mm", "r": 2, "knots": [1.0],
+                                       "weights": [True]}, "k": [0, 1, 2]},
+         "malformed spline object: "),
+        (["spline-norms"], {"spline": {"family": "mm", "r": 2, "knots": ["1"],
+                                       "weights": [2.0], "constant": False},
+                            "k": [0, 1, 2]},
+         "malformed spline object: "),
+    ], ids=["decide-bool-order", "decide-string-order", "decide-bool-exponent",
+            "decide-string-norm", "classify-bool-moment", "spline-bool-weight",
+            "spline-string-knot"])
+    def test_only_json_numbers_are_numbers(self, capsys, monkeypatch, argv, doc, message):
+        # Read as numbers, true would be 1 and "2" would be 2.
+        code, out, err = run(capsys, argv, stdin=doc, monkeypatch=monkeypatch)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}")
+        assert "JSON number" in err
+
     def test_integral_floats_accepted(self, capsys, monkeypatch):
         doc = {"family": "mm", "r": 2.0, "k": [0, 1.0, 2], "M": [1.0, 2.0, 2.0]}
         code, out, _ = run(capsys, ["decide"], stdin=doc, monkeypatch=monkeypatch)
@@ -326,6 +353,87 @@ class TestDeterminism:
             assert code == 0
             outputs.append(out)
         assert outputs[0] == outputs[1]
+
+
+class TestParserReuse:
+    """main builds one parser per process, and no call leaves state in it."""
+
+    README_DECIDE = (["decide"], DECIDE_BOUNDARY)
+    TOL_DOC = {"k": [0, 1, 2], "c": [1, 1, 1.0000001]}
+    MOMENTS = {"k": [0, 1, 2], "c": [2, 3, 5]}
+    DEFAULTS = [(["classify", "--tol", "1e-6"], TOL_DOC), (["classify"], TOL_DOC)]
+    COMMANDS = [
+        (["represent", "--principal"], MOMENTS),
+        (["represent", "--canonical", "--root", "1.0"], MOMENTS),
+        README_DECIDE,
+        (["sweep", "--component", "1", "--from", "0.5", "--to", "1.5", "--steps", "3"],
+         DECIDE_BOUNDARY),
+        (["random"], None),
+        (["verify", "--suite", "correspondence", "--cases", "5"], None),
+    ]
+    ERRORS = [
+        (["sweep", "--component", "1", "--from", "0.5", "--to", "1.5"], DECIDE_BOUNDARY),
+        (["classify"], DECIDE_BOUNDARY),
+        README_DECIDE,
+    ]
+
+    @staticmethod
+    def _outcomes(calls, capsys, monkeypatch):
+        outcomes = []
+        for argv, doc in calls:
+            if doc is not None:
+                monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out = capsys.readouterr()
+            outcomes.append((code, out.out, out.err))
+        return outcomes
+
+    def _shared_then_fresh(self, calls, capsys, monkeypatch):
+        """The calls' outcomes on one shared parser, with the parsers built
+        for them; then each call's outcome on a parser of its own."""
+        built = []
+
+        def counting_build():
+            built.append(None)
+            return build_parser()
+
+        cli._parser.cache_clear()
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        shared = self._outcomes(calls, capsys, monkeypatch)
+        monkeypatch.setattr(cli, "_parser", build_parser)
+        fresh = self._outcomes(calls, capsys, monkeypatch)
+        return shared, fresh, len(built)
+
+    def test_defaults_are_not_sticky(self, capsys, monkeypatch):
+        shared, fresh, built = self._shared_then_fresh(self.DEFAULTS, capsys, monkeypatch)
+        assert [json.loads(out)["kind"] for _, out, _ in shared] == ["boundary", "interior"]
+        assert (shared, built) == (fresh, 1)
+
+    def test_no_state_leaks_between_commands(self, capsys, monkeypatch):
+        shared, fresh, built = self._shared_then_fresh(self.COMMANDS, capsys, monkeypatch)
+        assert [code for code, _, _ in shared] == [0] * len(self.COMMANDS)
+        assert (shared, built) == (fresh, 1)
+
+    def test_error_paths_recover(self, capsys, monkeypatch):
+        shared, fresh, built = self._shared_then_fresh(self.ERRORS, capsys, monkeypatch)
+        (parse_code, _, parse_err), (input_code, _, input_err), last = shared
+        assert parse_code == input_code == 2
+        assert "--steps" in parse_err and input_err.startswith("error: ")
+        assert last[0] == 0 and json.loads(last[1])["status"] == "admissible_boundary"
+        assert (shared, built) == (fresh, 1)
+
+    def test_one_parser_for_every_call(self, capsys, monkeypatch):
+        calls = self.DEFAULTS + self.COMMANDS + self.ERRORS
+        shared, fresh, built = self._shared_then_fresh(calls, capsys, monkeypatch)
+        assert (shared, built) == (fresh, 1)
+        assert shared[len(self.DEFAULTS) + 2] == shared[-1]
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert build_parser() is not build_parser()
+        assert cli._parser() is cli._parser()
 
 
 class TestOtherCommands:

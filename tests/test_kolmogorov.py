@@ -1,6 +1,9 @@
 """Admissibility decision procedure and witness splines."""
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from kolmo import (
     DomainError,
@@ -574,17 +577,71 @@ def separated_tuples():
     return cases
 
 
-@pytest.mark.parametrize("transform", ["weight", "knot", "family"])
-def test_status_invariant_under_symmetries(separated_tuples, transform):
+def _image(M, transform, log_lam, log_s):
     # M -> lam M is f -> lam f; M_k -> s^(r-k) M_k is f -> s^r f(x / s);
     # factorial_scale maps AM and MM onto each other.
+    r = M.family.r
+    if transform == "weight":
+        return NormVector(tuple(10.0 ** log_lam * v for v in M.values), M.exponents, M.family)
+    if transform == "knot":
+        return NormVector(tuple(10.0 ** (log_s * (r - ki)) * v for v, ki in
+                                zip(M.values, M.exponents.exponents)), M.exponents, M.family)
+    return factorial_scale(M)
+
+
+@pytest.mark.parametrize("transform", ["weight", "knot", "family"])
+def test_status_invariant_under_symmetries(separated_tuples, transform):
     for M, status, log_lam, log_s in separated_tuples:
-        r = M.family.r
-        if transform == "weight":
-            image = NormVector(tuple(10.0 ** log_lam * v for v in M.values), M.exponents, M.family)
-        elif transform == "knot":
-            image = NormVector(tuple(10.0 ** (log_s * (r - ki)) * v for v, ki in
-                                     zip(M.values, M.exponents.exponents)), M.exponents, M.family)
-        else:
-            image = factorial_scale(M)
+        image = _image(M, transform, log_lam, log_s)
         assert decide_admissible(image).status is status, M
+
+
+@st.composite
+def _separated_draws(draw):
+    """A tuple drawn as the norms of a spline with floor(d/2) knots, each
+    times e^u with u in [-0.3, 0.3] (d <= 5, r in {2, 8}), kept when its
+    recursion levels all compare norms at least 1e-4 apart; with its status."""
+    r = draw(st.sampled_from([2, 8]))
+    d = draw(st.integers(3, min(5, r + 1)))
+    lower = draw(st.lists(st.integers(0, r - 1), min_size=d - 1, max_size=d - 1, unique=True))
+    k = ExponentVector((*sorted(lower), r), r)
+    family = FunctionFamily(draw(st.sampled_from(list(Family))), r)
+    m = d // 2
+    # Knots on a grid of ratio 10^(1/4) in [1e-2, 1e2], weights in [0.1, 10].
+    steps = draw(st.lists(st.integers(-8, 8), min_size=m, max_size=m, unique=True))
+    knots = tuple(10.0 ** (j / 4) for j in sorted(steps, reverse=True))
+    weights = tuple(10.0 ** e for e in draw(st.lists(st.floats(-1, 1), min_size=m, max_size=m)))
+    u = draw(st.lists(st.floats(-0.3, 0.3), min_size=d, max_size=d))
+    values = norms(IdealSpline(family, knots, weights), k).values
+    M = NormVector(tuple(v * math.exp(e) for v, e in zip(values, u)), k, family)
+    status, trace = decide_status(M)
+    assume(all(abs(rec.lhs - rec.rhs) >= 1e-4 * max(rec.lhs, rec.rhs)
+               for rec in trace if rec.lhs is not None))
+    return M, status
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_separated_draws(), st.floats(-2, 2), st.floats(-1, 1))
+def test_drawn_status_invariant_under_symmetries(case, log_lam, log_s):
+    M, status = case
+    assert decide_admissible(M).status is status
+    for transform in ("weight", "knot", "family"):
+        assert decide_admissible(_image(M, transform, log_lam, log_s)).status is status
+
+
+STATUS_ORDER = (Status.NOT_ADMISSIBLE, Status.ADMISSIBLE_BOUNDARY, Status.ADMISSIBLE_INTERIOR)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_separated_draws(), st.lists(st.floats(0.25, 4.0), min_size=2, max_size=6))
+def test_status_grows_with_the_first_norm(case, factors):
+    # Over an interior sublevel only the top comparison moves with M_{k_1},
+    # and its rhs, where the status is boundary, is among the values tried.
+    M, _ = case
+    assume(decide_status(M.drop_first())[0] is Status.ADMISSIBLE_INTERIOR)
+    rhs = decide_status(M)[1][-1].rhs
+    grown = sorted([rhs, *(f * M.values[0] for f in factors)])
+    ranks = [STATUS_ORDER.index(decide_status(NormVector((v, *M.values[1:]), M.exponents,
+                                                         M.family))[0]) for v in grown]
+    assert ranks == sorted(ranks)
+    assert ranks[grown.index(rhs)] == STATUS_ORDER.index(Status.ADMISSIBLE_BOUNDARY)
