@@ -37,6 +37,11 @@ from .representations import (
 from .splines import IdealSpline, evaluate, norms, spline_from_representation, with_constant
 
 
+#: Share of each lower moment coordinate, as a fraction of tol, that the knot
+#: carrying an even-count witness's excess of M_r may take.
+FAR_KNOT_SHARE = 0.01
+
+
 class Status(Enum):
     NOT_ADMISSIBLE = "not_admissible"
     ADMISSIBLE_BOUNDARY = "admissible_boundary"
@@ -155,13 +160,15 @@ def decide_status(
 def decide_admissible(M: NormVector, tol: float = ACCEPT_TOL) -> AdmissibilityResult:
     """Trichotomy for a norm tuple with k_d = r, with a realizing witness.
 
-    Even d takes the spline :func:`matching_spline` gives M.  For odd d the
-    top level's comparison spline matches M_{k_2..k_d}, and its k_1-norm is
-    the rhs compared with M_{k_1}.  Where they compared equal it is the
-    witness; where k_1 = 0 and M_0 is above, the witness is it plus a
-    constant of the excess, as a constant feeds M_0 alone.  Either way it
-    attains all d norms with no further solve.  :func:`classify` builds the
-    rest: d = 1, and odd d with k_1 > 0 above its comparison.
+    For odd d the top level's comparison spline matches M_{k_2..k_d}, and
+    its k_1-norm is the rhs compared with M_{k_1}.  Where they compared
+    equal it is the witness; where k_1 = 0 and M_0 is above, the witness is
+    it plus a constant of the excess, as a constant feeds M_0 alone.  An
+    even d whose top level compared equal takes its witness from the
+    recursion's cached splines as well (:func:`_even_boundary_witness`).
+    :func:`classify` on the whole tuple builds the rest: d = 1, even d whose
+    top level did not compare equal, odd d with k_1 > 0 above its
+    comparison, and the even tuples that function hands back.
     """
     status, trace = decide_status(M, tol)
     witness = None
@@ -169,7 +176,9 @@ def decide_admissible(M: NormVector, tol: float = ACCEPT_TOL) -> AdmissibilityRe
         top = trace[-1]
         order = None if top.lhs is None else _compare(top.lhs, top.rhs, tol)
         try:
-            if M.d % 2 == 0:
+            if M.d % 2 == 0 and order == 0:
+                witness = _even_boundary_witness(M, tol)
+            elif M.d % 2 == 0:
                 witness = matching_spline(M, tol)
             elif order == 0 or order == 1 and M.exponents.exponents[0] == 0:
                 excess = top.lhs - top.rhs if order == 1 else 0.0
@@ -180,6 +189,41 @@ def decide_admissible(M: NormVector, tol: float = ACCEPT_TOL) -> AdmissibilityRe
             raise NumericalFailureError("no spline realized the admissible tuple") from exc
         _check_witness(witness, M, tol)
     return AdmissibilityResult(status, witness, trace)
+
+
+def _even_boundary_witness(M: NormVector, tol: float) -> IdealSpline:
+    """The witness of an even count whose top level compared equal, from the
+    recursion's cached splines.
+
+    The sublevel's comparison spline matches M_{k_3..k_d} with (d-2)/2
+    knots; where it matches M_{k_1} and M_{k_2} too, it is a thin witness.
+    Otherwise the top comparison spline S matches M_{k_2..k_{d-1}}, and its
+    k_1-norm compared equal to M_{k_1}.  Where S's r-norm falls short of
+    M_r, a knot a below S's knots carries the excess: with weight w it feeds
+    M_r with w and moment coordinate c_i with w*a^(r-k_i), so a is chosen
+    where that share stays below FAR_KNOT_SHARE*tol of every lower c_i (mass
+    escaping to infinity in moment coordinates).  An M_r below S's, or an a
+    that does not fall below S's knots, takes the lowest-index spline of M.
+    """
+    thin = matching_spline(M.drop_first().drop_first(), tol)
+    if _reproduces(thin, M, tol):
+        return thin
+    top = matching_spline(M.drop_first_and_last(), tol)
+    k, r = M.exponents.exponents, M.exponents.r
+    top_r = evaluate(top, 0.0, r)
+    order = _compare(M.values[-1], top_r, tol)
+    if order == 0:
+        return top
+    if order > 0:
+        excess = M.values[-1] - top_r
+        c = moment_coordinates(M).values
+        a = math.exp(min(
+            (math.log(FAR_KNOT_SHARE * tol) + math.log(ci) - math.log(excess)) / (r - ki)
+            for ci, ki in zip(c[:-1], k[:-1])))
+        if 0 < a < top.knots[-1]:
+            return IdealSpline(M.family, top.knots + (a,), top.weights + (excess,),
+                               top.constant)
+    return matching_spline(M, tol)
 
 
 def _decide(M: NormVector, tol: float, trace: list[LevelRecord]) -> Status:
@@ -222,11 +266,15 @@ def _compare(a: float, b: float, tol: float) -> int:
     return -1 if a < b - band else int(a > b + band)
 
 
-def _check_witness(spline: IdealSpline, M: NormVector, tol: float):
+def _reproduces(spline: IdealSpline, M: NormVector, tol: float) -> bool:
     got = norms(spline, M.exponents)
-    if any(_compare(g, want, tol) for g, want in zip(got.values, M.values)):
+    return not any(_compare(g, want, tol) for g, want in zip(got.values, M.values))
+
+
+def _check_witness(spline: IdealSpline, M: NormVector, tol: float):
+    if not _reproduces(spline, M, tol):
         raise NumericalFailureError(
-            f"witness norms {got.values} do not reproduce {M.values}"
+            f"witness norms {norms(spline, M.exponents).values} do not reproduce {M.values}"
         )
 
 

@@ -326,6 +326,141 @@ class TestConstantWitnessFromRecursion:
         assert len(result.witness.knots) == knots and result.witness.constant > 0
 
 
+def _scaled_top(kind, r, k, knots, weights, factor):
+    """Norms of a spline with (d-2)/2 knots, M_r multiplied by ``factor``."""
+    family = FunctionFamily(kind, r)
+    M = norms(IdealSpline(family, knots, weights), ExponentVector(k, r))
+    return NormVector((*M.values[:-1], factor * M.values[-1]), M.exponents, family)
+
+
+# AM and MM, d = 4 and 6, k_1 = 0 and k_1 > 0: (kind, r, k, knots, weights).
+EVEN_THIN_CASES = [
+    (Family.AM, 8, (0, 2, 5, 8), (1.5,), (2.0,)),
+    (Family.MM, 8, (0, 3, 5, 8), (2.0,), (3.0,)),
+    (Family.AM, 8, (1, 3, 4, 6, 7, 8), (2.5, 0.5), (1.0, 3.0)),
+    (Family.MM, 8, (1, 2, 4, 5, 7, 8), (3.0, 0.4), (2.0, 1.0)),
+]
+EVEN_THIN_IDS = ["am-d4", "mm-d4", "am-d6", "mm-d6"]
+
+
+def _decide_without_whole_tuple_solve(M, monkeypatch):
+    """decide_admissible(M) with classify raising on M's own exponents."""
+    solve = kolmogorov.classify
+
+    def sub_tuples_only(c, tol):
+        if c.exponents.exponents == M.exponents.exponents:
+            raise AssertionError(f"classify on the whole tuple {c.exponents}")
+        return solve(c, tol)
+
+    monkeypatch.setattr(kolmogorov, "classify", sub_tuples_only)
+    matching_spline.cache_clear()
+    return decide_admissible(M)
+
+
+class TestEvenBoundaryWitnessFromCache:
+    # An even-count tuple whose top level compares equal takes its witness
+    # from the recursion's cached splines: no classify on the whole tuple.
+    @pytest.mark.parametrize("kind, r, k, knots, weights", EVEN_THIN_CASES, ids=EVEN_THIN_IDS)
+    def test_thin_tuple_takes_the_sublevel_spline(self, kind, r, k, knots, weights, monkeypatch):
+        M = _scaled_top(kind, r, k, knots, weights, 1.0)
+        result = _decide_without_whole_tuple_solve(M, monkeypatch)
+        assert result.status is Status.ADMISSIBLE_BOUNDARY
+        assert result.witness == matching_spline(M.drop_first().drop_first())
+        assert result.witness.knot_index.twice < M.d
+        assert result.witness.knots == pytest.approx(knots, rel=1e-9)
+
+    @pytest.mark.parametrize("factor", [1.5, 3.0])
+    @pytest.mark.parametrize("kind, r, k, knots, weights", EVEN_THIN_CASES, ids=EVEN_THIN_IDS)
+    def test_excess_of_the_top_norm_is_a_far_knot(self, kind, r, k, knots, weights, factor,
+                                                  monkeypatch):
+        M = _scaled_top(kind, r, k, knots, weights, factor)
+        result = _decide_without_whole_tuple_solve(M, monkeypatch)
+        top = matching_spline(M.drop_first_and_last())
+        excess = M.values[-1] - evaluate(top, 0.0, r)
+        assert result.status is Status.ADMISSIBLE_BOUNDARY
+        assert result.witness.knots[:-1] == top.knots
+        assert result.witness.weights == (*top.weights, excess)
+        assert 0 < result.witness.knots[-1] < top.knots[-1]
+        # S is the spline the norms came from, so the excess is the added M_r
+        # (1.0 and 4.0 for the AM d = 4 case).
+        assert excess == pytest.approx((factor - 1) / factor * M.values[-1], rel=1e-9)
+        # The far knot's share of each lower moment coordinate stays below
+        # FAR_KNOT_SHARE * tol.
+        far = IdealSpline(M.family, result.witness.knots[-1:], (excess,))
+        share = moment_coordinates(norms(far, M.exponents)).values
+        for got, c in zip(share[:-1], moment_coordinates(M).values):
+            assert got <= kolmogorov.FAR_KNOT_SHARE * ACCEPT_TOL * c * (1 + 1e-9)
+        _check_witness(result.witness, M, ACCEPT_TOL)
+
+    def test_unit_norms_with_doubled_top(self, monkeypatch):
+        # AM r = 3 from the knot 1 of weight 1, with M_3 doubled: the excess
+        # 1 sits on a knot near 0.
+        k = ExponentVector((0, 1, 2, 3), 3)
+        M = NormVector((1.0, 1.0, 1.0, 2.0), k, FunctionFamily(Family.AM, 3))
+        result = _decide_without_whole_tuple_solve(M, monkeypatch)
+        assert result.status is Status.ADMISSIBLE_BOUNDARY
+        (a1, a2), weights = result.witness.knots, result.witness.weights
+        assert a1 == pytest.approx(1.0, abs=1e-12) and a2 < 1e-6
+        assert weights == pytest.approx((1.0, 1.0), abs=1e-12)
+        assert result.witness.constant == 0
+
+
+class TestEvenBoundaryWitnessFallback:
+    def test_far_knot_not_below_the_top_spline(self, monkeypatch):
+        # A share so large that the placed knot would not fall below the
+        # top comparison spline's knots: the witness is the tuple's own
+        # lowest-index spline.
+        monkeypatch.setattr(kolmogorov, "FAR_KNOT_SHARE", 1e12)
+        matching_spline.cache_clear()
+        M = _scaled_top(*EVEN_THIN_CASES[0], 1.5)
+        result = decide_admissible(M)
+        assert result.status is Status.ADMISSIBLE_BOUNDARY
+        assert result.witness == matching_spline(M)
+
+    def test_top_norm_below_the_top_spline(self, monkeypatch):
+        # M_r below S's r-norm beyond the band: the tuple's own solve decides
+        # (here the tuple is exterior).
+        calls = []
+        solve = kolmogorov.classify
+
+        def recorded(c, tol):
+            calls.append(c.exponents.exponents)
+            return solve(c, tol)
+
+        monkeypatch.setattr(kolmogorov, "classify", recorded)
+        matching_spline.cache_clear()
+        M = _scaled_top(*EVEN_THIN_CASES[0], 0.5)
+        with pytest.raises(NotAttainableError):
+            kolmogorov._even_boundary_witness(M, ACCEPT_TOL)
+        assert calls[-1] == M.exponents.exponents
+
+
+# decide-mixed seed 1, round 4 items 35, 32 and 36: even-count boundary
+# tuples whose witness solve on the whole tuple raised.  (family, r, k, M, tol)
+EVEN_BOUNDARY_REPRODUCERS = [
+    (Family.MM, 20, (0, 3, 4, 17, 19, 20),
+     (8.111450114929386e-08, 1.3860436201005378e-05, 6.888107522642698e-05,
+      27.348508302866883, 14.20552269800963, 9.802072607280184), ACCEPT_TOL),
+    (Family.AM, 20, (0, 5, 7, 14, 17, 20),
+     (7.665340599442889e+21, 3.6460393901456264e+16, 270855286198999.38,
+      9570688.38220821, 6128.191547625917, 10.073633053174396), 1e-10),
+    (Family.AM, 20, (0, 2, 11, 16, 17, 18, 19, 20),
+     (7.312033130727479e+36, 1.1957669765990175e+33, 1.0936754972676754e+16,
+      3978443.8786735297, 65586.93802239657, 1935.4914464726642,
+      106.5744525104876, 10.3219601790929), 1e-10),
+]
+
+
+class TestEvenBoundaryReproducers:
+    @pytest.mark.parametrize("kind, r, k, values, tol", EVEN_BOUNDARY_REPRODUCERS,
+                             ids=["item35", "item32-tol1e-10", "item36-tol1e-10"])
+    def test_decides_with_a_witness(self, kind, r, k, values, tol):
+        M = NormVector(values, ExponentVector(k, r), FunctionFamily(kind, r))
+        result = decide_admissible(M, tol)
+        assert result.status is Status.ADMISSIBLE_BOUNDARY
+        _check_witness(result.witness, M, tol)
+
+
 class TestWitnessSolveFails:
     # An admissible verdict whose witness solve finds no spline is a
     # numerical failure, not a verdict on the tuple.
