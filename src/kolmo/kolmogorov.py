@@ -29,17 +29,13 @@ from .errors import (
 )
 from .representations import (
     ACCEPT_TOL,
+    FAR_KNOT_SHARE,
     ClassKind,
     canonical_representation,
     classify,
     principal_representation,
 )
 from .splines import IdealSpline, evaluate, norms, spline_from_representation, with_constant
-
-
-#: Share of each lower moment coordinate, as a fraction of tol, that the knot
-#: carrying an even-count witness's excess of M_r may take.
-FAR_KNOT_SHARE = 0.01
 
 
 class Status(Enum):
@@ -79,17 +75,6 @@ def interior_spline(
     _require_positive(M)
     rep = principal_representation(moment_coordinates(M), tol, init_seed)
     return spline_from_representation(rep, M.family)
-
-
-def _lowest_spline(M: NormVector, tol: float) -> IdealSpline:
-    """The witness of :func:`classify` on M as a spline of M's family, or
-    :class:`NotAttainableError` if M is EXTERIOR.  An interior odd count
-    without exponent 0 gets the canonical spline (its constant carries no
-    norm)."""
-    witness = classify(moment_coordinates(M), tol).witness
-    if witness is None:
-        raise NotAttainableError("no ideal spline attains the tuple")
-    return spline_from_representation(witness, M.family)
 
 
 def boundary_spline(M: NormVector, tol: float = ACCEPT_TOL) -> IdealSpline:
@@ -136,7 +121,10 @@ def matching_spline(M: NormVector, tol: float = ACCEPT_TOL) -> IdealSpline:
     if M.d % 2 != 0:
         raise DomainError(f"matching spline needs an even norm count, got {M.d}")
     _require_positive(M)
-    return _lowest_spline(M, tol)
+    witness = classify(moment_coordinates(M), tol).witness
+    if witness is None:
+        raise NotAttainableError("no ideal spline attains the tuple")
+    return spline_from_representation(witness, M.family)
 
 
 def decide_status(
@@ -160,15 +148,15 @@ def decide_status(
 def decide_admissible(M: NormVector, tol: float = ACCEPT_TOL) -> AdmissibilityResult:
     """Trichotomy for a norm tuple with k_d = r, with a realizing witness.
 
-    For odd d the top level's comparison spline matches M_{k_2..k_d}, and
-    its k_1-norm is the rhs compared with M_{k_1}.  Where they compared
-    equal it is the witness; where k_1 = 0 and M_0 is above, the witness is
-    it plus a constant of the excess, as a constant feeds M_0 alone.  An
-    even d whose top level compared equal takes its witness from the
+    For odd d the top level's comparison spline S (empty for d = 1) matches
+    M_{k_2..k_d}, and its k_1-norm is the rhs compared with M_{k_1}.  Where
+    they compared equal S is the witness; where M_{k_1} is above, S plus a
+    constant of the excess for k_1 = 0, as a constant feeds M_0 alone, else
+    S plus a far knot above S's knots that carries it (:func:`_far_knot`).
+    An even d whose top level compared equal takes its witness from the
     recursion's cached splines as well (:func:`_even_boundary_witness`).
-    :func:`classify` on the whole tuple builds the rest: d = 1, even d whose
-    top level did not compare equal, odd d with k_1 > 0 above its
-    comparison, and the even tuples that function hands back.
+    :func:`classify` runs on the whole tuple only through
+    :func:`matching_spline`, for the other even tuples.
     """
     status, trace = decide_status(M, tol)
     witness = None
@@ -176,15 +164,16 @@ def decide_admissible(M: NormVector, tol: float = ACCEPT_TOL) -> AdmissibilityRe
         top = trace[-1]
         order = None if top.lhs is None else _compare(top.lhs, top.rhs, tol)
         try:
-            if M.d % 2 == 0 and order == 0:
-                witness = _even_boundary_witness(M, tol)
-            elif M.d % 2 == 0:
-                witness = matching_spline(M, tol)
-            elif order == 0 or order == 1 and M.exponents.exponents[0] == 0:
-                excess = top.lhs - top.rhs if order == 1 else 0.0
-                witness = with_constant(matching_spline(M.drop_first(), tol), excess)
+            if M.d % 2 == 0:
+                witness = _even_boundary_witness(M, tol) if order == 0 else matching_spline(M, tol)
             else:
-                witness = _lowest_spline(M, tol)
+                S = matching_spline(M.drop_first(), tol) if M.d > 1 else IdealSpline(M.family, (), ())
+                k_1 = M.exponents.exponents[0]
+                excess = M.values[0] - evaluate(S, 0.0, k_1)
+                if order == 0 or k_1 == 0:
+                    witness = with_constant(S, excess if order else 0.0)
+                elif (witness := _far_knot(S, M, excess, 0, tol)) is None:
+                    raise NumericalFailureError("no far knot carries M_{k_1}'s excess in floats")
         except NotAttainableError as exc:
             raise NumericalFailureError("no spline realized the admissible tuple") from exc
         _check_witness(witness, M, tol)
@@ -199,31 +188,44 @@ def _even_boundary_witness(M: NormVector, tol: float) -> IdealSpline:
     knots; where it matches M_{k_1} and M_{k_2} too, it is a thin witness.
     Otherwise the top comparison spline S matches M_{k_2..k_{d-1}}, and its
     k_1-norm compared equal to M_{k_1}.  Where S's r-norm falls short of
-    M_r, a knot a below S's knots carries the excess: with weight w it feeds
-    M_r with w and moment coordinate c_i with w*a^(r-k_i), so a is chosen
-    where that share stays below FAR_KNOT_SHARE*tol of every lower c_i (mass
-    escaping to infinity in moment coordinates).  An M_r below S's, or an a
-    that does not fall below S's knots, takes the lowest-index spline of M.
+    M_r, a far knot below S's knots carries the excess (:func:`_far_knot`).
+    An M_r below S's, or a far knot that does not fall below S's knots,
+    takes the lowest-index spline of M.
     """
     thin = matching_spline(M.drop_first().drop_first(), tol)
     if _reproduces(thin, M, tol):
         return thin
     top = matching_spline(M.drop_first_and_last(), tol)
-    k, r = M.exponents.exponents, M.exponents.r
+    r = M.exponents.r
     top_r = evaluate(top, 0.0, r)
     order = _compare(M.values[-1], top_r, tol)
     if order == 0:
         return top
-    if order > 0:
-        excess = M.values[-1] - top_r
-        c = moment_coordinates(M).values
-        a = math.exp(min(
-            (math.log(FAR_KNOT_SHARE * tol) + math.log(ci) - math.log(excess)) / (r - ki)
-            for ci, ki in zip(c[:-1], k[:-1])))
-        if 0 < a < top.knots[-1]:
-            return IdealSpline(M.family, top.knots + (a,), top.weights + (excess,),
-                               top.constant)
+    if order > 0 and (witness := _far_knot(top, M, M.values[-1] - top_r, -1, tol)):
+        return witness
     return matching_spline(M, tol)
+
+
+def _far_knot(S: IdealSpline, M: NormVector, excess: float, end: int,
+              tol: float) -> IdealSpline | None:
+    """S plus a knot a above S's knots (``end`` 0) or below them (-1) that
+    carries the ``excess`` e of M's moment coordinate c_j there, so feeds each
+    other c_i with e*a^(k_j-k_i): at most FAR_KNOT_SHARE*tol of c_i, in logs
+    (mass escaping to 0 or to infinity).  None where a is not beyond S's
+    knots or a or its weight leaves the float range."""
+    k, r = M.exponents.exponents, M.exponents.r
+    c, k_j = moment_coordinates(M).values, k[end]
+    e = excess * (c[end] / M.values[end])  # the excess in moment coordinates
+    log_a = (max if end == 0 else min)(
+        ((math.log(FAR_KNOT_SHARE * tol) + math.log(ci) - math.log(e)) / (k_j - ki)
+         for ci, ki in zip(c, k) if ki != k_j), default=0.0)
+    try:
+        a, w = math.exp(log_a), e * math.exp((k_j - r) * log_a)
+        if end == 0:
+            return IdealSpline(M.family, (a, *S.knots), (w, *S.weights), S.constant)
+        return IdealSpline(M.family, (*S.knots, a), (*S.weights, w), S.constant)
+    except (OverflowError, DomainError):
+        return None
 
 
 def _decide(M: NormVector, tol: float, trace: list[LevelRecord]) -> Status:

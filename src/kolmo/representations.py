@@ -24,6 +24,8 @@ floats, and it is the verdict and the principal representation both.
   spread over the moment-ratio range of c to c, and get the principal
   representation at c, else the exit measure polished against c if it
   reproduces c (else c is exterior); the verdict is its index against d/2.
+  Without exponent 0 an odd d's principal zero atom, which feeds no moment,
+  moves in closed form to a node near 0: a witness of index (d+1)/2.
 - A root pinned at t* tracks the ray c - s w v(t*), v(t*) the powers of t*,
   from the principal representation to its exit, where the mass at t* is
   maximal; the exit measure plus that atom is the canonical representation.
@@ -61,6 +63,10 @@ MAX_ITER = 80
 
 LAND_TOL = 0.1  # a loss below it starts the tracker's exit solve ...
 LAND_ITER = 8  # ... of at most this many Newton iterations
+
+#: Share of every other moment, as a fraction of tol, that an atom placed
+#: near 0 or near infinity to carry one moment's excess may take.
+FAR_KNOT_SHARE = 0.01
 
 
 class ClassKind(Enum):
@@ -323,9 +329,13 @@ class _Problem:
         return np.ldexp(np.exp(lu), self.m)
 
     def scaled_residual(self, rep: Representation) -> float:
-        """Largest moment mismatch of ``rep``, each relative to its scale."""
+        """Largest moment mismatch of ``rep``, each nonzero moment relative to
+        itself: without :func:`_log_scales`' floor, which hides a moment more
+        than 150 decades below the largest."""
         y, layout = self.variables(rep)
-        F = _system(y, layout, self.k, self.values, _log_scales(self.values))[0]
+        log_s, nonzero = _log_scales(self.values), self.values != 0
+        log_s[nonzero] = np.log(np.abs(self.values[nonzero]))
+        F = _system(y, layout, self.k, self.values, log_s)[0]
         return float(np.abs(F).max())
 
     def representation(self, y, layout) -> Representation | None:
@@ -442,40 +452,15 @@ def _principal_path(prob: _Problem, tol: float, init_seed: int = 0):
     return (y, layout) if s == 1.0 else None
 
 
-def _canonical(prob: _Problem, y, layout, t_star: float, tol: float):
-    """Canonical representation through t_star from the principal y.
-
-    Along the ray c - s w v(t_star) the mass at t_star is maximal at the
-    exit s* (for odd d the zero atom vanishes, for even d the smallest node
-    goes to 0).  :func:`_track` lands there like on any exit; the exit
-    measure plus (t_star, s* w), polished, is the canonical representation.
-    Raises :class:`NumericalFailureError` when it misses c.
-    """
-    k, c = prob.k, prob.values
-    pin = math.ldexp(t_star, -prob.m)  # exact
-    w_max = math.exp(_log_max_mass(c, k, math.log(pin))[0])
-    # The ray runs on to twice that mass, so that its exit lies inside the
-    # path and not where a moment reaches 0.
-    s, y, layout = _track(y, layout, k, c, c - 2.0 * w_max * np.exp(k * math.log(pin)))
-    if not 0.0 < s < 1.0 or len(y) != len(k) - 1:
-        raise NumericalFailureError("the ray has no exit of index (d-1)/2 inside its path")
-    y, layout = np.insert(y, int(layout[0]), math.log(2.0 * s * w_max)), (layout[0], (pin,))
-    y, res, _ = _correct(y, layout, k, c, 0.0, MAX_ITER)
-    if res > tol:
-        raise NumericalFailureError(
-            f"no representation of index (d+1)/2 with root {t_star} reproduces c "
-            f"(residual {res:.3e}); this root may lie off the bands its family sweeps",
-            residual=res)
-    return y, layout
-
-
 def _witness(prob: _Problem, found, tol: float) -> Representation | None:
     """The measure of ``found``, (y, layout) or None, if it reproduces c within tol.
 
     Raises :class:`NumericalFailureError` when y reproduces c but its measure
-    in floats does not: a node or weight beyond the float range, or a weight
-    too far below it to keep its digits.  Such a c is not exterior.  Without
-    exponent 0 the zero atom is left out of both, as it feeds no moment.
+    in floats does not reproduce every nonzero moment relative to itself: a
+    node or weight beyond the float range, a weight too far below it to keep
+    its digits, or a moment below the solver's floor left unmatched.  Such a
+    c is neither exterior nor boundary.  Without exponent 0 the zero atom is
+    left out of both, as it feeds no moment.
     """
     if not found:
         return None
@@ -522,8 +507,8 @@ def classify(c: MomentVector, tol: float = ACCEPT_TOL) -> Classification:
     the principal path finds the witness and its index alone is the verdict:
     below d/2 BOUNDARY, else INTERIOR.  Without exponent 0 an odd d has no
     index d/2 (its zero atom feeds no moment): an interior c gets the
-    canonical representation through twice the largest principal root, of
-    index (d+1)/2, or :class:`NumericalFailureError` if that solve misses c.
+    principal representation with that atom moved to the node where its
+    share of every other moment is FAR_KNOT_SHARE * tol, of index (d+1)/2.
     """
     require_tolerance(tol)
     if not any(c.values):
@@ -533,8 +518,10 @@ def classify(c: MomentVector, tol: float = ACCEPT_TOL) -> Classification:
     prob = _Problem(c)
     found = _principal_path(prob, tol)
     if found and len(found[0]) == c.d and found[1][0] and prob.shift:
-        t_star = 2.0 * prob.nodes(_unpack(*found)[2]).max(initial=0.5)
-        found = _canonical(prob, *found, t_star, tol)
+        lz, lw, lu = _unpack(*found)  # the share of c_i is e^lz u^k_i
+        lu_0 = min(((math.log(FAR_KNOT_SHARE * tol) + math.log(ci) - lz) / ki
+                    for ci, ki in zip(prob.values[1:], prob.k[1:])), default=0.0)
+        found = np.concatenate([[lz], lw, [lu_0], lu]), (False, ())
     rep = _witness(prob, found, tol)
     if rep is None:
         return Classification(ClassKind.EXTERIOR)
@@ -565,10 +552,11 @@ def canonical_representation(
 ) -> Representation:
     """Representation of index (d+1)/2 with a root pinned at t_star exactly.
 
-    The maximal-mass ray starts from the principal representation; a pin on
-    one of its roots is rejected, the ray has no length there.  Without
-    exponent 0 an even d has none: the ray's exit drives a node to 0, where
-    an atom feeds no moment.
+    The ray c - s w v(t_star) from the principal representation exits where
+    the mass at t_star is maximal; the exit measure plus that atom, polished,
+    is the canonical representation.  A pin on a principal root is rejected,
+    the ray has no length there.  Without exponent 0 an even d has none: the
+    ray's exit drives a node to 0, where an atom feeds no moment.
     """
     require_tolerance(tol)
     if not 0 < t_star < math.inf:
@@ -586,7 +574,22 @@ def canonical_representation(
                 f"prescribed root {t_star} coincides with principal root "
                 f"{u}; the pinned structure degenerates"
             )
-    rep = _witness(prob, _canonical(prob, *found, t_star, tol), tol)
+    k, c = prob.k, prob.values
+    pin = math.ldexp(t_star, -prob.m)  # exact
+    w_max = math.exp(_log_max_mass(c, k, math.log(pin))[0])
+    # The ray runs on to twice that mass, so that its exit lies inside the
+    # path and not where a moment reaches 0.
+    s, y, layout = _track(*found, k, c, c - 2.0 * w_max * np.exp(k * math.log(pin)))
+    if not 0.0 < s < 1.0 or len(y) != len(k) - 1:
+        raise NumericalFailureError("the ray has no exit of index (d-1)/2 inside its path")
+    y, layout = np.insert(y, int(layout[0]), math.log(2.0 * s * w_max)), (layout[0], (pin,))
+    y, res, _ = _correct(y, layout, k, c, 0.0, MAX_ITER)
+    if res > tol:
+        raise NumericalFailureError(
+            f"no representation of index (d+1)/2 with root {t_star} reproduces c "
+            f"(residual {res:.3e}); this root may lie off the bands its family sweeps",
+            residual=res)
+    rep = _witness(prob, (y, layout), tol)
     if rep is None:
         raise NumericalFailureError(f"no canonical representation through {t_star} here")
     return rep

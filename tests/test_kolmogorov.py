@@ -45,7 +45,7 @@ def _mm_tuple(m0):
 
 
 # Interior tuples whose witness search once raised: an odd count without
-# exponent 0 next to the boundary, whose canonical spline has its pinned atom
+# exponent 0 next to the boundary, whose canonical spline had its pinned atom
 # far out, and an even count whose weights span 14 decades.
 INTERIOR_WITNESS_CASES = [
     (8, (3, 4, 6, 7, 8), (3.6420559131614474, 6.306408597051427,
@@ -389,7 +389,7 @@ class TestEvenBoundaryWitnessFromCache:
         far = IdealSpline(M.family, result.witness.knots[-1:], (excess,))
         share = moment_coordinates(norms(far, M.exponents)).values
         for got, c in zip(share[:-1], moment_coordinates(M).values):
-            assert got <= kolmogorov.FAR_KNOT_SHARE * ACCEPT_TOL * c * (1 + 1e-9)
+            assert got <= representations.FAR_KNOT_SHARE * ACCEPT_TOL * c * (1 + 1e-9)
         _check_witness(result.witness, M, ACCEPT_TOL)
 
     def test_unit_norms_with_doubled_top(self, monkeypatch):
@@ -466,9 +466,7 @@ class TestWitnessSolveFails:
     # numerical failure, not a verdict on the tuple.
     @pytest.mark.parametrize("M", [
         _thin_boundary_tuple(Family.AM, 8, (1, 3, 5, 8), 0),
-        NormVector(INTERIOR_WITNESS_CASES[0][2], ExponentVector(INTERIOR_WITNESS_CASES[0][1], 8),
-                   FunctionFamily(Family.MM, 8)),
-    ], ids=["even", "odd-k1-above"])
+    ], ids=["even"])
     def test_numerical_failure(self, M, monkeypatch):
         solve = kolmogorov.classify
 
@@ -482,6 +480,29 @@ class TestWitnessSolveFails:
         assert decide_status(M)[0] is Status.ADMISSIBLE_INTERIOR
         with pytest.raises(NumericalFailureError, match="no spline realized the admissible tuple"):
             decide_admissible(M)
+
+
+# AM r = 20, k = (1, 2, 20): M_1 far above the comparison spline's, whose
+# far knot then sits near 1e15 (M_1 = 1e-25, weight about 1e-310, subnormal)
+# or near 1e20 (M_1 = 1e-20, weight about 1e-400, below the float range).
+K_FAR = ExponentVector((1, 2, 20), 20)
+AM20 = FunctionFamily(Family.AM, 20)
+
+
+class TestOddFarKnotFloatRange:
+    def test_weight_below_the_float_range_is_a_numerical_failure(self):
+        M = NormVector((1e-20, 1e-30, 1.0), K_FAR, AM20)
+        assert decide_status(M)[0] is Status.ADMISSIBLE_INTERIOR
+        with pytest.raises(NumericalFailureError, match="far knot"):
+            decide_admissible(M)
+
+    def test_subnormal_weight_decides(self):
+        M = NormVector((1e-25, 1e-30, 1.0), K_FAR, AM20)
+        result = decide_admissible(M)
+        assert result.status is Status.ADMISSIBLE_INTERIOR
+        assert result.witness.knots[0] == pytest.approx(1e15, rel=1e-6)
+        assert 0 < result.witness.weights[0] < 2.3e-308
+        _check_witness(result.witness, M, ACCEPT_TOL)
 
 
 class TestPairsWithoutSolver:
@@ -620,11 +641,84 @@ class TestCanonicalSpline:
             canonical_spline(M, 0.6)
 
 
-class TestCanonicalWitness:
+# Admissible odd counts built from a spline with (d-1)/2 knots, AM and MM,
+# d = 3 and 5, k_1 = 0 and k_1 > 0: (kind, r, k, knots, weights).
+ODD_CASES = [
+    (Family.AM, 8, (0, 3, 8), (1.5,), (2.0,)),
+    (Family.MM, 8, (2, 5, 8), (2.0,), (3.0,)),
+    (Family.AM, 8, (1, 3, 4, 7, 8), (2.5, 0.5), (1.0, 3.0)),
+    (Family.MM, 8, (0, 2, 4, 5, 8), (3.0, 0.4), (2.0, 1.0)),
+]
+ODD_IDS = ["am-d3-k1=0", "mm-d3", "am-d5", "mm-d5-k1=0"]
+
+
+def _scaled_first(kind, r, k, knots, weights, factor):
+    """Norms of a spline with (d-1)/2 knots, M_{k_1} multiplied by ``factor``."""
+    family = FunctionFamily(kind, r)
+    M = norms(IdealSpline(family, knots, weights), ExponentVector(k, r))
+    return NormVector((factor * M.values[0], *M.values[1:]), M.exponents, family)
+
+
+class TestOddWitness:
+    # An odd count's witness is its top comparison spline S, S plus a
+    # constant (k_1 = 0) or S plus a far knot above S's knots (k_1 > 0).
+    # classify never runs on the odd tuple itself.
+    @pytest.mark.parametrize("factor", [1.0, 1.5])
+    @pytest.mark.parametrize("kind, r, k, knots, weights", ODD_CASES, ids=ODD_IDS)
+    def test_no_classify_on_the_odd_tuple(self, kind, r, k, knots, weights, factor,
+                                          monkeypatch):
+        M = _scaled_first(kind, r, k, knots, weights, factor)
+        solve = kolmogorov.classify
+
+        def even_only(c, tol):
+            assert c.d % 2 == 0, f"classify on the odd tuple {c.exponents}"
+            return solve(c, tol)
+
+        monkeypatch.setattr(kolmogorov, "classify", even_only)
+        matching_spline.cache_clear()
+        result = decide_admissible(M)
+        S = matching_spline(M.drop_first())
+        if factor == 1.0:
+            assert result.status is Status.ADMISSIBLE_BOUNDARY
+            assert result.witness == S
+        elif k[0] == 0:
+            assert result.status is Status.ADMISSIBLE_INTERIOR
+            assert result.witness == with_constant(S, M.values[0] - evaluate(S, 0.0, 0))
+        else:
+            assert result.status is Status.ADMISSIBLE_INTERIOR
+            assert result.witness.knots[1:] == S.knots and result.witness.weights[1:] == S.weights
+            assert result.witness.knots[0] > S.knots[0]
+
+    @pytest.mark.parametrize("kind", [Family.AM, Family.MM])
+    def test_single_norm_without_classify(self, kind, monkeypatch):
+        # d = 1: the empty comparison spline plus the far knot 1 of weight M_r.
+        monkeypatch.setattr(kolmogorov, "classify", None)
+        M = NormVector((3.0,), ExponentVector((5,), 5), FunctionFamily(kind, 5))
+        result = decide_admissible(M)
+        assert result.status is Status.ADMISSIBLE_INTERIOR
+        assert (result.witness.knots, result.witness.weights) == ((1.0,), (3.0,))
+
+    @pytest.mark.parametrize("kind, r, k, knots, weights", [
+        case for case in ODD_CASES if case[2][0] > 0], ids=["mm-d3", "am-d5"])
+    def test_far_knot_share(self, kind, r, k, knots, weights):
+        # The far knot's share of each other moment coordinate is at most
+        # FAR_KNOT_SHARE * tol of it.
+        M = _scaled_first(kind, r, k, knots, weights, 1.5)
+        witness = decide_admissible(M).witness
+        far = IdealSpline(M.family, witness.knots[:1], witness.weights[:1])
+        share = moment_coordinates(norms(far, M.exponents)).values
+        c = moment_coordinates(M).values
+        excess = c[0] - moment_coordinates(norms(matching_spline(M.drop_first()), M.exponents)).values[0]
+        assert share[0] == pytest.approx(excess, rel=1e-12)
+        for got, want in zip(share[1:], c[1:]):
+            assert got <= representations.FAR_KNOT_SHARE * ACCEPT_TOL * want * (1 + 1e-9)
+
+
+class TestOddFarKnotWitness:
     def test_odd_count_without_order_zero_is_pinned(self):
-        # Interior, odd d, k_1 > 0: the witness is the canonical spline
-        # through a prescribed knot.  Pinned so that a change in how the
-        # solver reaches it cannot change which spline is returned.
+        # Interior, odd d, k_1 > 0: the witness is the top comparison spline
+        # plus a far knot.  Pinned so that a change in how the witness is
+        # built cannot change which spline is returned.
         k = ExponentVector((1, 4, 5, 7, 8), 8)
         M = NormVector((3248846522.106419, 1548317.690191818, 102988.55247236633,
                         184.19256528925297, 3.7880919589268256), k,
@@ -632,9 +726,9 @@ class TestCanonicalWitness:
         result = decide_admissible(M)
         assert result.status is Status.ADMISSIBLE_INTERIOR
         assert result.witness.knots == pytest.approx(
-            (151.22202526077885, 57.24391225437299, 1.0), rel=1e-10)
+            (130122.62212023983, 60.43282884104172, 16.01420106240715), rel=1e-10)
         assert result.witness.weights == pytest.approx(
-            (0.005498150903403648, 3.19285275096532, 0.5897410570580929), rel=1e-10)
+            (1.2961644104697611e-23, 2.781024655505651, 1.0070673034211712), rel=1e-10)
 
 
 class TestMatchingSpline:

@@ -102,16 +102,50 @@ class TestClassify:
         assert result.kind is ClassKind.INTERIOR
         assert result.witness == Representation((Atom(2.0, 0.5),))
 
-    def test_odd_system_without_exponent_zero_gets_canonical_witness(self):
-        # No index-3/2 structure without exponent 0: the witness has index 2,
-        # pinned at twice the largest principal root, and is decide's AM witness.
+    def test_odd_system_without_exponent_zero_gets_far_atom_witness(self):
+        # No index-3/2 structure without exponent 0: the principal zero atom,
+        # of mass c_1 - 1.8 = 0.2 beside the atom (5/3, 1.08) of (c_2, c_3),
+        # moves to the node u = 1.5e-9 where its share 0.2 u of c_2 is
+        # FAR_KNOT_SHARE * tol * c_2 (its share 0.2 u^2 of c_3 is smaller).
+        # In AM r = 3 splines: knots (1/u, 3/5), weights (0.2 u^2, 5).
         c = MomentVector((2.0, 3.0, 5.0), ExponentVector((1, 2, 3), 3))
         result = classify(c)
         assert result.kind is ClassKind.INTERIOR
         assert index_of(result.witness).twice == 4
+        spline = spline_from_representation(result.witness, AM3)
+        assert spline.knots == pytest.approx((2e9 / 3, 0.6), rel=1e-12)
+        assert spline.weights == pytest.approx((4.5e-19, 5.0), rel=1e-12)
+        # decide builds its witness apart, from its comparison spline and
+        # the far knot in norm coordinates, so the two agree to rounding.
         witness = decide_admissible(NormVector(c.values, c.exponents, AM3)).witness
-        assert spline_from_representation(result.witness, AM3) == witness
-        assert witness.knots == pytest.approx((11.0 / 15.0, 0.3), rel=1e-12)
+        assert witness.knots == pytest.approx(spline.knots, rel=1e-12)
+        assert witness.weights == pytest.approx(spline.weights, rel=1e-12)
+
+    def test_far_atom_share_of_the_other_moments(self):
+        # A deep-interior odd system without exponent 0: the moved atom's
+        # share of each moment but the first is at most FAR_KNOT_SHARE * tol
+        # of it.
+        c = MomentVector((104841767.92320746, 2459873.0450706827, 34241996.7601226),
+                         ExponentVector((3, 4, 11), 20))
+        result = classify(c)
+        assert result.kind is ClassKind.INTERIOR and len(result.witness) == 2
+        far = min(result.witness.atoms, key=lambda a: a.node)
+        share = moments_of(Representation((far,)), c.exponents).values
+        bound = kolmo.representations.FAR_KNOT_SHARE * kolmo.representations.ACCEPT_TOL
+        for got, want in zip(share[1:], c.values[1:]):
+            assert got <= bound * want * (1 + 1e-9)
+
+    def test_moment_below_the_solvers_floor_is_not_boundary(self):
+        # The nodes scaled by 2^m take c to 1e-10 ... 3.9e171, where the
+        # solver's floor of 1e-150 of the largest hides c_1 and c_2.  The
+        # path's one atom (47.27, 3.2e-34) fits only c_3, yet the Lyapunov
+        # inequality is strict: the final check compares each moment with
+        # itself and raises rather than call c BOUNDARY.
+        c = MomentVector((1e-10, 1e-30, 1.0), ExponentVector((1, 2, 20), 20))
+        with pytest.raises(NumericalFailureError, match="not in floating point"):
+            classify(c)
+        M = NormVector(c.values, c.exponents, FunctionFamily(Family.AM, 20))
+        assert decide_status(M)[0].value == "admissible_interior"
 
 
 class TestLowestStructure:
@@ -764,18 +798,9 @@ def _lyapunov_draws(n, seed):
 def test_classify_agrees_with_lyapunov():
     """Three moments, any exponents: c is interior exactly when the Lyapunov
     inequality is strict, exterior when it fails."""
-    raised = []
     for k, vals, interior in _lyapunov_draws(300, 5):
         c = MomentVector(vals, k)
-        try:
-            kind = classify(c).kind
-        except NumericalFailureError:
-            raised.append(c)
-            continue
-        assert kind is (ClassKind.INTERIOR if interior else ClassKind.EXTERIOR), c
-    # All three are deep-interior odd systems without exponent 0, whose
-    # canonical ray raises.
-    assert len(raised) <= 3, raised
+        assert classify(c).kind is (ClassKind.INTERIOR if interior else ClassKind.EXTERIOR), c
 
 
 def test_classify_keeps_its_side_over_the_float_range():
