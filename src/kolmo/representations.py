@@ -11,10 +11,14 @@ Every solve runs one tracker.  Inside the convex moment cone the principal
 :func:`_track` follows it (Euler predictor, Newton corrector, in log weights
 and log nodes) along a straight path c_a + s (c_b - c_a) to s = 1, or to
 the exit s* where the path leaves the cone and the measure loses a degree of
-freedom: a weight or node goes to 0, or the top node runs to infinity.  Two
+freedom: a weight or node goes to 0, or the top node runs to infinity.  Three
 rules locate an exit.  Once a loss is predicted to vanish within the path, a
 bordered Newton solve lands on the exit measure and s*; a loss already below
-ACCEPT_TOL at an accepted point ends the path there, without a solve.
+ACCEPT_TOL at an accepted point ends the path there, without a solve.  A
+boundary c is a singular end of its path, where no step onto c converges:
+after one fails, the path closes in on c without trying it again until the
+rest of the path has shrunk ENDGAME_SHRINK-fold, and the landing also tries
+exits predicted up to as far past c as s is short of it.
 Each step's tangent reuses the Jacobian the corrector formed at the point it
 accepted; only a path's first tangent forms its own.  A positive pair needs
 no solve at all: one atom attains it, found in closed form and checked in
@@ -63,6 +67,17 @@ MAX_ITER = 80
 
 LAND_TOL = 0.1  # a loss below it starts the tracker's exit solve ...
 LAND_ITER = 8  # ... of at most this many Newton iterations
+# A failed step onto the path's end shows it singular: from then on no step
+# covers more than 3/4 of the rest of the path, and the end is tried again
+# only once the rest has shrunk this many times (about three such steps).
+# Each try onto a singular end is a corrector run that fails; halving the
+# rest after each, as the step control alone does, pays one per halving.
+# Factors 16 to 128 cost the same within 1 %; steps of 7/8 of the rest
+# start the corrector too far off and cost a fifth more.
+ENDGAME_SHRINK = 64
+
+#: Step lengths of the corrector's line search.
+_HALVINGS = tuple(0.5 ** i for i in range(8))
 
 #: Share of every other moment, as a fraction of tol, that an atom placed
 #: near 0 or near infinity to carry one moment's excess may take.
@@ -163,12 +178,17 @@ def _system(y, layout, k, target, log_s, dc=None, inv_s=None):
     return F, J
 
 
-def _lstsq(J, rhs):
-    """Solve (square) or least squares, with unit-norm columns: contributions
-    span tens of decades, and a rank cutoff would drop what small atoms need."""
+def _unit_columns(J):
+    """J with unit-norm columns, and the norms: contributions span tens of
+    decades, and a rank cutoff would drop what small atoms need."""
     norms = np.sqrt(np.add.reduce(J * J, axis=0))
     norms[norms == 0] = 1.0
-    J = J / norms
+    return J / norms, norms
+
+
+def _lstsq(scaled, rhs):
+    """Solve (square) or least squares in the columns of :func:`_unit_columns`."""
+    J, norms = scaled
     if J.shape[0] == J.shape[1]:
         try:
             x = np.linalg.solve(J, rhs)
@@ -196,15 +216,16 @@ def _correct(y, layout, k, target, tol, max_iter, dc=None):
     for _ in range(max_iter):
         if best[1] <= tol:
             break
-        step = _lstsq(J, -F)
+        scaled = _unit_columns(J)
+        step = _lstsq(scaled, -F)
         size = float(np.abs(step).max())
         if not size > NEWTON_TOL:
             break
-        for alpha in 0.5 ** np.arange(8):
+        for alpha in _HALVINGS:
             trial = y + alpha * step
             Ft, Jt = _system(trial, layout, k, target, log_s, dc, inv_s)
             rt = float(np.abs(Ft).max())
-            if rt < res or np.abs(_lstsq(J, -Ft)).max() <= (1.0 - alpha / 2) * size:
+            if rt < res or np.abs(_lstsq(scaled, -Ft)).max() <= (1.0 - alpha / 2) * size:
                 break
         else:
             break
@@ -249,12 +270,21 @@ def _track(y, layout, k, c_a, c_b):
     loss (moved along the tangent to s*) and s* with moments c_a + s* (c_b -
     c_a), lands on it; a miss tracks on.  A loss below ACCEPT_TOL is the
     exit of last resort, without the solve.  A step below NEWTON_TOL raises.
+
+    A failed step onto c_b makes c_b a singular end point, where the measure
+    loses an atom (c_b on the cone's boundary): from then on no step covers
+    more than 3/4 of the rest 1 - s of the path, the next step onto c_b waits
+    until 1 - s has shrunk ENDGAME_SHRINK-fold, and the landing also tries
+    predictions of s* up to 1 + (1 - s): near c_b, a loss's last two values
+    can put its exit just past c_b.  The landing's checks (nonnegative mass,
+    the gap to c_b) reject an exit that really lies past c_b.
     """
     dc = c_b - c_a
     # Degeneracy is measured against the larger end of the path: along a ray
     # a moment shrinks to 0 together with the atoms that feed it.
     log_ref = _log_scales(np.maximum(np.abs(c_a), np.abs(c_b)))
     s, h, s_prev = 0.0, 0.5, 0.0
+    near = math.inf  # the rest of the path from which c_b may be tried again
     # Later tangents reuse the corrector's Jacobian at the accepted point.
     J = _system(y, layout, k, c_a, _log_scales(c_a))[1]
     costs = prev = _losses(y, layout, k, log_ref)[1]
@@ -263,7 +293,7 @@ def _track(y, layout, k, c_a, c_b):
         if costs[:-1].min() < ACCEPT_TOL:
             return (s, *_exit_measure(y, layout, k, log_ref))
         log_s = _log_scales(c_a + s * dc)
-        tangent = _lstsq(J, dc * np.exp(-log_s))
+        tangent = _lstsq(_unit_columns(J), dc * np.exp(-log_s))
         h = min(2.0 * h, 1.0 / max(float(np.abs(tangent).max()), 1e-300))
         fall = (costs < level) & (costs < prev)
         # A merge, or a move to 0 onto a zero atom, loses two degrees of freedom.
@@ -271,7 +301,7 @@ def _track(y, layout, k, c_a, c_b):
         exits = np.full(len(costs), math.inf)
         exits[fall] = s + costs[fall] * (s - s_prev) / (prev[fall] - costs[fall])
         s_prev, prev, j = s, costs, int(np.argmin(exits))
-        if exits[j] <= 1.0:
+        if exits[j] <= (1.0 if near == math.inf else 1.0 + (1.0 - s)):
             level[j] = 0.1 * costs[j]
             y_e, layout_e = _exit_measure(y + (exits[j] - s) * tangent, layout, k, log_ref, j)
             n = len(k) - (j == len(costs) - 1)  # an atom at infinity frees the top moment
@@ -287,13 +317,15 @@ def _track(y, layout, k, c_a, c_b):
         while True:
             if h < NEWTON_TOL:
                 raise NumericalFailureError(f"the path's step underflows at s = {s!r}")
-            s_new = min(s + h, 1.0)
+            s_new = min(s + h, 1.0 if 1.0 - s <= near else 1.0 - 0.25 * (1.0 - s))
             # Two decades below the degeneracy level, so that every atom
             # still in the structure is resolved.
             y_new, res, J_new = _correct(y + (s_new - s) * tangent, layout, k,
                                          c_a + s_new * dc, 1e-2 * ACCEPT_TOL, 4)
             if res <= 1e-2 * ACCEPT_TOL:
                 break
+            if s_new == 1.0:
+                near = (1.0 - s) / ENDGAME_SHRINK
             h *= 0.5
         s, y, J = s_new, y_new, J_new
         costs = _losses(y, layout, k, log_ref)[1]

@@ -429,6 +429,46 @@ class TestTrackerExit:
         assert kolmo.representations.LAND_ITER in calls
 
 
+class TestSingularEnd:
+    """A boundary c is a singular end point of the principal path: the
+    measure loses an atom there, and no step onto c converges."""
+
+    # perfbench/gen.py moments_round(seed, 1)[13] at seeds 1-3.  Jumping onto
+    # c again after every accepted step once ran the step below NEWTON_TOL
+    # at s = 1 - 1.2e-13.
+    K = ExponentVector((0, 3, 5, 7, 8), 8)
+
+    @pytest.mark.parametrize("values", [
+        (9.730507379958823, 16030.239858993526, 2907708.559949573,
+         527426254.3427653, 7103414854.325271),
+        (9.734517439841088, 15966.030683975745, 2887957.3884738786,
+         522377686.4140954, 7025569524.735207),
+        (9.712317848456493, 15932.439854882587, 2883178.1129465173,
+         521747855.2350682, 7018677256.528275),
+    ], ids=["seed1", "seed2", "seed3"])
+    def test_boundary_input_is_boundary(self, values):
+        c = MomentVector(values, self.K)
+        result = classify(c)
+        assert result.kind is ClassKind.BOUNDARY
+        assert index_of(result.witness).twice < c.d
+        back = np.asarray(moments_of(result.witness, c.exponents).values)
+        assert np.abs(back / np.asarray(values) - 1.0).max() <= 1e-8
+
+    def test_no_repeated_jump_onto_c(self, monkeypatch):
+        # moments_round(1, 0)[8]: 57 tracker corrector calls when the path
+        # jumped onto c after every accepted step, one failed jump and one
+        # accepted half step per halving of 1 - s.
+        c = MomentVector((1.6151227659876852, 0.005263770673571097,
+                          0.00011570654019460298, 2.543424528546654e-06),
+                         ExponentVector((0, 3, 5, 7), 8))
+        calls = []
+        correct = kolmo.representations._correct
+        monkeypatch.setattr(kolmo.representations, "_correct", lambda *args: calls.append(
+            sys._getframe(1).f_code.co_name) or correct(*args))
+        assert classify(c).kind is ClassKind.BOUNDARY
+        assert calls.count("_track") <= 40
+
+
 class TestSavedJacobians:
     """A tracker step's tangent reuses the Jacobian its corrector formed."""
 
