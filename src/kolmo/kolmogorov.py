@@ -29,10 +29,10 @@ from .errors import (
 )
 from .representations import (
     ACCEPT_TOL,
-    FAR_KNOT_SHARE,
     ClassKind,
     canonical_representation,
     classify,
+    log_far_node,
     principal_representation,
 )
 from .splines import IdealSpline, evaluate, norms, spline_from_representation, with_constant
@@ -210,15 +210,14 @@ def _far_knot(S: IdealSpline, M: NormVector, excess: float, end: int,
               tol: float) -> IdealSpline | None:
     """S plus a knot a above S's knots (``end`` 0) or below them (-1) that
     carries the ``excess`` e of M's moment coordinate c_j there, so feeds each
-    other c_i with e*a^(k_j-k_i): at most FAR_KNOT_SHARE*tol of c_i, in logs
-    (mass escaping to 0 or to infinity).  None where a is not beyond S's
-    knots or a or its weight leaves the float range."""
+    other c_i with e*a^(k_j-k_i): the node 1/a of :func:`log_far_node` (mass
+    escaping to 0 or to infinity).  None where a is not beyond S's knots or
+    a or its weight leaves the float range."""
     k, r = M.exponents.exponents, M.exponents.r
     c, k_j = moment_coordinates(M).values, k[end]
     e = excess * (c[end] / M.values[end])  # the excess in moment coordinates
-    log_a = (max if end == 0 else min)(
-        ((math.log(FAR_KNOT_SHARE * tol) + math.log(ci) - math.log(e)) / (k_j - ki)
-         for ci, ki in zip(c, k) if ki != k_j), default=0.0)
+    others = [i for i, ki in enumerate(k) if ki != k_j]
+    log_a = -log_far_node(math.log(e), [c[i] for i in others], [k[i] - k_j for i in others], tol)
     try:
         a, w = math.exp(log_a), e * math.exp((k_j - r) * log_a)
         if end == 0:

@@ -32,11 +32,12 @@ floats, and it is the verdict and the principal representation both.
   moves in closed form to a node near 0: a witness of index (d+1)/2.
 - A root pinned at t* tracks the ray c - s w v(t*), v(t*) the powers of t*,
   from the principal representation to its exit, where the mass at t* is
-  maximal; the exit measure plus that atom is the canonical representation.
+  maximal: that measure and s, polished by the same bordered system, plus
+  the atom (t*, s w) in closed form are the canonical representation.
 
-Every returned representation is re-checked against c in the original
-system.  The brute-force oracle takes no part; it stays an independent
-cross-check.
+Each equation is solved relative to its own moment, and every returned
+representation is checked once against c in the original system.  The
+brute-force oracle takes no part; it stays an independent cross-check.
 """
 from __future__ import annotations
 
@@ -46,7 +47,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import NODE_MERGE_REL, Atom, MomentVector, Representation, index_of, moments_of
+from .core import NODE_MERGE_REL, Atom, MomentVector, Representation, index_of, moments_of, scaled_power
 from .errors import (
     DomainError,
     NotInteriorError,
@@ -100,25 +101,22 @@ class Classification:
 def _log_scales(target):
     """Logarithms of the per-equation scales of a moment target.
 
-    Each equation is solved to relative accuracy: with an absolute floor a
-    wrong node still fits the small moments of a wide range.  The floor only
-    caps the row weight of a zero or subnormal moment.
+    Each equation is solved relative to its own moment, however many decades
+    apart: under a shared floor a wrong node fits the small moments of a wide
+    range.  1e-300 only caps the row weight of a zero or subnormal moment.
     """
-    a = np.abs(target)
-    return np.log(np.maximum(a, 1e-150 * a.max() + 1e-300))
+    return np.log(np.maximum(np.abs(target), 1e-300))
 
 
-def _unpack(y, layout):
+def _unpack(y, has_zero):
     """Log zero mass (or None), log weights and log nodes of the variables y.
 
-    ``layout`` is (has_zero, pins); y holds the log zero mass, the log weights
-    of all positive atoms and the log nodes of the free ones (pins first).
+    A measure's layout is whether it has a zero atom: y holds its log mass
+    if so, then the log weights and the log nodes of the positive atoms.
     """
-    has_zero, pins = layout
     rest = y[1:] if has_zero else y
-    p = (len(rest) + len(pins)) // 2
-    lu = np.concatenate([np.log(np.asarray(pins, dtype=float)), rest[p:]]) if pins else rest[p:]
-    return (y[0] if has_zero else None), rest[:p], lu
+    p = len(rest) // 2
+    return (y[0] if has_zero else None), rest[:p], rest[p:]
 
 
 def _relative(lw, lu, k, log_s, out=None):
@@ -167,12 +165,10 @@ def _system(y, layout, k, target, log_s, dc=None, inv_s=None):
     if dc is not None:
         target = target + y[-1] * dc
     F = (R.sum(axis=1) - target * (_inverse_scales(log_s) if inv_s is None else inv_s)).astype(float)
-    # d/dlog w = contribution, d/dlog u = k * contribution (free nodes last),
-    # d/dσ = -dc.
+    # d/dlog w = contribution, d/dlog u = k * contribution, d/dσ = -dc.
     J = np.empty((len(k), len(y)))
     J[:, :z + p] = R
-    n_free = n - z - p
-    np.multiply(k[:, None], J[:, z + p - n_free:z + p], out=J[:, z + p:n])
+    np.multiply(k[:, None], J[:, z:z + p], out=J[:, z + p:n])
     if dc is not None:
         J[:, -1] = -dc * np.exp(-log_s)
     return F, J
@@ -335,14 +331,15 @@ def _track(y, layout, k, c_a, c_b):
 class _Problem:
     """A moment vector in the exponents k - k_1, nodes divided by 2^m.
 
-    2^m sits mid moment-ratio range, so node logarithms stay small and pins
-    scale exactly.  Weights become w u^{k_1}; an atom at 0 then has no
-    counterpart in the original system unless k_1 = 0.  Raises
+    2^m sits mid moment-ratio range, so node logarithms stay small and a
+    prescribed root scales exactly.  Weights become w u^{k_1}; an atom at 0
+    then has no counterpart in the original system unless k_1 = 0.  Raises
     :class:`NumericalFailureError` if the scaling takes a nonzero moment to
     0 or any moment beyond the float range.
     """
 
     def __init__(self, c: MomentVector):
+        self.c = c
         ks = c.exponents.exponents
         self.shift = ks[0]
         self.k = np.asarray(ks, dtype=float) - ks[0]
@@ -360,25 +357,14 @@ class _Problem:
         """Log scaled nodes back to nodes."""
         return np.ldexp(np.exp(lu), self.m)
 
-    def scaled_residual(self, rep: Representation) -> float:
-        """Largest moment mismatch of ``rep``, each nonzero moment relative to
-        itself: without :func:`_log_scales`' floor, which hides a moment more
-        than 150 decades below the largest."""
-        y, layout = self.variables(rep)
-        log_s, nonzero = _log_scales(self.values), self.values != 0
-        log_s[nonzero] = np.log(np.abs(self.values[nonzero]))
-        F = _system(y, layout, self.k, self.values, log_s)[0]
-        return float(np.abs(F).max())
-
     def representation(self, y, layout) -> Representation | None:
         """The measure of y in the original system, or None.
 
         An atom at 0 without exponent 0 is left out; callers check the rest.
         """
         lz, lw, lu = _unpack(y, layout)
-        pins = layout[1]
         with np.errstate(over="ignore", under="ignore"):
-            nodes = [math.ldexp(t, self.m) for t in pins] + list(self.nodes(lu[len(pins):]))
+            nodes = list(self.nodes(lu))
             weights = list(np.exp(lw - self.shift * (lu + self.m * math.log(2.0))))
             if lz is not None and not self.shift:
                 nodes, weights = [0.0] + nodes, [np.exp(lz)] + weights
@@ -388,14 +374,6 @@ class _Problem:
             return Representation(tuple(Atom(float(u), float(w)) for u, w in zip(nodes, weights)))
         except DomainError:
             return None
-
-    def variables(self, rep: Representation):
-        """Inverse of :meth:`representation`: (y, layout)."""
-        zero = [math.log(a.weight) for a in rep.atoms if a.node == 0.0]
-        pos = [a for a in rep.atoms if a.node > 0]
-        lw = [math.log(a.weight) + self.shift * math.log(a.node) for a in pos]
-        lu = [math.log(math.ldexp(a.node, -self.m)) for a in pos]
-        return np.array(zero + lw + lu), (bool(zero), ())
 
     def start(self, init_seed: int):
         """Start measure of the principal path: (y, layout).
@@ -415,7 +393,7 @@ class _Problem:
             lu = lu + np.random.default_rng(init_seed).uniform(-0.4, 0.4, p) * spacing
         lw = _log_max_mass(c, k, lu) - math.log(p + has_zero)
         lz = [math.log(c[0] / (p + 1))] if has_zero else []
-        return np.concatenate([lz, lw, lu]), (has_zero, ())
+        return np.concatenate([lz, lw, lu]), has_zero
 
 
 def _log_max_mass(c, k, lu):
@@ -447,7 +425,7 @@ def _exit_measure(y, layout, k, log_s, drop=None):
     lz = np.logaddexp.reduce(zero) if zero else -math.inf
     lz = None if math.exp(min(lz - log_s[0], 300.0)) < ACCEPT_TOL else lz
     y = [w for w, _ in atoms] + [u for _, u in atoms]
-    return np.array(y if lz is None else [lz] + y), (lz is not None, ())
+    return np.array(y if lz is None else [lz] + y), lz is not None
 
 
 def _principal_path(prob: _Problem, tol: float, init_seed: int = 0):
@@ -458,7 +436,7 @@ def _principal_path(prob: _Problem, tol: float, init_seed: int = 0):
     log_c = _log_scales(c)
     if c[0] <= 0 or np.any(c[1:] <= 0):
         # An atom at a positive node feeds every moment: only a zero atom fits.
-        y, layout = np.log([max(c[0], 1e-300)]), (True, ())
+        y, layout = np.log([max(c[0], 1e-300)]), True
         res = float(np.abs(_system(y, layout, k, c, log_c)[0]).max())
         return (y, layout) if res <= tol else None
     y, layout = prob.start(init_seed)
@@ -484,25 +462,35 @@ def _principal_path(prob: _Problem, tol: float, init_seed: int = 0):
     return (y, layout) if s == 1.0 else None
 
 
+def _mismatch(rep: Representation, c: MomentVector) -> float:
+    """Largest mismatch of rep's moments with c's, each relative to itself (a
+    zero or subnormal one to 1e-300); inf where one leaves the float range."""
+    try:
+        back = moments_of(rep, c.exponents).values
+    except DomainError:
+        return math.inf
+    return max(abs(b - v) / max(abs(v), 1e-300) for b, v in zip(back, c.values))
+
+
 def _witness(prob: _Problem, found, tol: float) -> Representation | None:
     """The measure of ``found``, (y, layout) or None, if it reproduces c within tol.
 
-    Raises :class:`NumericalFailureError` when y reproduces c but its measure
-    in floats does not reproduce every nonzero moment relative to itself: a
-    node or weight beyond the float range, a weight too far below it to keep
-    its digits, or a moment below the solver's floor left unmatched.  Such a
-    c is neither exterior nor boundary.  Without exponent 0 the zero atom is
+    The one check of a returned measure is :func:`_mismatch` against c.
+    Raises :class:`NumericalFailureError` when y reproduces c in the solver's
+    system but its measure in floats does not: a node or weight beyond the
+    float range, or a weight too far below it to keep its digits.  Such a c
+    is neither exterior nor boundary.  Without exponent 0 the zero atom is
     left out of both, as it feeds no moment.
     """
     if not found:
         return None
     rep = prob.representation(*found)
-    if rep is not None and prob.scaled_residual(rep) <= tol:
+    if rep is not None and _mismatch(rep, prob.c) <= tol:
         return rep
-    y, (has_zero, pins) = found
+    y, has_zero = found
     if has_zero and prob.shift:
         y, has_zero = y[1:], False
-    if len(y) and np.abs(_system(y, (has_zero, pins), prob.k, prob.values,
+    if len(y) and np.abs(_system(y, has_zero, prob.k, prob.values,
                                  _log_scales(prob.values))[0]).max() <= tol:
         raise NumericalFailureError("the measure reproduces c, but not in floating point")
     return None
@@ -514,7 +502,7 @@ def _pair_atom(c: MomentVector, tol: float) -> Representation | None:
     In logs, log u = (log c_b - log c_a)/(k_b - k_a) and log w = log c_a -
     k_a log u, so no power leaves the float range on the way.  Raises
     :class:`NumericalFailureError` when the atom is beyond the float range,
-    or too subnormal to reproduce c within ``tol``: such a c is not exterior.
+    or does not reproduce c within ``tol``: such a c is not exterior.
     """
     if c.d != 2 or min(c.values) <= 0:
         return None
@@ -522,14 +510,22 @@ def _pair_atom(c: MomentVector, tol: float) -> Representation | None:
     log_u = (math.log(cb) - math.log(ca)) / (kb - ka)
     try:
         rep = Representation((Atom(math.exp(log_u), math.exp(math.log(ca) - ka * log_u)),))
-        back = moments_of(rep, c.exponents).values
     except (OverflowError, DomainError) as exc:
         raise NumericalFailureError("the one atom of c is beyond the float range") from exc
-    res = max(abs(b / v - 1.0) for b, v in zip(back, c.values))
+    res = _mismatch(rep, c)
     if not res <= tol:
         raise NumericalFailureError("the one atom of c does not reproduce it in floating point",
                                     residual=res)
     return rep
+
+
+def log_far_node(log_mass: float, values, exponents, tol: float) -> float:
+    """Log node u of an atom of log mass l whose share e^l u^q_i of each c_i
+    (``values``; ``exponents`` q_i, of one sign) is FAR_KNOT_SHARE * tol of c_i
+    at most: mass escaping to 0 for q_i > 0, to infinity for q_i < 0."""
+    bounds = [(math.log(FAR_KNOT_SHARE * tol) + math.log(ci) - log_mass) / qi
+              for ci, qi in zip(values, exponents)]
+    return (max if len(bounds) and exponents[0] < 0 else min)(bounds, default=0.0)
 
 
 def classify(c: MomentVector, tol: float = ACCEPT_TOL) -> Classification:
@@ -549,11 +545,10 @@ def classify(c: MomentVector, tol: float = ACCEPT_TOL) -> Classification:
         return Classification(ClassKind.INTERIOR, atom)
     prob = _Problem(c)
     found = _principal_path(prob, tol)
-    if found and len(found[0]) == c.d and found[1][0] and prob.shift:
-        lz, lw, lu = _unpack(*found)  # the share of c_i is e^lz u^k_i
-        lu_0 = min(((math.log(FAR_KNOT_SHARE * tol) + math.log(ci) - lz) / ki
-                    for ci, ki in zip(prob.values[1:], prob.k[1:])), default=0.0)
-        found = np.concatenate([[lz], lw, [lu_0], lu]), (False, ())
+    if found and len(found[0]) == c.d and found[1] and prob.shift:
+        lz, lw, lu = _unpack(*found)
+        lu_0 = log_far_node(lz, prob.values[1:], prob.k[1:], tol)
+        found = np.concatenate([[lz], lw, [lu_0], lu]), False
     rep = _witness(prob, found, tol)
     if rep is None:
         return Classification(ClassKind.EXTERIOR)
@@ -585,10 +580,11 @@ def canonical_representation(
     """Representation of index (d+1)/2 with a root pinned at t_star exactly.
 
     The ray c - s w v(t_star) from the principal representation exits where
-    the mass at t_star is maximal; the exit measure plus that atom, polished,
-    is the canonical representation.  A pin on a principal root is rejected,
-    the ray has no length there.  Without exponent 0 an even d has none: the
-    ray's exit drives a node to 0, where an atom feeds no moment.
+    the mass at t_star is maximal: the exit measure and s, polished by the
+    landing's bordered system, plus the atom (t_star, s w) in closed form.  A
+    pin on a principal root is rejected, the ray has no length there.
+    Without exponent 0 an even d has none: the ray's exit drives a node to
+    0, where an atom feeds no moment.
     """
     require_tolerance(tol)
     if not 0 < t_star < math.inf:
@@ -596,8 +592,7 @@ def canonical_representation(
     if c.d % 2 == 0 and c.exponents.exponents[0]:
         raise UnsupportedSystemError("even-dimensional canonical structure needs exponent 0")
     prob = _Problem(c)
-    atom = _pair_atom(c, tol)
-    found = _principal_path(prob, tol) if atom is None else prob.variables(atom)
+    found = _principal_path(prob, tol)
     if not found or len(found[0]) != c.d:
         raise NotInteriorError("a canonical representation needs an interior vector")
     for u in prob.nodes(_unpack(*found)[2]):
@@ -611,17 +606,22 @@ def canonical_representation(
     w_max = math.exp(_log_max_mass(c, k, math.log(pin))[0])
     # The ray runs on to twice that mass, so that its exit lies inside the
     # path and not where a moment reaches 0.
-    s, y, layout = _track(*found, k, c, c - 2.0 * w_max * np.exp(k * math.log(pin)))
+    dc = -2.0 * w_max * np.exp(k * math.log(pin))
+    s, y, layout = _track(*found, k, c, c + dc)
     if not 0.0 < s < 1.0 or len(y) != len(k) - 1:
         raise NumericalFailureError("the ray has no exit of index (d-1)/2 inside its path")
-    y, layout = np.insert(y, int(layout[0]), math.log(2.0 * s * w_max)), (layout[0], (pin,))
-    y, res, _ = _correct(y, layout, k, c, 0.0, MAX_ITER)
-    if res > tol:
+    z, res, _ = _correct(np.append(y, s), layout, k, c, 0.0, MAX_ITER, dc)
+    if res > tol or not z[-1] > 0.0:
         raise NumericalFailureError(
             f"no representation of index (d+1)/2 with root {t_star} reproduces c "
             f"(residual {res:.3e}); this root may lie off the bands its family sweeps",
             residual=res)
-    rep = _witness(prob, (y, layout), tol)
-    if rep is None:
+    rep = prob.representation(z[:-1], layout)
+    try:  # the pinned atom, of mass 2 s w_max, in the original system
+        pinned = Atom(t_star, scaled_power(2.0 * z[-1] * w_max, t_star, -prob.shift))
+        rep = None if rep is None else Representation(rep.atoms + (pinned,))
+    except DomainError:
+        rep = None
+    if rep is None or _mismatch(rep, prob.c) > tol:
         raise NumericalFailureError(f"no canonical representation through {t_star} here")
     return rep

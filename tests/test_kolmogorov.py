@@ -410,7 +410,7 @@ class TestEvenBoundaryWitnessFallback:
         # A share so large that the placed knot would not fall below the
         # top comparison spline's knots: the witness is the tuple's own
         # lowest-index spline.
-        monkeypatch.setattr(kolmogorov, "FAR_KNOT_SHARE", 1e12)
+        monkeypatch.setattr(representations, "FAR_KNOT_SHARE", 1e12)
         matching_spline.cache_clear()
         M = _scaled_top(*EVEN_THIN_CASES[0], 1.5)
         result = decide_admissible(M)

@@ -135,17 +135,23 @@ class TestClassify:
         for got, want in zip(share[1:], c.values[1:]):
             assert got <= bound * want * (1 + 1e-9)
 
-    def test_moment_below_the_solvers_floor_is_not_boundary(self):
-        # The nodes scaled by 2^m take c to 1e-10 ... 3.9e171, where the
-        # solver's floor of 1e-150 of the largest hides c_1 and c_2.  The
-        # path's one atom (47.27, 3.2e-34) fits only c_3, yet the Lyapunov
-        # inequality is strict: the final check compares each moment with
-        # itself and raises rather than call c BOUNDARY.
+    def test_scaled_moments_180_decades_apart_are_interior(self):
+        # The nodes scaled by 2^m take c to 1e-10 ... 3.9e171.  Every
+        # equation is solved relative to its own moment, so c_1 and c_2 are
+        # fitted as well as c_3: the Lyapunov inequality is strict, and
+        # classify agrees with the decision procedure.
         c = MomentVector((1e-10, 1e-30, 1.0), ExponentVector((1, 2, 20), 20))
-        with pytest.raises(NumericalFailureError, match="not in floating point"):
-            classify(c)
+        result = classify(c)
+        assert result.kind is ClassKind.INTERIOR and len(result.witness) == 2
+        back = moments_of(result.witness, c.exponents).values
+        for got, want in zip(back, c.values):
+            assert abs(got / want - 1.0) <= kolmo.representations.ACCEPT_TOL
         M = NormVector(c.values, c.exponents, FunctionFamily(Family.AM, 20))
         assert decide_status(M)[0].value == "admissible_interior"
+
+    def test_moments_at_the_top_of_the_float_range_are_interior(self):
+        c = MomentVector((1.0, 1.3e154, 1.7976931348623157e308), K012)
+        assert classify(c).kind is ClassKind.INTERIOR
 
 
 class TestLowestStructure:
@@ -325,6 +331,18 @@ class TestPrincipalRepresentation:
 
 
 class TestCanonicalRepresentation:
+    @pytest.mark.parametrize("t_star", [0.25, 0.5, 1.0, 1.25, 2.0, 3.0, 10.0])
+    def test_closed_form(self, t_star):
+        # Two atoms at t and u fit (2, 3, 5): u = (5 - 3t)/(3 - 2t),
+        # w_u = (3 - 2t)/(u - t) and w_t = 2 - w_u.
+        u = (5.0 - 3.0 * t_star) / (3.0 - 2.0 * t_star)
+        w_u = (3.0 - 2.0 * t_star) / (u - t_star)
+        rep = canonical_representation(C235, t_star)
+        assert t_star in rep.nodes  # pinned bit-exactly
+        want = sorted([(t_star, 2.0 - w_u), (u, w_u)])
+        assert rep.nodes == pytest.approx([n for n, _ in want], rel=1e-12)
+        assert rep.weights == pytest.approx([w for _, w in want], rel=1e-12)
+
     def test_worked_example_pin_at_one(self):
         rep = canonical_representation(C235, 1.0)
         assert len(rep) == 2
@@ -506,7 +524,7 @@ class TestSavedJacobians:
         assert systems.count(("_track", False)) == len(tracks)
         assert systems.count(("_track", True)) == landings
         assert {caller for caller, _ in systems} <= {
-            "_correct", "_track", "_principal_path", "scaled_residual"}
+            "_correct", "_track", "_principal_path"}
 
 
 class TestSingleMoment:
