@@ -2,7 +2,9 @@
 
 Builds the uniquely determined comparison splines, decides admissibility of a
 norm tuple by the recursive trichotomy over trailing sub-tuples, and exposes
-the extremal spline family whose norm tuples exhaust the admissible set.
+the extremal spline family whose norm tuples exhaust the admissible set.  The
+witness of a decision is the top level's comparison spline plus the excess of
+the one norm it does not match.
 """
 from __future__ import annotations
 
@@ -148,13 +150,11 @@ def decide_status(
 def decide_admissible(M: NormVector, tol: float = ACCEPT_TOL) -> AdmissibilityResult:
     """Trichotomy for a norm tuple with k_d = r, with a realizing witness.
 
-    For odd d the top level's comparison spline S (empty for d = 1) matches
-    M_{k_2..k_d}, and its k_1-norm is the rhs compared with M_{k_1}.  Where
-    they compared equal S is the witness; where M_{k_1} is above, S plus a
-    constant of the excess for k_1 = 0, as a constant feeds M_0 alone, else
-    S plus a far knot above S's knots that carries it (:func:`_far_knot`).
-    An even d whose top level compared equal takes its witness from the
-    recursion's cached splines as well (:func:`_even_boundary_witness`).
+    The witness is the top level's comparison spline S plus the excess of
+    the one norm S does not match (:func:`_excess_witness`): M_{k_1} for odd
+    d, where S matches M_{k_2..k_d} (empty for d = 1), and M_r for an even d
+    whose top level compared equal, where S matches M_{k_1..k_{d-1}}; there
+    the sublevel's spline comes first where it matches all d norms.
     :func:`classify` runs on the whole tuple only through
     :func:`matching_spline`, for the other even tuples.
     """
@@ -162,59 +162,42 @@ def decide_admissible(M: NormVector, tol: float = ACCEPT_TOL) -> AdmissibilityRe
     witness = None
     if status is not Status.NOT_ADMISSIBLE:
         top = trace[-1]
-        order = None if top.lhs is None else _compare(top.lhs, top.rhs, tol)
         try:
-            if M.d % 2 == 0:
-                witness = _even_boundary_witness(M, tol) if order == 0 else matching_spline(M, tol)
-            else:
+            if M.d % 2:
                 S = matching_spline(M.drop_first(), tol) if M.d > 1 else IdealSpline(M.family, (), ())
-                k_1 = M.exponents.exponents[0]
-                excess = M.values[0] - evaluate(S, 0.0, k_1)
-                if order == 0 or k_1 == 0:
-                    witness = with_constant(S, excess if order else 0.0)
-                elif (witness := _far_knot(S, M, excess, 0, tol)) is None:
-                    raise NumericalFailureError("no far knot carries M_{k_1}'s excess in floats")
+                witness = _excess_witness(S, M, 0, tol)
+            elif top.lhs is None or _compare(top.lhs, top.rhs, tol):
+                witness = matching_spline(M, tol)
+            else:
+                witness = matching_spline(M.drop_first().drop_first(), tol)
+                if not _reproduces(witness, M, tol):
+                    witness = _excess_witness(matching_spline(M.drop_first_and_last(), tol), M, -1, tol)
         except NotAttainableError as exc:
             raise NumericalFailureError("no spline realized the admissible tuple") from exc
         _check_witness(witness, M, tol)
     return AdmissibilityResult(status, witness, trace)
 
 
-def _even_boundary_witness(M: NormVector, tol: float) -> IdealSpline:
-    """The witness of an even count whose top level compared equal, from the
-    recursion's cached splines.
-
-    The sublevel's comparison spline matches M_{k_3..k_d} with (d-2)/2
-    knots; where it matches M_{k_1} and M_{k_2} too, it is a thin witness.
-    Otherwise the top comparison spline S matches M_{k_2..k_{d-1}}, and its
-    k_1-norm compared equal to M_{k_1}.  Where S's r-norm falls short of
-    M_r, a far knot below S's knots carries the excess (:func:`_far_knot`).
-    An M_r below S's, or a far knot that does not fall below S's knots,
-    takes the lowest-index spline of M.
-    """
-    thin = matching_spline(M.drop_first().drop_first(), tol)
-    if _reproduces(thin, M, tol):
-        return thin
-    top = matching_spline(M.drop_first_and_last(), tol)
-    r = M.exponents.r
-    top_r = evaluate(top, 0.0, r)
-    order = _compare(M.values[-1], top_r, tol)
-    if order == 0:
-        return top
-    if order > 0 and (witness := _far_knot(top, M, M.values[-1] - top_r, -1, tol)):
-        return witness
-    return matching_spline(M, tol)
-
-
-def _far_knot(S: IdealSpline, M: NormVector, excess: float, end: int,
-              tol: float) -> IdealSpline | None:
-    """S plus a knot a above S's knots (``end`` 0) or below them (-1) that
-    carries the ``excess`` e of M's moment coordinate c_j there, so feeds each
-    other c_i with e*a^(k_j-k_i): the node 1/a of :func:`log_far_node` (mass
-    escaping to 0 or to infinity).  None where a is not beyond S's knots or
-    a or its weight leaves the float range."""
+def _excess_witness(S: IdealSpline, M: NormVector, end: int, tol: float) -> IdealSpline:
+    """S, which matches M's norms but the one at ``end`` (0 or -1), plus
+    that norm's excess e: S itself where they compare equal, S plus a
+    constant e where its exponent k_j is 0 (a constant feeds M_0 alone), else
+    S plus a knot a above S's knots (``end`` 0) or below them (-1) that feeds
+    each other moment coordinate c_i with e*a^(k_j-k_i): the node 1/a of
+    :func:`log_far_node`.  Raises :class:`NumericalFailureError` where M's
+    norm lies below S's, or a does not clear S's knots, or a or its weight
+    leaves the float range."""
     k, r = M.exponents.exponents, M.exponents.r
-    c, k_j = moment_coordinates(M).values, k[end]
+    k_j, S_j = k[end], evaluate(S, 0.0, k[end])
+    order = _compare(M.values[end], S_j, tol)
+    if order < 0:
+        raise NumericalFailureError(f"M_{k_j} = {M.values[end]!r} lies below the spline's {S_j!r}")
+    if order == 0:
+        return S
+    excess = M.values[end] - S_j
+    if k_j == 0:
+        return with_constant(S, excess)
+    c = moment_coordinates(M).values
     e = excess * (c[end] / M.values[end])  # the excess in moment coordinates
     others = [i for i, ki in enumerate(k) if ki != k_j]
     log_a = -log_far_node(math.log(e), [c[i] for i in others], [k[i] - k_j for i in others], tol)
@@ -223,8 +206,8 @@ def _far_knot(S: IdealSpline, M: NormVector, excess: float, end: int,
         if end == 0:
             return IdealSpline(M.family, (a, *S.knots), (w, *S.weights), S.constant)
         return IdealSpline(M.family, (*S.knots, a), (*S.weights, w), S.constant)
-    except (OverflowError, DomainError):
-        return None
+    except (OverflowError, DomainError) as exc:
+        raise NumericalFailureError(f"no far knot carries M_{k_j}'s excess in floats") from exc
 
 
 def _decide(M: NormVector, tol: float, trace: list[LevelRecord]) -> Status:

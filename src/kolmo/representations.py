@@ -332,10 +332,12 @@ class _Problem:
     """A moment vector in the exponents k - k_1, nodes divided by 2^m.
 
     2^m sits mid moment-ratio range, so node logarithms stay small and a
-    prescribed root scales exactly.  Weights become w u^{k_1}; an atom at 0
-    then has no counterpart in the original system unless k_1 = 0.  Raises
-    :class:`NumericalFailureError` if the scaling takes a nonzero moment to
-    0 or any moment beyond the float range.
+    prescribed root scales exactly.  Where that m takes a moment out of the
+    float range, m moves to the nearest one that keeps every nonzero moment
+    normal.  Weights become w u^{k_1}; an atom at 0 then has no counterpart
+    in the original system unless k_1 = 0.  Raises
+    :class:`NumericalFailureError` where no m keeps every nonzero moment
+    nonzero and every moment finite.
     """
 
     def __init__(self, c: MomentVector):
@@ -348,10 +350,20 @@ class _Problem:
             ratios = np.diff(np.log(np.abs(vals))) / np.diff(self.k)
             ratios = ratios[(vals[:-1] > 0) & (vals[1:] > 0)]
             mid = (ratios.min() + ratios.max()) / 2 if len(ratios) else 0.0
-            self.m = int(round(mid / math.log(2.0)))
-            self.values = np.ldexp(vals, (-self.m * self.k).astype(int))
-        if not np.isfinite(self.values).all() or np.count_nonzero(self.values) < np.count_nonzero(vals):
-            raise NumericalFailureError("a moment leaves the float range as the nodes are scaled")
+            if not self._scale(vals, int(round(mid / math.log(2.0)))):
+                # 2^(log2|c_i| - m k_i) stays within [2^-1021, 2^1023] for m in [lo, hi].
+                nz = (vals != 0) & (self.k > 0)
+                log2, k = np.log2(np.abs(vals[nz])), self.k[nz]
+                lo, hi = np.ceil((log2 - 1023) / k).max(), np.floor((log2 + 1021) / k).min()
+                if lo > hi or not self._scale(vals, int(min(max(self.m, lo), hi))):
+                    raise NumericalFailureError("a moment leaves the float range as the nodes are scaled")
+
+    def _scale(self, vals, m: int) -> bool:
+        """Divide the nodes by 2^m; whether every moment stays finite and
+        every nonzero one nonzero."""
+        self.m = m
+        self.values = np.ldexp(vals, (-m * self.k).astype(int))
+        return bool(np.isfinite(self.values).all()) and np.count_nonzero(self.values) == np.count_nonzero(vals)
 
     def nodes(self, lu):
         """Log scaled nodes back to nodes."""

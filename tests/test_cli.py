@@ -1,4 +1,5 @@
 """Command-line interface: exit codes, JSON determinism, smoke coverage."""
+import csv
 import io
 import json
 import sys
@@ -131,13 +132,21 @@ class TestClassify:
         # An atom at 0 and one at 1e290 of weight 1e-590: the solve in log
         # variables reproduces c, but that weight underflows.
         ([2, 1e-300, 1e-10], "the measure reproduces c, but not in floating point"),
-        # Exterior, but dividing the nodes by 2^m overflows the second moment.
-        ([1e146, 1e147, 1e-198], "a moment leaves the float range as the nodes are scaled"),
+        # No node scale 2^m keeps both c_1 = 1e308 (m >= 1) and the subnormal
+        # c_2 = 1e-320 (m <= -21) normal.
+        ([1, 1e308, 1e-320], "a moment leaves the float range as the nodes are scaled"),
     ], ids=["weight-beyond-floats", "scaled-moment-overflows"])
     def test_numerical_failure_exit_3(self, capsys, monkeypatch, c, message):
         doc = {"k": [0, 1, 2], "c": c}
         code, out, err = run(capsys, ["classify"], stdin=doc, monkeypatch=monkeypatch)
         assert (code, out, err) == (3, "", f"numerical failure: {message}\n")
+
+    def test_scale_off_mid_range(self, capsys, monkeypatch):
+        # The mid-range node scale overflows c_1, a scale nearer c_2's keeps
+        # all three normal: exterior, as c_1^2 > c_0 c_2.
+        doc = {"k": [0, 1, 2], "c": [1e146, 1e147, 1e-198]}
+        code, out, _ = run(capsys, ["classify"], stdin=doc, monkeypatch=monkeypatch)
+        assert code == 0 and json.loads(out)["kind"] == "exterior"
 
 
 class TestRepresent:
@@ -616,3 +625,121 @@ class TestOtherCommands:
         assert doc["ok"] is False
         assert doc["failed"] == 3
         assert doc["failures"][0] == "case 0: always wrong"
+
+
+# The console-script checks of the README examples and past regressions, one
+# row each: (argv, stdin document or None, exit code, check of stdout or None).
+def _rows(out):
+    return list(csv.reader(io.StringIO(out)))
+
+
+def _atoms(atoms):
+    return [(x["node"], x["weight"]) for x in atoms]
+
+
+def _unit_sweep(out):
+    h, *rows = _rows(out)
+    s = {round(float(x), 9): t for x, t in rows}
+    return (h == ["M", "status"] and len(rows) == 11 and s[1.0] == "admissible_boundary"
+            and all(t == ("not_admissible" if x < 1 else "admissible_interior")
+                    for x, t in s.items() if x != 1.0))
+
+
+def _w(out):
+    return json.loads(out)["witness"]
+
+
+MM_012 = {"family": "mm", "r": 2, "k": [0, 1, 2]}
+CONSOLE_CHECKS = [
+    (["decide"], DECIDE_BOUNDARY, 0, lambda out: json.loads(out)["status"] == "admissible_boundary"
+     and len(_w(out)["knots"]) == 1 and _w(out)["constant"] == 0),
+    (["decide"], dict(MM_012, M=[1.5, 2.0, 2.0]), 0, lambda out: json.loads(out)["status"]
+     == "admissible_interior" and len(_w(out)["knots"]) == 1 and all(
+         abs(g - v) <= 1e-12 for g, v in zip(_w(out)["knots"] + _w(out)["weights"]
+                                             + [_w(out)["constant"]], (1, 2, 0.5)))),
+    (["classify"], {"k": [0, 3], "c": [2, 16]}, 0, lambda out: json.loads(out)["kind"]
+     == "interior" and len(a := _atoms(_w(out)["atoms"])) == 1
+     and all(abs(v / 2 - 1) <= 1e-12 for v in a[0])),
+    (["classify", "--oracle"], {"k": [0, 1, 2], "c": [2.0, 3.0, 5.0]}, 0,
+     lambda out: json.loads(out)["kind"] == "interior" and json.loads(out)["oracle"]["feasible"]),
+    (["represent", "--canonical", "--root", "1.0"], {"k": [0, 1, 2], "c": [2, 3, 5]}, 0,
+     lambda out: len(a := _atoms(json.loads(out)["atoms"])) == 2 and all(
+         abs(n - m) <= 1e-8 and abs(w - 1) <= 1e-8 for (n, w), m in zip(a, (1, 2)))),
+    (["represent", "--canonical", "--root", "0.5"], {"k": [0, 1, 2], "c": [2, 3, 5]}, 0,
+     lambda out: len(a := _atoms(json.loads(out)["atoms"])) == 2 and all(
+         abs(g / v - 1) <= 1e-12 for p, q in zip(a, ((0.5, 0.4), (1.75, 1.6)))
+         for g, v in zip(p, q))),
+    (["represent", "--principal"], {"k": [0, 1, 2], "c": [2.0, 3.0, 5.0]}, 0,
+     lambda out: len(a := _atoms(json.loads(out)["atoms"])) == 2 and all(
+         abs(n - m) <= 1e-8 and abs(w - v) <= 1e-8
+         for (n, w), (m, v) in zip(a, ((0, 0.2), (5 / 3, 1.8))))),
+    (["spline-norms"], {"spline": {"family": "mm", "r": 2, "knots": [1.0], "weights": [2.0]},
+                        "k": [0, 1, 2]}, 0,
+     lambda out: len(m := json.loads(out)["M"]) == 3
+     and all(abs(g - w) <= 1e-12 for g, w in zip(m, (1, 2, 2)))),
+    (["sweep", "--component", "1", "--from", "0.5", "--to", "1.5", "--steps", "11"],
+     DECIDE_BOUNDARY, 0, _unit_sweep),
+    (["sweep", "--component", "2", "--from", "1", "--to", "3", "--steps", "5"],
+     DECIDE_BOUNDARY, 0, lambda out: [t for _, t in _rows(out)[1:]] == [
+         "admissible_interior", "admissible_interior", "admissible_boundary",
+         "not_admissible", "not_admissible"]),
+    (["verify", "--suite", "correspondence", "--cases", "20"], None, 0,
+     lambda out: json.loads(out)["ok"] is True and json.loads(out)["passed"] == 20),
+    (["random", "--seed", "7"], None, 0, lambda out: len(json.loads(out)["knots"]) == 2),
+    (["random", "--seed", "-1"], None, 2, None),
+    (["classify"], {"k": [0, 1, 2, 7, 8], "c": [5.562467355532347, 33.87486849636027,
+                                                258.85281275009135, 4791822.853040424,
+                                                47017567.068835765]}, 0,
+     lambda out: json.loads(out)["kind"] == "exterior"),
+    (["classify"], {"k": [0, 1, 2], "c": [1, "nan", 1]}, 2, None),
+    (["classify", "--tol", "1e-6"], {"k": [0, 1, 2], "c": [1, 1, 1.0000001]}, 0,
+     lambda out: json.loads(out)["kind"] == "boundary" and len(_w(out)["atoms"]) == 1),
+    (["classify"], {"k": [0, 1, 2], "c": [1, 1, 1.0000001]}, 0,
+     lambda out: json.loads(out)["kind"] == "interior"),
+    (["classify"], DECIDE_BOUNDARY, 2, None),
+    (["decide"], DECIDE_OVERFLOW, 0, lambda out: json.loads(out)["status"] == "admissible_boundary"),
+    (["spline-norms"], {"spline": {"family": "mm", "r": 20, "knots": [1e20], "weights": [1.0]},
+                        "k": [0, 20]}, 2, None),
+    (["decide", "--tol", "1e-4"], {"family": "am", "r": 20, "k": [2, 3, 4, 8, 9, 20],
+                                   "M": [760258255.1602819, 240531355.50004354, 76099579.2575742,
+                                         762473.6344877689, 241232.6118614608, 2.228648874737896]},
+     0, lambda out: json.loads(out)["status"] == "admissible_boundary"),
+    (["represent", "--principal"], {"k": [0, 3], "c": [2, 16]}, 0,
+     lambda out: len(a := _atoms(json.loads(out)["atoms"])) == 1
+     and all(abs(v / 2 - 1) <= 1e-12 for v in a[0])),
+    (["sweep", "--component", "1", "--from", "-1e-3", "--to", "2", "--steps", "3"],
+     DECIDE_BOUNDARY, 0, lambda out: _rows(out)[0] == ["M", "status"] and len(_rows(out)) == 4),
+    (["classify"], {"k": [0, 1, 2], "c": [2e131, 3e131, 5e131]}, 0,
+     lambda out: json.loads(out)["kind"] == "interior"),
+    (["classify"], {"k": [0, 1, 2], "c": [1, 1e308, 1e-320]}, 3, None),
+    (["spline-norms"], {"spline": {"family": "mm", "r": 2.5, "knots": [1.0], "weights": [2.0]},
+                        "k": [0, 1, 2]}, 2, None),
+    (["decide"], {"family": "am", "r": 3, "k": [0, 1, 2, 3], "M": [1, 1, 1, 2]}, 0,
+     lambda out: json.loads(out)["status"] == "admissible_boundary"
+     and len(_w(out)["knots"]) == 2 and _w(out)["knots"][1] < 1e-6
+     and all(abs(v - 1) <= 1e-12 for v in [_w(out)["knots"][0]] + _w(out)["weights"])),
+    (["decide"], {"family": "mm", "r": True, "k": [0, True], "M": [1, 2]}, 2, None),
+    (["decide"], {"family": "mm", "r": "2", "k": ["0", "1", 2], "M": [1, 2, 2]}, 2, None),
+    (["classify"], {"k": [0, 1, 2], "c": [True, 3, 5]}, 2, None),
+    (["classify"], {"k": [3, 4, 11], "r": 20,
+                    "c": [104841767.92320746, 2459873.0450706827, 34241996.7601226]}, 0,
+     lambda out: json.loads(out)["kind"] == "interior" and len(_w(out)["atoms"]) == 2),
+    (["decide"], {"family": "am", "r": 20, "k": [1, 2, 20], "M": [1e-20, 1e-30, 1.0]}, 3, None),
+    (["classify"], {"k": [1, 2, 20], "r": 20, "c": [1e-10, 1e-30, 1.0]}, 0,
+     lambda out: json.loads(out)["kind"] == "interior" and len(_w(out)["atoms"]) == 2),
+    (["classify"], {"k": [0, 3, 5, 7, 8], "c": [9.730507379958823, 16030.239858993526,
+                                                2907708.559949573, 527426254.3427653,
+                                                7103414854.325271]}, 0,
+     lambda out: json.loads(out)["kind"] == "boundary"),
+]
+
+
+@pytest.mark.parametrize("argv, doc, want, check", CONSOLE_CHECKS,
+                         ids=[f"{i:02d}-{c[0][0]}" for i, c in enumerate(CONSOLE_CHECKS)])
+def test_console_checks(capsys, monkeypatch, argv, doc, want, check):
+    try:
+        code, out, _ = run(capsys, argv, stdin=doc, monkeypatch=monkeypatch)
+    except SystemExit as exc:
+        code, out = exc.code, capsys.readouterr().out
+    assert code == want, out
+    assert check is None or check(out), out

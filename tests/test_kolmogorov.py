@@ -405,21 +405,21 @@ class TestEvenBoundaryWitnessFromCache:
         assert result.witness.constant == 0
 
 
-class TestEvenBoundaryWitnessFallback:
+class TestEvenBoundaryWitnessFails:
+    # An even-count boundary tuple whose top spline S plus the excess of M_r
+    # is no spline raises a typed error; no solve of the whole tuple runs.
     def test_far_knot_not_below_the_top_spline(self, monkeypatch):
         # A share so large that the placed knot would not fall below the
-        # top comparison spline's knots: the witness is the tuple's own
-        # lowest-index spline.
+        # top comparison spline's knots.
         monkeypatch.setattr(representations, "FAR_KNOT_SHARE", 1e12)
         matching_spline.cache_clear()
         M = _scaled_top(*EVEN_THIN_CASES[0], 1.5)
-        result = decide_admissible(M)
-        assert result.status is Status.ADMISSIBLE_BOUNDARY
-        assert result.witness == matching_spline(M)
+        assert decide_status(M)[0] is Status.ADMISSIBLE_BOUNDARY
+        with pytest.raises(NumericalFailureError, match="far knot"):
+            decide_admissible(M)
 
     def test_top_norm_below_the_top_spline(self, monkeypatch):
-        # M_r below S's r-norm beyond the band: the tuple's own solve decides
-        # (here the tuple is exterior).
+        # M_r below S's r-norm beyond the band: no excess to carry.
         calls = []
         solve = kolmogorov.classify
 
@@ -430,9 +430,10 @@ class TestEvenBoundaryWitnessFallback:
         monkeypatch.setattr(kolmogorov, "classify", recorded)
         matching_spline.cache_clear()
         M = _scaled_top(*EVEN_THIN_CASES[0], 0.5)
-        with pytest.raises(NotAttainableError):
-            kolmogorov._even_boundary_witness(M, ACCEPT_TOL)
-        assert calls[-1] == M.exponents.exponents
+        top = matching_spline(M.drop_first_and_last())
+        with pytest.raises(NumericalFailureError, match="below"):
+            kolmogorov._excess_witness(top, M, -1, ACCEPT_TOL)
+        assert M.exponents.exponents not in calls
 
 
 # decide-mixed seed 1, round 4 items 35, 32 and 36: even-count boundary

@@ -219,6 +219,27 @@ class TestThin:
         assert result.witness.nodes == pytest.approx((1.5, 1e5), rel=1e-8)
         assert result.witness.weights == pytest.approx((2.0, 1e-12), rel=1e-8)
 
+    def test_thinning_that_misses_keeps_the_principal_representation(self, monkeypatch):
+        # Within tol = 1e-6 of one atom at 1, c thins; where the thinned
+        # polish misses c, the principal representation it came from is the
+        # witness, of index d/2: INTERIOR, never EXTERIOR.
+        c = MomentVector((1.0, 1.0, 1.0000001), K012)
+        correct, missed = kolmo.representations._correct, []
+
+        def thinned_misses(y, layout, k, target, tol, max_iter, dc=None):
+            if dc is None and len(y) < len(k):
+                missed.append(len(y))
+                return y, math.inf, None
+            return correct(y, layout, k, target, tol, max_iter, dc)
+
+        monkeypatch.setattr(kolmo.representations, "_correct", thinned_misses)
+        result = classify(c, tol=1e-6)
+        assert missed
+        assert result.kind is ClassKind.INTERIOR
+        assert index_of(result.witness).twice == 3
+        assert result.witness == principal_representation(c, tol=1e-6)
+        assert moments_of(result.witness, K012).values == pytest.approx(c.values, rel=1e-6)
+
 
 class TestPrincipalRepresentation:
     def test_worked_example(self):
@@ -882,7 +903,7 @@ def test_classify_keeps_its_side_over_the_float_range():
             raised.append(c)
             continue
         assert kind is (ClassKind.INTERIOR if gap > 0 else ClassKind.EXTERIOR), c
-    assert len(raised) <= 10, raised
+    assert len(raised) <= 5, raised
 
 
 @pytest.mark.parametrize("lam", [1e-300, 1e-100, 1e100, 1e131, 1e200, 1e300])
