@@ -23,7 +23,8 @@ from .core import (
     Representation,
     index_of,
 )
-from .errors import DomainError, KolmoError, UnsupportedSystemError
+from .errors import (DomainError, KolmoError, NotInteriorError, PinnedNodeCoincidenceError,
+                     UnsupportedSystemError)
 from .kolmogorov import decide_admissible, decide_status
 from .oracle import DEFAULT_FEASIBILITY_TOL, cone_membership
 from .representations import (
@@ -357,7 +358,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INVALID_INPUT
     try:
         doc = args.handler(args)
-    except (InputError, DomainError, UnsupportedSystemError) as exc:
+    except (InputError, DomainError, UnsupportedSystemError, NotInteriorError,
+            PinnedNodeCoincidenceError) as exc:  # input the entry does not handle
         log.info("invalid input", exc_info=True)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT

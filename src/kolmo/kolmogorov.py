@@ -68,14 +68,12 @@ def _require_positive(M: NormVector):
         raise DomainError(f"norm components must be strictly positive: {M.values}")
 
 
-def interior_spline(
-    M: NormVector, tol: float = ACCEPT_TOL, init_seed: int = 0
-) -> IdealSpline:
+def interior_spline(M: NormVector, tol: float = ACCEPT_TOL) -> IdealSpline:
     """The unique spline with d/2 knots and no constant matching 2m norms."""
     if M.d % 2 != 0:
         raise DomainError(f"interior spline needs an even norm count, got {M.d}")
     _require_positive(M)
-    rep = principal_representation(moment_coordinates(M), tol, init_seed)
+    rep = principal_representation(moment_coordinates(M), tol)
     return spline_from_representation(rep, M.family)
 
 
@@ -129,6 +127,14 @@ def matching_spline(M: NormVector, tol: float = ACCEPT_TOL) -> IdealSpline:
     return spline_from_representation(witness, M.family)
 
 
+def _attained_spline(M: NormVector, tol: float) -> IdealSpline:
+    """:func:`matching_spline` of an admissible tuple or a sub-tuple of it, which a spline attains."""
+    try:
+        return matching_spline(M, tol)
+    except NotAttainableError as exc:
+        raise NumericalFailureError("no spline realized the admissible tuple or a sub-tuple of it") from exc
+
+
 def decide_status(
     M: NormVector, tol: float = ACCEPT_TOL
 ) -> tuple[Status, tuple[LevelRecord, ...]]:
@@ -162,18 +168,15 @@ def decide_admissible(M: NormVector, tol: float = ACCEPT_TOL) -> AdmissibilityRe
     witness = None
     if status is not Status.NOT_ADMISSIBLE:
         top = trace[-1]
-        try:
-            if M.d % 2:
-                S = matching_spline(M.drop_first(), tol) if M.d > 1 else IdealSpline(M.family, (), ())
-                witness = _excess_witness(S, M, 0, tol)
-            elif top.lhs is None or _compare(top.lhs, top.rhs, tol):
-                witness = matching_spline(M, tol)
-            else:
-                witness = matching_spline(M.drop_first().drop_first(), tol)
-                if not _reproduces(witness, M, tol):
-                    witness = _excess_witness(matching_spline(M.drop_first_and_last(), tol), M, -1, tol)
-        except NotAttainableError as exc:
-            raise NumericalFailureError("no spline realized the admissible tuple") from exc
+        if M.d % 2:
+            S = _attained_spline(M.drop_first(), tol) if M.d > 1 else IdealSpline(M.family, (), ())
+            witness = _excess_witness(S, M, 0, tol)
+        elif top.lhs is None or _compare(top.lhs, top.rhs, tol):
+            witness = _attained_spline(M, tol)
+        else:
+            witness = _attained_spline(M.drop_first().drop_first(), tol)
+            if not _reproduces(witness, M, tol):
+                witness = _excess_witness(_attained_spline(M.drop_first_and_last(), tol), M, -1, tol)
         _check_witness(witness, M, tol)
     return AdmissibilityResult(status, witness, trace)
 
@@ -225,7 +228,7 @@ def _decide(M: NormVector, tol: float, trace: list[LevelRecord]) -> Status:
         return Status.NOT_ADMISSIBLE
     cmp_M = suffix if d % 2 == 1 else M.drop_first_and_last()
     lhs = M.values[0]
-    rhs = evaluate(matching_spline(cmp_M, tol), 0.0, k[0])
+    rhs = evaluate(_attained_spline(cmp_M, tol), 0.0, k[0])
     order = _compare(lhs, rhs, tol)
     if order < 0:
         status = Status.NOT_ADMISSIBLE

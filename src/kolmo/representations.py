@@ -1,10 +1,11 @@
 """Exact-structure solves for the power-moment problem on [0, inf).
 
-One entry per structure: :func:`classify` solves for the lowest-index one
-in every exponent system (its witness is the minimal-index representation);
-:func:`principal_representation` (index d/2) and
-:func:`canonical_representation` (index (d+1)/2, through a prescribed root)
-reject the systems without exponent 0 where that index has no structure.
+:func:`classify` solves for the lowest-index structure in every exponent
+system, from the path start its ``init_seed`` selects (its witness is the
+minimal-index representation); :func:`principal_representation` (index d/2)
+is its INTERIOR witness, and it and :func:`canonical_representation` (index
+(d+1)/2, through a prescribed root) reject the systems without exponent 0
+where their index has no structure.
 
 Every solve runs one tracker.  Inside the convex moment cone the principal
 (index d/2) representation is unique and smooth in the moments, so
@@ -24,10 +25,10 @@ accepted; only a path's first tangent forms its own.  A positive pair needs
 no solve at all: one atom attains it, found in closed form and checked in
 floats, and it is the verdict and the principal representation both.
 
-- Classification and principal representations track from a start measure
-  spread over the moment-ratio range of c to c, and get the principal
-  representation at c, else the exit measure polished against c if it
-  reproduces c (else c is exterior); the verdict is its index against d/2.
+- Classification tracks from a start measure spread over the moment-ratio
+  range of c to c, and gets the principal representation at c, else the
+  exit measure polished against c if it reproduces c (else c is exterior);
+  the verdict is its index against d/2.
   Without exponent 0 an odd d's principal zero atom, which feeds no moment,
   moves in closed form to a node near 0: a witness of index (d+1)/2.
 - A root pinned at t* tracks the ray c - s w v(t*), v(t*) the powers of t*,
@@ -183,16 +184,18 @@ def _unit_columns(J):
 
 
 def _lstsq(scaled, rhs):
-    """Solve (square) or least squares in the columns of :func:`_unit_columns`."""
+    """Solve (square) or least squares in the columns of :func:`_unit_columns`;
+    a solve that overflows as the column scaling is undone takes least squares."""
     J, norms = scaled
-    if J.shape[0] == J.shape[1]:
-        try:
-            x = np.linalg.solve(J, rhs)
-            if np.isfinite(x).all():
-                return x / norms
-        except np.linalg.LinAlgError:
-            pass
-    return np.linalg.lstsq(J, rhs, rcond=None)[0] / norms
+    with np.errstate(over="ignore"):
+        if J.shape[0] == J.shape[1]:
+            try:
+                x = np.linalg.solve(J, rhs) / norms
+                if np.isfinite(x).all():
+                    return x
+            except np.linalg.LinAlgError:
+                pass
+        return np.linalg.lstsq(J, rhs, rcond=None)[0] / norms
 
 
 def _correct(y, layout, k, target, tol, max_iter, dc=None):
@@ -332,12 +335,10 @@ class _Problem:
     """A moment vector in the exponents k - k_1, nodes divided by 2^m.
 
     2^m sits mid moment-ratio range, so node logarithms stay small and a
-    prescribed root scales exactly.  Where that m takes a moment out of the
-    float range, m moves to the nearest one that keeps every nonzero moment
-    normal.  Weights become w u^{k_1}; an atom at 0 then has no counterpart
-    in the original system unless k_1 = 0.  Raises
-    :class:`NumericalFailureError` where no m keeps every nonzero moment
-    nonzero and every moment finite.
+    prescribed root scales exactly, clamped into the window of m that keeps
+    every nonzero moment with k_i > 0 normal.  Weights become w u^{k_1}; an
+    atom at 0 then has no counterpart in the original system unless k_1 = 0.
+    Raises :class:`NumericalFailureError` where that window is empty.
     """
 
     def __init__(self, c: MomentVector):
@@ -346,24 +347,19 @@ class _Problem:
         self.shift = ks[0]
         self.k = np.asarray(ks, dtype=float) - ks[0]
         vals = np.asarray(c.values, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
             ratios = np.diff(np.log(np.abs(vals))) / np.diff(self.k)
-            ratios = ratios[(vals[:-1] > 0) & (vals[1:] > 0)]
-            mid = (ratios.min() + ratios.max()) / 2 if len(ratios) else 0.0
-            if not self._scale(vals, int(round(mid / math.log(2.0)))):
-                # 2^(log2|c_i| - m k_i) stays within [2^-1021, 2^1023] for m in [lo, hi].
-                nz = (vals != 0) & (self.k > 0)
-                log2, k = np.log2(np.abs(vals[nz])), self.k[nz]
-                lo, hi = np.ceil((log2 - 1023) / k).max(), np.floor((log2 + 1021) / k).min()
-                if lo > hi or not self._scale(vals, int(min(max(self.m, lo), hi))):
-                    raise NumericalFailureError("a moment leaves the float range as the nodes are scaled")
-
-    def _scale(self, vals, m: int) -> bool:
-        """Divide the nodes by 2^m; whether every moment stays finite and
-        every nonzero one nonzero."""
-        self.m = m
-        self.values = np.ldexp(vals, (-m * self.k).astype(int))
-        return bool(np.isfinite(self.values).all()) and np.count_nonzero(self.values) == np.count_nonzero(vals)
+        ratios = ratios[(vals[:-1] > 0) & (vals[1:] > 0)]
+        mid = (ratios.min() + ratios.max()) / 2 if len(ratios) else 0.0
+        # 2^(log2|c_i| - m k_i) stays within [2^-1021, 2^1023] for m in [lo, hi].
+        nz = (vals != 0) & (self.k > 0)
+        log2, k = np.log2(np.abs(vals[nz])), self.k[nz]
+        lo = np.ceil((log2 - 1023) / k).max(initial=-math.inf)
+        hi = np.floor((log2 + 1021) / k).min(initial=math.inf)
+        if lo > hi:
+            raise NumericalFailureError("a moment leaves the float range as the nodes are scaled")
+        self.m = int(min(max(round(mid / math.log(2.0)), lo), hi))
+        self.values = np.ldexp(vals, (-self.m * self.k).astype(int))
 
     def nodes(self, lu):
         """Log scaled nodes back to nodes."""
@@ -540,15 +536,15 @@ def log_far_node(log_mass: float, values, exponents, tol: float) -> float:
     return (max if len(bounds) and exponents[0] < 0 else min)(bounds, default=0.0)
 
 
-def classify(c: MomentVector, tol: float = ACCEPT_TOL) -> Classification:
+def classify(c: MomentVector, tol: float = ACCEPT_TOL, init_seed: int = 0) -> Classification:
     """Trichotomy of c relative to the moment cone, with a lowest-index witness.
 
     A positive pair is INTERIOR with its one atom, in closed form.  Otherwise
-    the principal path finds the witness and its index alone is the verdict:
-    below d/2 BOUNDARY, else INTERIOR.  Without exponent 0 an odd d has no
-    index d/2 (its zero atom feeds no moment): an interior c gets the
-    principal representation with that atom moved to the node where its
-    share of every other moment is FAR_KNOT_SHARE * tol, of index (d+1)/2.
+    the principal path from start ``init_seed`` finds the witness; its index
+    is the verdict: below d/2 BOUNDARY, else INTERIOR.  Without exponent 0
+    an odd d has no index d/2 (its zero atom feeds no moment): an interior c
+    gets the principal representation with that atom moved to the node where
+    its share of every other moment is FAR_KNOT_SHARE * tol, of index (d+1)/2.
     """
     require_tolerance(tol)
     if not any(c.values):
@@ -556,7 +552,7 @@ def classify(c: MomentVector, tol: float = ACCEPT_TOL) -> Classification:
     if (atom := _pair_atom(c, tol)) is not None:
         return Classification(ClassKind.INTERIOR, atom)
     prob = _Problem(c)
-    found = _principal_path(prob, tol)
+    found = _principal_path(prob, tol, init_seed)
     if found and len(found[0]) == c.d and found[1] and prob.shift:
         lz, lw, lu = _unpack(*found)
         lu_0 = log_far_node(lz, prob.values[1:], prob.k[1:], tol)
@@ -568,22 +564,16 @@ def classify(c: MomentVector, tol: float = ACCEPT_TOL) -> Classification:
     return Classification(kind, rep)
 
 
-def principal_representation(
-    c: MomentVector, tol: float = ACCEPT_TOL, init_seed: int = 0
-) -> Representation:
-    """Representation of index exactly d/2 for an interior moment vector: the
-    end of the principal path from the start ``init_seed`` selects."""
+def principal_representation(c: MomentVector, tol: float = ACCEPT_TOL) -> Representation:
+    """Representation of index exactly d/2 for an interior moment vector:
+    :func:`classify`'s witness where it says INTERIOR."""
     require_tolerance(tol)
     if c.d % 2 and c.exponents.exponents[0]:
         raise UnsupportedSystemError("odd-dimensional principal structure needs exponent 0")
-    if (atom := _pair_atom(c, tol)) is not None:
-        return atom
-    prob = _Problem(c)
-    found = _principal_path(prob, tol, init_seed)
-    rep = _witness(prob, found, tol) if found and len(found[0]) == c.d else None
-    if rep is None:
+    result = classify(c, tol)
+    if result.kind is not ClassKind.INTERIOR:
         raise NotInteriorError("the moment vector is not interior")
-    return rep
+    return result.witness
 
 
 def canonical_representation(

@@ -21,6 +21,7 @@ from .core import (
     NormVector,
     Representation,
     factorial_scale,
+    moment_coordinates,
     moments_of,
 )
 from .errors import KolmoError, PinnedNodeCoincidenceError
@@ -300,7 +301,7 @@ def canonical_suite(cases: int = 100, seed: int = DEFAULT_SEED) -> SuiteReport:
 
 
 def uniqueness_suite(cases: int = 100, seed: int = DEFAULT_SEED) -> SuiteReport:
-    """Interior spline solves from distinct initializations coincide."""
+    """Classifications from distinct path starts are INTERIOR with one witness spline."""
 
     def case(rng):
         d = int(rng.choice([2, 4, 6]))
@@ -325,8 +326,10 @@ def uniqueness_suite(cases: int = 100, seed: int = DEFAULT_SEED) -> SuiteReport:
             tuple(float(w) for w in rng.uniform(0.5, 5.0, d // 2)),
             0.0,
         )
-        M = norms(x, k)
-        ref, *others = [interior_spline(M, init_seed=s) for s in (0, 1, 2)]
+        results = [classify(moment_coordinates(norms(x, k)), init_seed=s) for s in (0, 1, 2)]
+        if any(res.kind is not ClassKind.INTERIOR for res in results):
+            return f"starts 0, 1, 2 classify as {[res.kind.value for res in results]}"
+        ref, *others = [spline_from_representation(res.witness, fam) for res in results]
         if any(_mismatch(ref.knots + ref.weights, other.knots + other.weights, 1e-6)
                for other in others):
             return "initializations disagree beyond 1e-6"

@@ -181,6 +181,20 @@ class TestRepresent:
         assert atoms[0]["node"] == 1.0
         assert atoms[1]["node"] == pytest.approx(2.0, abs=1e-8)
 
+    @pytest.mark.parametrize("argv, doc, message", [
+        # One atom at 2: a boundary vector has no principal representation.
+        (["represent", "--principal"], {"k": [0, 1, 2, 3], "c": [1, 2, 4, 8]},
+         "error: the moment vector is not interior\n"),
+        # 5/3 is a root of the principal representation (0, 0.2), (5/3, 1.8).
+        (["represent", "--canonical", "--root", "1.6666666666666667"],
+         {"k": [0, 1, 2], "c": [2, 3, 5]},
+         "error: prescribed root 1.6666666666666667 coincides with principal root "
+         "1.6666666666666667; the pinned structure degenerates\n"),
+    ], ids=["principal-of-boundary", "root-on-principal-root"])
+    def test_wrong_class_exit_2(self, capsys, monkeypatch, argv, doc, message):
+        code, out, err = run(capsys, argv, stdin=doc, monkeypatch=monkeypatch)
+        assert (code, out, err) == (2, "", message)
+
 
 class TestInvalidInput:
     def test_decreasing_exponents_exit_2(self, capsys, monkeypatch):

@@ -256,6 +256,21 @@ class TestDecideStatus:
                 decide_status(_mm_tuple(1.5))
         assert len(calls) == 2
 
+    def test_unattained_comparison_is_a_numerical_failure(self):
+        # An attainable AM r = 20 tuple (decide-mixed seed 1, round 0 item 43)
+        # whose comparison solve found no spline at tol = 1e-10.  A sub-tuple
+        # of an admissible sublevel is attained, so that is no NotAttainableError.
+        M = NormVector((198596.94304683234, 25314.492439627684, 12739.961407719164,
+                        817.266440158141, 104.17423755342784, 52.42750868133982,
+                        5.773046500548197),
+                       ExponentVector((3, 6, 7, 11, 14, 15, 20), 20), FunctionFamily(Family.AM, 20))
+        matching_spline.cache_clear()
+        try:
+            status, _ = decide_status(M, 1e-10)
+        except NumericalFailureError:
+            return
+        assert isinstance(status, Status)
+
 
 def _thin_boundary_tuple(kind, r, k, seed):
     """Norms of a random member with floor(d/2) knots and no constant."""

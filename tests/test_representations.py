@@ -2,6 +2,7 @@
 import math
 import sys
 import types
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -33,7 +34,7 @@ from kolmo import (
 )
 import kolmo.representations
 from kolmo import oracle
-from kolmo.representations import ClassKind
+from kolmo.representations import ACCEPT_TOL, ClassKind
 
 K012 = ExponentVector((0, 1, 2), 2)
 C235 = MomentVector((2.0, 3.0, 5.0), K012)
@@ -350,6 +351,64 @@ class TestPrincipalRepresentation:
             assert a.node == pytest.approx(b.node, rel=1e-6)
             assert a.weight == pytest.approx(b.weight, rel=1e-6)
 
+    def test_odd_system_without_exponent_zero_is_unsupported(self):
+        c = MomentVector((2.0, 3.0, 5.0), ExponentVector((1, 2, 3), 3))
+        with pytest.raises(UnsupportedSystemError):
+            principal_representation(c)
+
+
+class TestPrincipalIsClassifyInterior:
+    """The principal representation is classify's INTERIOR witness, bit for bit."""
+
+    @pytest.mark.parametrize("c", [
+        MomentVector((3.0, 5.0), ExponentVector((2, 7), 8)),  # a pair
+        C235,  # an odd count with exponent 0
+        moments_of(Representation((Atom(0.7, 1.3), Atom(2.9, 0.6))),
+                   ExponentVector((0, 1, 3, 6), 8)),  # an even count
+    ], ids=["pair", "odd-with-zero", "even"])
+    def test_interior_witness(self, c):
+        result = classify(c)
+        assert result.kind is ClassKind.INTERIOR
+        assert principal_representation(c) == result.witness
+
+    @pytest.mark.parametrize("c, kind", [
+        # One atom at 2: an even count on the boundary.
+        (MomentVector((1.0, 2.0, 4.0, 8.0), ExponentVector((0, 1, 2, 3), 3)), ClassKind.BOUNDARY),
+        (MomentVector((1.0, 2.0, 3.0), K012), ClassKind.EXTERIOR),
+    ], ids=["boundary", "exterior"])
+    def test_not_interior(self, c, kind):
+        assert classify(c).kind is kind
+        with pytest.raises(NotInteriorError):
+            principal_representation(c)
+
+
+class TestStartIndependence:
+    def test_decide_mixed_boundary_vector(self):
+        # The moment coordinates of an attainable MM r = 20 tuple: the start
+        # of init_seed 1 once called it EXTERIOR, the others BOUNDARY.
+        k = ExponentVector((2, 3, 4, 5, 7, 10, 20), 20)
+        c = MomentVector((0.01004528091188978, 0.012564898300635336, 0.015716501180527215,
+                          0.019658607932022128, 0.030757182341688928, 0.06019183545489448,
+                          6.4422690930931), k)
+        results = [classify(c, init_seed=s) for s in (0, 1, 2)]
+        assert {r.kind for r in results} == {ClassKind.BOUNDARY}
+        for r in results:
+            assert moments_of(r.witness, k).values == pytest.approx(c.values, rel=ACCEPT_TOL)
+
+
+class TestOverflowingStep:
+    def test_no_overflow_warning(self):
+        # A solve whose step overflows once its column scaling is undone (a
+        # column norm of 1e-55): the corrector takes least squares, silently.
+        k = ExponentVector((9, 10, 16, 17, 20), 20)
+        c = MomentVector((5699216.743886007, 1332949.9403028435, 234.94408283981076,
+                          58.99974736535961, 1.7212767561891846), k)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = classify(c)
+        assert result.kind is ClassKind.INTERIOR
+        assert moments_of(result.witness, k).values == pytest.approx(c.values, rel=ACCEPT_TOL)
+
 
 class TestCanonicalRepresentation:
     @pytest.mark.parametrize("t_star", [0.25, 0.5, 1.0, 1.25, 2.0, 3.0, 10.0])
@@ -381,6 +440,11 @@ class TestCanonicalRepresentation:
     def test_pin_coinciding_with_principal_root_rejected(self):
         with pytest.raises(PinnedNodeCoincidenceError):
             canonical_representation(C235, 5.0 / 3.0)
+
+    def test_boundary_vector_is_not_interior(self):
+        c = moments_of(Representation((Atom(1.5, 2.0),)), K012)
+        with pytest.raises(NotInteriorError):
+            canonical_representation(c, 1.0)
 
     def test_nonpositive_pin_rejected(self):
         with pytest.raises(DomainError):
