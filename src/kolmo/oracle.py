@@ -8,6 +8,7 @@ is imported on first use, so importing kolmo does not pay for it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,8 +63,9 @@ def cone_membership(
     # curve_point).
     A = nodes[None, :] ** np.asarray(k, dtype=float)[:, None]
     b = np.asarray(c.values, dtype=float)
-    # Unit-norm columns tame the Vandermonde conditioning.
-    colnorm = np.linalg.norm(A, axis=0)
+    # Unit-norm columns tame the Vandermonde conditioning.  hypot keeps both
+    # norms finite where a square would pass the float range.
+    colnorm = np.hypot.reduce(A, axis=0)
     _, rnorm = scipy.optimize.nnls(A / np.where(colnorm > 0, colnorm, 1.0), b)
-    residual = float(rnorm) / max(1.0, float(np.linalg.norm(b)))
+    residual = float(rnorm) / max(1.0, math.hypot(*b))
     return FeasibilityReport(residual <= tol, residual)

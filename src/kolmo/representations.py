@@ -109,15 +109,14 @@ def _log_scales(target):
     return np.log(np.maximum(np.abs(target), 1e-300))
 
 
-def _unpack(y, has_zero):
+def _unpack(y):
     """Log zero mass (or None), log weights and log nodes of the variables y.
 
-    A measure's layout is whether it has a zero atom: y holds its log mass
-    if so, then the log weights and the log nodes of the positive atoms.
+    y holds the zero atom's log mass if there is one, then the log weights
+    and the log nodes of the positive atoms: a zero atom is an odd len(y).
     """
-    rest = y[1:] if has_zero else y
-    p = len(rest) // 2
-    return (y[0] if has_zero else None), rest[:p], rest[p:]
+    z, p = len(y) % 2, len(y) // 2
+    return (y[0] if z else None), y[z:z + p], y[z + p:]
 
 
 def _relative(lw, lu, k, log_s, out=None):
@@ -132,24 +131,12 @@ def _relative(lw, lu, k, log_s, out=None):
                   out=out)
 
 
-def _moments(y, layout, k):
-    """The moments of the measure y, summed like :func:`_system`'s rows but
-    without :func:`_relative`'s cap, which a start's mass can exceed."""
-    lz, lw, lu = _unpack(y, layout)
-    z, lw, lu = int(lz is not None), np.asarray(lw, np.longdouble), np.asarray(lu, np.longdouble)
-    R = np.zeros((len(k), z + len(lw)), np.longdouble)
-    R[:, z:] = np.exp(lw[None, :] + k[:, None] * lu[None, :])
-    if z:
-        R[0, 0] = np.exp(np.longdouble(lz))
-    return R.sum(axis=1).astype(float)
-
-
 def _inverse_scales(log_s):
     """e^(-log_s) in extended precision: it scales the target of each equation."""
     return np.exp(-log_s.astype(np.longdouble))
 
 
-def _system(y, layout, k, target, log_s, dc=None, inv_s=None):
+def _system(y, k, target, log_s, dc=None, inv_s=None):
     """Scaled residual and Jacobian of the moment equations in log variables.
 
     With ``dc`` the last variable is a path offset σ and the target is
@@ -157,7 +144,7 @@ def _system(y, layout, k, target, log_s, dc=None, inv_s=None):
     :func:`_inverse_scales` of ``log_s``, for callers that evaluate often.
     """
     n = len(y) - (dc is not None)
-    lz, lw, lu = _unpack(y[:n], layout)
+    lz, lw, lu = _unpack(y[:n])
     z, p = int(lz is not None), len(lw)
     R = np.zeros((len(k), z + p), np.longdouble)
     _relative(lw, lu, k, log_s, out=R[:, z:])
@@ -198,7 +185,7 @@ def _lstsq(scaled, rhs):
         return np.linalg.lstsq(J, rhs, rcond=None)[0] / norms
 
 
-def _correct(y, layout, k, target, tol, max_iter, dc=None):
+def _correct(y, k, target, tol, max_iter, dc=None):
     """Gauss-Newton in log variables (and σ, with ``dc``): the best (y,
     residual, Jacobian at y).
 
@@ -209,7 +196,7 @@ def _correct(y, layout, k, target, tol, max_iter, dc=None):
     """
     log_s = _log_scales(target)
     inv_s = _inverse_scales(log_s)
-    F, J = _system(y, layout, k, target, log_s, dc, inv_s)
+    F, J = _system(y, k, target, log_s, dc, inv_s)
     res = float(np.abs(F).max())
     best = (y, res, J)
     for _ in range(max_iter):
@@ -222,7 +209,7 @@ def _correct(y, layout, k, target, tol, max_iter, dc=None):
             break
         for alpha in _HALVINGS:
             trial = y + alpha * step
-            Ft, Jt = _system(trial, layout, k, target, log_s, dc, inv_s)
+            Ft, Jt = _system(trial, k, target, log_s, dc, inv_s)
             rt = float(np.abs(Ft).max())
             if rt < res or np.abs(_lstsq(scaled, -Ft)).max() <= (1.0 - alpha / 2) * size:
                 break
@@ -234,13 +221,13 @@ def _correct(y, layout, k, target, tol, max_iter, dc=None):
     return best
 
 
-def _losses(y, layout, k, log_s):
+def _losses(y, k, log_s):
     """The measure (atoms by node), the costs (largest relative moment change)
     of dropping the zero atom, of moving each positive atom to 0, of merging
     each adjacent pair at their weighted log mean and of moving the top atom
     to infinity (it then feeds the top moment only), and the merged atoms.
     """
-    lz, lw, lu = _unpack(y, layout)
+    lz, lw, lu = _unpack(y)
     order = np.argsort(lu)
     lw, lu = lw[order], lu[order]
     R = _relative(lw, lu, k, log_s)
@@ -255,9 +242,9 @@ def _losses(y, layout, k, log_s):
     return (lz, lw, lu), costs, (mw, mu)
 
 
-def _track(y, layout, k, c_a, c_b):
-    """Follow the representation y of c_a along c_a + s (c_b - c_a): (1, y,
-    layout) at c_b, or (s*, y, layout) of the exit measure where it leaves.
+def _track(y, k, c_a, c_b):
+    """Follow the representation y of c_a along c_a + s (c_b - c_a): (1, y)
+    at c_b, or (s*, y) of the exit measure where it leaves.
 
     Euler predictor, Newton corrector; the step doubles after a success and
     halves after a failure, and moves no log variable by more than one unit.
@@ -285,12 +272,12 @@ def _track(y, layout, k, c_a, c_b):
     s, h, s_prev = 0.0, 0.5, 0.0
     near = math.inf  # the rest of the path from which c_b may be tried again
     # Later tangents reuse the corrector's Jacobian at the accepted point.
-    J = _system(y, layout, k, c_a, _log_scales(c_a))[1]
-    costs = prev = _losses(y, layout, k, log_ref)[1]
+    J = _system(y, k, c_a, _log_scales(c_a))[1]
+    costs = prev = _losses(y, k, log_ref)[1]
     level = np.full(len(costs), LAND_TOL)
     while s < 1.0:
         if costs[:-1].min() < ACCEPT_TOL:
-            return (s, *_exit_measure(y, layout, k, log_ref))
+            return s, _exit_measure(y, k, log_ref)
         log_s = _log_scales(c_a + s * dc)
         tangent = _lstsq(_unit_columns(J), dc * np.exp(-log_s))
         h = min(2.0 * h, 1.0 / max(float(np.abs(tangent).max()), 1e-300))
@@ -302,24 +289,24 @@ def _track(y, layout, k, c_a, c_b):
         s_prev, prev, j = s, costs, int(np.argmin(exits))
         if exits[j] <= (1.0 if near == math.inf else 1.0 + (1.0 - s)):
             level[j] = 0.1 * costs[j]
-            y_e, layout_e = _exit_measure(y + (exits[j] - s) * tangent, layout, k, log_ref, j)
+            y_e = _exit_measure(y + (exits[j] - s) * tangent, k, log_ref, j)
             n = len(k) - (j == len(costs) - 1)  # an atom at infinity frees the top moment
-            z, res, _ = _correct(np.append(y_e, exits[j] - s), layout_e, k[:n], (c_a + s * dc)[:n],
+            z, res, _ = _correct(np.append(y_e, exits[j] - s), k[:n], (c_a + s * dc)[:n],
                                  1e-2 * ACCEPT_TOL, LAND_ITER, dc[:n])
             # Its mass must be nonnegative.  An exit within the corrector's resolution
             # of c_b is c_b's own, or within ACCEPT_TOL if a far atom can carry c_b.
-            excess = _system(z, layout_e, k, c_a + s * dc, log_s, dc)[0][-1]
+            excess = _system(z, k, c_a + s * dc, log_s, dc)[0][-1]
             gap = (1.0 - s - z[-1]) * np.abs(dc * np.exp(-log_s)).max()
             if (max(res, excess) <= 1e-2 * ACCEPT_TOL and z[-1] >= 0.0
                     and gap > (ACCEPT_TOL if n < len(k) else -1e-2 * ACCEPT_TOL)):
-                return s + z[-1], z[:-1], layout_e
+                return s + z[-1], z[:-1]
         while True:
             if h < NEWTON_TOL:
                 raise NumericalFailureError(f"the path's step underflows at s = {s!r}")
             s_new = min(s + h, 1.0 if 1.0 - s <= near else 1.0 - 0.25 * (1.0 - s))
             # Two decades below the degeneracy level, so that every atom
             # still in the structure is resolved.
-            y_new, res, J_new = _correct(y + (s_new - s) * tangent, layout, k,
+            y_new, res, J_new = _correct(y + (s_new - s) * tangent, k,
                                          c_a + s_new * dc, 1e-2 * ACCEPT_TOL, 4)
             if res <= 1e-2 * ACCEPT_TOL:
                 break
@@ -327,8 +314,8 @@ def _track(y, layout, k, c_a, c_b):
                 near = (1.0 - s) / ENDGAME_SHRINK
             h *= 0.5
         s, y, J = s_new, y_new, J_new
-        costs = _losses(y, layout, k, log_ref)[1]
-    return s, y, layout
+        costs = _losses(y, k, log_ref)[1]
+    return s, y
 
 
 class _Problem:
@@ -365,16 +352,18 @@ class _Problem:
         """Log scaled nodes back to nodes."""
         return np.ldexp(np.exp(lu), self.m)
 
-    def representation(self, y, layout) -> Representation | None:
+    def representation(self, y) -> Representation | None:
         """The measure of y in the original system, or None.
 
-        An atom at 0 without exponent 0 is left out; callers check the rest.
+        A zero atom of y is kept: without exponent 0 it feeds no moment, and
+        :func:`_witness` strips it before it gets here (a canonical ray's
+        exit has none there: d is odd).  Callers check the rest.
         """
-        lz, lw, lu = _unpack(y, layout)
+        lz, lw, lu = _unpack(y)
         with np.errstate(over="ignore", under="ignore"):
             nodes = list(self.nodes(lu))
             weights = list(np.exp(lw - self.shift * (lu + self.m * math.log(2.0))))
-            if lz is not None and not self.shift:
+            if lz is not None:
                 nodes, weights = [0.0] + nodes, [np.exp(lz)] + weights
         if any(u <= 0 for u in nodes[len(nodes) - len(lw):]):
             return None
@@ -384,16 +373,20 @@ class _Problem:
             return None
 
     def start(self, init_seed: int):
-        """Start measure of the principal path: (y, layout).
+        """Start measure of the principal path and its moments: (y, c_a).
 
         Nodes spread geometrically over the moment-ratio range (each ratio
         (c_{i+1}/c_i)^(1/(k_{i+1}-k_i)) of one atom at t is t; a zero atom
         spoils the first), jittered within their spacing by ``init_seed``;
         each atom carries a share of the largest mass its node can carry.
+        An odd d gets a zero atom, so y has d entries (see :func:`_unpack`).
+        The moments are summed in extended precision like :func:`_system`'s
+        rows, but without :func:`_relative`'s cap, which a start's mass can
+        exceed.
         """
         k, c = self.k, self.values
-        p, has_zero = len(k) // 2, len(k) % 2 == 1
-        ratios = (np.diff(np.log(c)) / np.diff(k))[int(has_zero):]
+        p, has_zero = len(k) // 2, len(k) % 2
+        ratios = (np.diff(np.log(c)) / np.diff(k))[has_zero:]
         lo, hi = (ratios.min(), ratios.max()) if len(ratios) else (0.0, 0.0)
         spacing = (hi - lo + 2.0) / (p + 1)
         lu = lo - 1.0 + spacing * np.arange(1, p + 1)
@@ -401,7 +394,10 @@ class _Problem:
             lu = lu + np.random.default_rng(init_seed).uniform(-0.4, 0.4, p) * spacing
         lw = _log_max_mass(c, k, lu) - math.log(p + has_zero)
         lz = [math.log(c[0] / (p + 1))] if has_zero else []
-        return np.concatenate([lz, lw, lu]), has_zero
+        R = np.zeros((len(k), has_zero + p), np.longdouble)
+        R[0, :has_zero] = np.exp(np.asarray(lz, np.longdouble))
+        R[:, has_zero:] = np.exp(lw.astype(np.longdouble) + np.outer(k, lu.astype(np.longdouble)))
+        return np.concatenate([lz, lw, lu]), R.sum(axis=1).astype(float)
 
 
 def _log_max_mass(c, k, lu):
@@ -409,14 +405,14 @@ def _log_max_mass(c, k, lu):
     return np.min(np.log(c)[:, None] - np.outer(k, np.atleast_1d(lu)), axis=0)
 
 
-def _exit_measure(y, layout, k, log_s, drop=None):
-    """The measure without its degenerate atoms: (y, layout).
+def _exit_measure(y, k, log_s, drop=None):
+    """The measure without its degenerate atoms.
 
     Takes every loss of :func:`_losses` below ACCEPT_TOL but the top atom's
     to infinity, and the loss ``drop`` (an index into the costs); drops a zero
     atom left below ACCEPT_TOL.  An atom moved to infinity leaves the measure.
     """
-    (lz, lw, lu), costs, (mw, mu) = _losses(y, layout, k, log_s)
+    (lz, lw, lu), costs, (mw, mu) = _losses(y, k, log_s)
     taken = np.append(costs[:-1] < ACCEPT_TOL, False) | (np.arange(len(costs)) == drop)
     p = len(lw)
     moved, merged = taken[1:p + 1], taken[p + 1:-1]
@@ -433,41 +429,39 @@ def _exit_measure(y, layout, k, log_s, drop=None):
     lz = np.logaddexp.reduce(zero) if zero else -math.inf
     lz = None if math.exp(min(lz - log_s[0], 300.0)) < ACCEPT_TOL else lz
     y = [w for w, _ in atoms] + [u for _, u in atoms]
-    return np.array(y if lz is None else [lz] + y), lz is not None
+    return np.array(y if lz is None else [lz] + y)
 
 
 def _principal_path(prob: _Problem, tol: float, init_seed: int = 0):
-    """(y, layout) of the principal representation, the square system
-    len(y) == d, if the path reaches c, else of the polished exit measure if
-    it reproduces c within ``tol``; else None."""
+    """y of the principal representation, the square system len(y) == d, if
+    the path reaches c, else of the polished exit measure if it reproduces c
+    within ``tol``; else None.  An empty y (every atom dropped) is a measure."""
     k, c = prob.k, prob.values
     log_c = _log_scales(c)
     if c[0] <= 0 or np.any(c[1:] <= 0):
         # An atom at a positive node feeds every moment: only a zero atom fits.
-        y, layout = np.log([max(c[0], 1e-300)]), True
-        res = float(np.abs(_system(y, layout, k, c, log_c)[0]).max())
-        return (y, layout) if res <= tol else None
-    y, layout = prob.start(init_seed)
-    c_a = _moments(y, layout, k)
-    s, y, layout = _track(y, layout, k, c_a, c)
-    found = y, layout
+        y = np.log([max(c[0], 1e-300)])
+        res = float(np.abs(_system(y, k, c, log_c)[0]).max())
+        return y if res <= tol else None
+    y, c_a = prob.start(init_seed)
+    s, found = _track(y, k, c_a, c)
     if s == 1.0:
-        y, res, _ = _correct(y, layout, k, c, 0.0, MAX_ITER)
+        y, res, _ = _correct(found, k, c, 0.0, MAX_ITER)
         if res > tol:
             raise NumericalFailureError(f"the path misses c by {res:.3e}", residual=res)
-        costs = _losses(y, layout, k, log_c)[1][:-1]
+        costs = _losses(y, k, log_c)[1][:-1]
         if costs.min() >= tol:
-            return y, layout
+            return y
         # Within tol of a thinner measure, the cheapest loss is the lost freedom.
-        found = _exit_measure(y, layout, k, log_c, int(np.argmin(costs)))
+        found = _exit_measure(y, k, log_c, int(np.argmin(costs)))
     # An exit can lose several degrees of freedom at once; the polish drives
     # out the rest, and they are taken after it.
-    if len(found[0]):
-        y_thin, res, _ = _correct(*found, k, c, 0.0, MAX_ITER)
+    if len(found):
+        y_thin, res, _ = _correct(found, k, c, 0.0, MAX_ITER)
         if res <= tol:
-            return _exit_measure(y_thin, found[1], k, log_c)
+            return _exit_measure(y_thin, k, log_c)
     # A near-degenerate principal representation whose thinning misses c.
-    return (y, layout) if s == 1.0 else None
+    return y if s == 1.0 else None
 
 
 def _mismatch(rep: Representation, c: MomentVector) -> float:
@@ -480,26 +474,24 @@ def _mismatch(rep: Representation, c: MomentVector) -> float:
     return max(abs(b - v) / max(abs(v), 1e-300) for b, v in zip(back, c.values))
 
 
-def _witness(prob: _Problem, found, tol: float) -> Representation | None:
-    """The measure of ``found``, (y, layout) or None, if it reproduces c within tol.
+def _witness(prob: _Problem, y, tol: float) -> Representation | None:
+    """The measure of the variables y (or None) if it reproduces c within tol.
 
-    The one check of a returned measure is :func:`_mismatch` against c.
-    Raises :class:`NumericalFailureError` when y reproduces c in the solver's
-    system but its measure in floats does not: a node or weight beyond the
-    float range, or a weight too far below it to keep its digits.  Such a c
-    is neither exterior nor boundary.  Without exponent 0 the zero atom is
-    left out of both, as it feeds no moment.
+    Without exponent 0 a zero atom feeds no moment: it is left out here,
+    the one place that rule lives.  The one check of a returned measure is
+    :func:`_mismatch` against c.  Raises :class:`NumericalFailureError` when
+    y reproduces c in the solver's system but its measure in floats does not:
+    a node or weight beyond the float range, or a weight too far below it to
+    keep its digits.  Such a c is neither exterior nor boundary.
     """
-    if not found:
+    if y is None:
         return None
-    rep = prob.representation(*found)
+    if len(y) % 2 and prob.shift:
+        y = y[1:]
+    rep = prob.representation(y)
     if rep is not None and _mismatch(rep, prob.c) <= tol:
         return rep
-    y, has_zero = found
-    if has_zero and prob.shift:
-        y, has_zero = y[1:], False
-    if len(y) and np.abs(_system(y, has_zero, prob.k, prob.values,
-                                 _log_scales(prob.values))[0]).max() <= tol:
+    if len(y) and np.abs(_system(y, prob.k, prob.values, _log_scales(prob.values))[0]).max() <= tol:
         raise NumericalFailureError("the measure reproduces c, but not in floating point")
     return None
 
@@ -553,10 +545,10 @@ def classify(c: MomentVector, tol: float = ACCEPT_TOL, init_seed: int = 0) -> Cl
         return Classification(ClassKind.INTERIOR, atom)
     prob = _Problem(c)
     found = _principal_path(prob, tol, init_seed)
-    if found and len(found[0]) == c.d and found[1] and prob.shift:
-        lz, lw, lu = _unpack(*found)
+    if found is not None and len(found) == c.d and c.d % 2 and prob.shift:
+        lz, lw, lu = _unpack(found)
         lu_0 = log_far_node(lz, prob.values[1:], prob.k[1:], tol)
-        found = np.concatenate([[lz], lw, [lu_0], lu]), False
+        found = np.concatenate([[lz], lw, [lu_0], lu])
     rep = _witness(prob, found, tol)
     if rep is None:
         return Classification(ClassKind.EXTERIOR)
@@ -595,9 +587,9 @@ def canonical_representation(
         raise UnsupportedSystemError("even-dimensional canonical structure needs exponent 0")
     prob = _Problem(c)
     found = _principal_path(prob, tol)
-    if not found or len(found[0]) != c.d:
+    if found is None or len(found) != c.d:
         raise NotInteriorError("a canonical representation needs an interior vector")
-    for u in prob.nodes(_unpack(*found)[2]):
+    for u in prob.nodes(_unpack(found)[2]):
         if abs(u - t_star) <= NODE_MERGE_REL * max(u, t_star):
             raise PinnedNodeCoincidenceError(
                 f"prescribed root {t_star} coincides with principal root "
@@ -609,16 +601,16 @@ def canonical_representation(
     # The ray runs on to twice that mass, so that its exit lies inside the
     # path and not where a moment reaches 0.
     dc = -2.0 * w_max * np.exp(k * math.log(pin))
-    s, y, layout = _track(*found, k, c, c + dc)
+    s, y = _track(found, k, c, c + dc)
     if not 0.0 < s < 1.0 or len(y) != len(k) - 1:
         raise NumericalFailureError("the ray has no exit of index (d-1)/2 inside its path")
-    z, res, _ = _correct(np.append(y, s), layout, k, c, 0.0, MAX_ITER, dc)
+    z, res, _ = _correct(np.append(y, s), k, c, 0.0, MAX_ITER, dc)
     if res > tol or not z[-1] > 0.0:
         raise NumericalFailureError(
             f"no representation of index (d+1)/2 with root {t_star} reproduces c "
             f"(residual {res:.3e}); this root may lie off the bands its family sweeps",
             residual=res)
-    rep = prob.representation(z[:-1], layout)
+    rep = prob.representation(z[:-1])
     try:  # the pinned atom, of mass 2 s w_max, in the original system
         pinned = Atom(t_star, scaled_power(2.0 * z[-1] * w_max, t_star, -prob.shift))
         rep = None if rep is None else Representation(rep.atoms + (pinned,))

@@ -314,12 +314,7 @@ def uniqueness_suite(cases: int = 100, seed: int = DEFAULT_SEED) -> SuiteReport:
         # level: spline weights scale like knot^r, so a knot span of S makes
         # the weight spread S^r, and past ~1e8 the Jacobian's smallest
         # singular value drops below what double precision can pin to 1e-6.
-        knots = None
-        for _ in range(500):
-            cand = np.sort(np.exp(rng.uniform(np.log(0.5), np.log(2.0), d // 2)))
-            if d // 2 < 2 or np.min(cand[1:] / cand[:-1]) >= 1.3:
-                knots = cand[::-1]
-                break
+        knots = np.exp(_separated_nodes(rng, d // 2, np.log(0.5), np.log(2.0), np.log(1.3)))[::-1]
         x = IdealSpline(
             fam,
             tuple(float(a) for a in knots),

@@ -2,6 +2,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +62,19 @@ class TestConeMembership:
                 tuple(Atom(float(t), float(rng.uniform(0.5, 2.0))) for t in nodes)
             )
             assert cone_membership(moments_of(rep, k)).feasible
+
+    @pytest.mark.parametrize("values, k, feasible", [
+        # c_1^2 > c_0 c_2, with squares of c past the float range.
+        ((1e-300, 1e300, 1e300), K012, False),
+        # One atom at 1e12: squares of its grid column pass the float range.
+        ((1.0, 1e240), ExponentVector((0, 20), 20), True),
+    ], ids=["exterior", "one-atom"])
+    def test_norms_do_not_overflow(self, values, k, feasible):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = cone_membership(MomentVector(values, k))
+        assert report.feasible is feasible
+        assert (report.residual <= 1e-7) if feasible else (report.residual > 1e-4)
 
     def test_rejects_nonpositive_tolerance(self):
         with pytest.raises(DomainError):
