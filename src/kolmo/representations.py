@@ -119,7 +119,7 @@ def _unpack(y):
     return (y[0] if z else None), y[z:z + p], y[z + p:]
 
 
-def _relative(lw, lu, k, log_s, out=None):
+def _relative(lw, lu, k, log_s):
     """Contributions of atoms (rows: exponents) relative to each equation's scale.
 
     Logarithms keep hundreds of decades finite; the cap at e^300 keeps squared
@@ -127,32 +127,25 @@ def _relative(lw, lu, k, log_s, out=None):
     keeps residual rounding from limiting close nodes to about 1e-6.
     """
     lw, lu = np.asarray(lw, np.longdouble), np.asarray(lu, np.longdouble)
-    return np.exp(np.minimum(lw[None, :] + k[:, None] * lu[None, :] - log_s[:, None], 300.0),
-                  out=out)
+    return np.exp(np.minimum(lw[None, :] + k[:, None] * lu[None, :] - log_s[:, None], 300.0))
 
 
-def _inverse_scales(log_s):
-    """e^(-log_s) in extended precision: it scales the target of each equation."""
-    return np.exp(-log_s.astype(np.longdouble))
-
-
-def _system(y, k, target, log_s, dc=None, inv_s=None):
+def _system(y, k, target, log_s, dc=None):
     """Scaled residual and Jacobian of the moment equations in log variables.
 
     With ``dc`` the last variable is a path offset σ and the target is
-    target + σ dc: the bordered system of an exit.  ``inv_s`` is
-    :func:`_inverse_scales` of ``log_s``, for callers that evaluate often.
+    target + σ dc: the bordered system of an exit.
     """
     n = len(y) - (dc is not None)
     lz, lw, lu = _unpack(y[:n])
     z, p = int(lz is not None), len(lw)
     R = np.zeros((len(k), z + p), np.longdouble)
-    _relative(lw, lu, k, log_s, out=R[:, z:])
+    R[:, z:] = _relative(lw, lu, k, log_s)
     if z:  # the zero atom feeds exponent 0 alone (_Problem shifts k_1 to 0)
         R[0, 0] = np.exp(np.minimum(np.longdouble(lz) - log_s[0], 300.0))
     if dc is not None:
         target = target + y[-1] * dc
-    F = (R.sum(axis=1) - target * (_inverse_scales(log_s) if inv_s is None else inv_s)).astype(float)
+    F = (R.sum(axis=1) - target * np.exp(-log_s.astype(np.longdouble))).astype(float)
     # d/dlog w = contribution, d/dlog u = k * contribution, d/dσ = -dc.
     J = np.empty((len(k), len(y)))
     J[:, :z + p] = R
@@ -195,8 +188,7 @@ def _correct(y, k, target, tol, max_iter, dc=None):
     makes steps noisy.  Stops at ``tol``, ``max_iter`` or steps < NEWTON_TOL.
     """
     log_s = _log_scales(target)
-    inv_s = _inverse_scales(log_s)
-    F, J = _system(y, k, target, log_s, dc, inv_s)
+    F, J = _system(y, k, target, log_s, dc)
     res = float(np.abs(F).max())
     best = (y, res, J)
     for _ in range(max_iter):
@@ -209,7 +201,7 @@ def _correct(y, k, target, tol, max_iter, dc=None):
             break
         for alpha in _HALVINGS:
             trial = y + alpha * step
-            Ft, Jt = _system(trial, k, target, log_s, dc, inv_s)
+            Ft, Jt = _system(trial, k, target, log_s, dc)
             rt = float(np.abs(Ft).max())
             if rt < res or np.abs(_lstsq(scaled, -Ft)).max() <= (1.0 - alpha / 2) * size:
                 break
@@ -254,8 +246,11 @@ def _track(y, k, c_a, c_b):
     below LAND_TOL (a decade below its last try), one Newton solve of the
     bordered system, the exit measure of :func:`_exit_measure` without that
     loss (moved along the tangent to s*) and s* with moments c_a + s* (c_b -
-    c_a), lands on it; a miss tracks on.  A loss below ACCEPT_TOL is the
-    exit of last resort, without the solve.  A step below NEWTON_TOL raises.
+    c_a), lands on it; a miss tracks on.  A move of the top atom to infinity
+    predicted within ACCEPT_TOL of c_b is not landed: c_b is its own end.
+    Only a landing that dropped the top moment reads it again, for the mass
+    the atom at infinity must carry.  A loss below ACCEPT_TOL is the exit of
+    last resort, without the solve.  A step below NEWTON_TOL raises.
 
     A failed step onto c_b makes c_b a singular end point, where the measure
     loses an atom (c_b on the cone's boundary): from then on no step covers
@@ -288,18 +283,21 @@ def _track(y, k, c_a, c_b):
         exits[fall] = s + costs[fall] * (s - s_prev) / (prev[fall] - costs[fall])
         s_prev, prev, j = s, costs, int(np.argmin(exits))
         if exits[j] <= (1.0 if near == math.inf else 1.0 + (1.0 - s)):
-            level[j] = 0.1 * costs[j]
-            y_e = _exit_measure(y + (exits[j] - s) * tangent, k, log_ref, j)
-            n = len(k) - (j == len(costs) - 1)  # an atom at infinity frees the top moment
-            z, res, _ = _correct(np.append(y_e, exits[j] - s), k[:n], (c_a + s * dc)[:n],
-                                 1e-2 * ACCEPT_TOL, LAND_ITER, dc[:n])
-            # Its mass must be nonnegative.  An exit within the corrector's resolution
-            # of c_b is c_b's own, or within ACCEPT_TOL if a far atom can carry c_b.
-            excess = _system(z, k, c_a + s * dc, log_s, dc)[0][-1]
-            gap = (1.0 - s - z[-1]) * np.abs(dc * np.exp(-log_s)).max()
-            if (max(res, excess) <= 1e-2 * ACCEPT_TOL and z[-1] >= 0.0
-                    and gap > (ACCEPT_TOL if n < len(k) else -1e-2 * ACCEPT_TOL)):
-                return s + z[-1], z[:-1]
+            # An exit within the corrector's resolution of c_b is c_b's own, or
+            # within ACCEPT_TOL if a far atom can carry c_b: so is its prediction.
+            top = j == len(costs) - 1
+            bar = ACCEPT_TOL if top else -1e-2 * ACCEPT_TOL
+            rate = np.abs(dc * np.exp(-log_s)).max()  # relative moment change per unit s
+            if not top or (1.0 - exits[j]) * rate > bar:
+                level[j] = 0.1 * costs[j]
+                y_e = _exit_measure(y + (exits[j] - s) * tangent, k, log_ref, j)
+                n = len(k) - top  # an atom at infinity frees the top moment
+                z, res, _ = _correct(np.append(y_e, exits[j] - s), k[:n], (c_a + s * dc)[:n],
+                                     1e-2 * ACCEPT_TOL, LAND_ITER, dc[:n])
+                if top:  # the atom at infinity carries what the top moment lacks
+                    res = max(res, _system(z, k, c_a + s * dc, log_s, dc)[0][-1])
+                if res <= 1e-2 * ACCEPT_TOL and z[-1] >= 0.0 and (1.0 - s - z[-1]) * rate > bar:
+                    return s + z[-1], z[:-1]
         while True:
             if h < NEWTON_TOL:
                 raise NumericalFailureError(f"the path's step underflows at s = {s!r}")

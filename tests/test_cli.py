@@ -2,7 +2,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -140,6 +143,24 @@ class TestClassify:
         doc = {"k": [0, 1, 2], "c": c}
         code, out, err = run(capsys, ["classify"], stdin=doc, monkeypatch=monkeypatch)
         assert (code, out, err) == (3, "", f"numerical failure: {message}\n")
+
+    @pytest.mark.parametrize("level", ["info", None])
+    def test_kolmo_log_shows_the_traceback(self, level):
+        # A fresh process: logging is configured once, from KOLMO_LOG.
+        env = {key: v for key, v in os.environ.items() if key != "KOLMO_LOG"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+            str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
+        if level:
+            env["KOLMO_LOG"] = level
+        proc = subprocess.run([sys.executable, "-m", "kolmo.cli", "classify"], env=env,
+                              input=json.dumps({"k": [0, 1, 2], "c": [1, 1e308, 1e-320]}),
+                              capture_output=True, text=True)
+        assert proc.returncode == 3 and proc.stdout == ""
+        message = "numerical failure: a moment leaves the float range as the nodes are scaled\n"
+        if level:
+            assert "Traceback" in proc.stderr and proc.stderr.endswith(message)
+        else:
+            assert proc.stderr == message
 
     def test_scale_off_mid_range(self, capsys, monkeypatch):
         # The mid-range node scale overflows c_1, a scale nearer c_2's keeps
