@@ -1,34 +1,41 @@
 """Exact-structure solves for the power-moment problem on [0, inf).
 
 :func:`classify` solves for the lowest-index structure in every exponent
-system, from the path start its ``init_seed`` selects (its witness is the
-minimal-index representation); :func:`principal_representation` (index d/2)
-is its INTERIOR witness, and it and :func:`canonical_representation` (index
-(d+1)/2, through a prescribed root) reject the systems without exponent 0
-where their index has no structure.
+system, from the path start its ``init_seed`` selects for d >= 5 (its
+witness is the minimal-index representation); :func:`principal_representation`
+(index d/2) is its INTERIOR witness, and it and
+:func:`canonical_representation` (index (d+1)/2, through a prescribed root)
+reject the systems without exponent 0 where their index has no structure.
 
-Every solve runs one tracker.  Inside the convex moment cone the principal
-(index d/2) representation is unique and smooth in the moments, so
-:func:`_track` follows it (Euler predictor, Newton corrector, in log weights
-and log nodes) along a straight path c_a + s (c_b - c_a) to s = 1, or to
-the exit s* where the path leaves the cone and the measure loses a degree of
-freedom: a weight or node goes to 0, or the top node runs to infinity.  Three
-rules locate an exit.  Once a loss is predicted to vanish within the path, a
-bordered Newton solve lands on the exit measure and s*; a loss already below
-ACCEPT_TOL at an accepted point ends the path there, without a solve.  A
-boundary c is a singular end of its path, where no step onto c converges:
-after one fails, the path closes in on c without trying it again until the
-rest of the path has shrunk ENDGAME_SHRINK-fold, and the landing also tries
-exits predicted up to as far past c as s is short of it.
-Each step's tangent reuses the Jacobian the corrector formed at the point it
-accepted; only a path's first tangent forms its own.  A positive pair needs
-no solve at all: one atom attains it, found in closed form and checked in
-floats, and it is the verdict and the principal representation both.
+A principal solve with d >= 5, and every canonical ray, runs one tracker.
+Inside the convex moment cone the principal (index d/2) representation is
+unique and smooth in the moments, so :func:`_track` follows it (Euler
+predictor, Newton corrector, in log weights and log nodes) along a straight
+path c_a + s (c_b - c_a) to s = 1, or to the exit s* where the path leaves
+the cone and the measure loses a degree of freedom: a weight or node goes to
+0, or the top node runs to infinity.  Three rules locate an exit.  Once a
+loss is predicted to vanish within the path, a bordered Newton solve lands
+on the exit measure and s*; a loss already below ACCEPT_TOL at an accepted
+point ends the path there, without a solve.  A boundary c is a singular end
+of its path, where no step onto c converges: after one fails, the path
+closes in on c without trying it again until the rest of the path has
+shrunk ENDGAME_SHRINK-fold, and the landing also tries exits predicted up to
+as far past c as s is short of it.  Each step's tangent reuses the Jacobian
+the corrector formed at the point it accepted; only a path's first tangent
+forms its own.
 
-- Classification tracks from a start measure spread over the moment-ratio
-  range of c to c, and gets the principal representation at c, else the
-  exit measure polished against c if it reproduces c (else c is exterior);
-  the verdict is its index against d/2.
+Small systems take no path.  A positive pair needs no solve at all: one atom
+attains it, found in closed form and checked in floats, and it is the
+verdict and the principal representation both.  For d = 3 and d = 4,
+:func:`_family_measure` puts the principal or the thin measure where the
+path would have ended, in closed form (d = 3) or by one bracketed search
+over the two-atom measures through the first three moments (d = 4); the
+polish, the thinning and the checks after it are those of the path.
+
+- Classification gets the principal representation at c, else the exit
+  measure polished against c if it reproduces c (else c is exterior); for
+  d >= 5 the path runs from a start measure spread over the moment-ratio
+  range of c to c.  The verdict is the witness's index against d/2.
   Without exponent 0 an odd d's principal zero atom, which feeds no moment,
   moves in closed form to a node near 0: a witness of index (d+1)/2.
 - A root pinned at t* tracks the ray c - s w v(t*), v(t*) the powers of t*,
@@ -430,10 +437,132 @@ def _exit_measure(y, k, log_s, drop=None):
     return np.array(y if lz is None else [lz] + y)
 
 
+def _log_expm1(x):
+    """log(e^x - 1) for x > 0, finite however large x is."""
+    return x + math.log(-math.expm1(-x))
+
+
+def _log1p_exp(x):
+    """log(1 + e^x), finite however large x is."""
+    return max(x, 0.0) + math.log1p(math.exp(-abs(x)))
+
+
+def _brent(f, lo, hi, f_lo, f_hi):
+    """A root of f within [lo, hi], where f_lo and f_hi differ in sign: Brent's
+    method (inverse quadratic or secant steps, bisection where they stall),
+    to a bracket of a few ulps, with at most 100 evaluations."""
+    x_pre, x, f_pre, f_x = lo, hi, f_lo, f_hi
+    x_blk, f_blk, s_pre, s_cur = lo, f_lo, hi - lo, hi - lo
+    for _ in range(100):
+        if f_pre * f_x < 0:
+            x_blk, f_blk, s_pre, s_cur = x_pre, f_pre, x - x_pre, x - x_pre
+        if abs(f_blk) < abs(f_x):
+            x_pre, x, x_blk = x, x_blk, x
+            f_pre, f_x, f_blk = f_x, f_blk, f_x
+        delta = 4e-16 * abs(x) + 1e-18
+        s_bis = (x_blk - x) / 2
+        if f_x == 0 or abs(s_bis) < delta:
+            return x
+        interpolate = abs(s_pre) > delta and abs(f_x) < abs(f_pre)
+        if interpolate:
+            if x_pre == x_blk:
+                s_try = -f_x * (x - x_pre) / (f_x - f_pre)
+            else:
+                d_pre, d_blk = (f_pre - f_x) / (x_pre - x), (f_blk - f_x) / (x_blk - x)
+                s_try = -f_x * (f_blk * d_blk - f_pre * d_pre) / (d_blk * d_pre * (f_blk - f_pre))
+            interpolate = 2 * abs(s_try) < min(abs(s_pre), 3 * abs(s_bis) - delta)
+        s_pre, s_cur = (s_cur, s_try) if interpolate else (s_bis, s_bis)
+        x_pre, f_pre = x, f_x
+        x += s_cur if abs(s_cur) > delta else math.copysign(delta, s_bis)
+        f_x = f(x)
+    return x
+
+
+def _family_measure(k, c, tol):
+    """(s, y, polish) of the principal path for d = 3 and d = 4, without one.
+
+    For exponents (0, a, b), the atom (w_τ, u_τ) through c_a and c_b leaves c_0
+    the share ζ = 1 - w_τ/c_0 (ζ >= 0 is Lyapunov's inequality): d = 3 is
+    that atom plus the zero atom c_0 ζ at s = 1, or the atom alone as the thin
+    measure.  For (0, a, b, e), the two-atom measures matching c_0..c_b form
+    one family along which c_e rises from L = w_τ u_τ^e, that zero atom's
+    limit, to infinity (Markov-Krein): c_e <= L (1 + tol) is outside or on
+    the boundary (the thin measure), and otherwise one bracketed search over
+    the family finds the principal measure.  A 3-vector within tol of one
+    atom, below c_e, gets the atom plus an atom carrying c_e's excess at the
+    node :func:`log_far_node` places, without a polish (``polish`` False):
+    against c exactly, the polish would push that atom out until its weight
+    underflows.  Everything is in logs of the scaled system, where every c_i
+    is positive; s is 1.0 for the principal measure and 0.0 for a thin one.
+    """
+    a, b = float(k[1]), float(k[2])
+    lc = [math.log(v) for v in c]
+    lu_t = (lc[2] - lc[1]) / (b - a)
+    lw_t = lc[1] - a * lu_t
+    zeta = -math.expm1(min(lw_t - lc[0], 700.0))  # far below -tol once capped
+    atom = [lw_t, lu_t]
+    if len(k) == 3 and zeta > 0:
+        return 1.0, np.array([lc[0] + math.log(zeta)] + atom), True
+    if len(k) == 3:
+        return 0.0, np.array(atom), True
+    e = float(k[3])
+    log_L = lw_t + e * lu_t
+    if zeta < -tol:
+        return 0.0, np.array(atom), True
+    if lc[3] <= log_L + math.log1p(tol):
+        return 0.0, np.array(([lc[0] + math.log(zeta)] if zeta > tol else []) + atom), True
+    # The family by ρ = log α, α = c_a / (c_0 u_1^a) - 1 of the lower node u_1:
+    # ρ -> inf is the zero atom's end (c_e -> L), ρ -> -inf the far atom's.
+    # With x = log(u_2/u_1), the weight share of u_2 is α / expm1(a x), and
+    # expm1(b x) / expm1(a x) = R = β / α, β = c_b / (c_0 u_1^b) - 1.
+    A = lc[1] - lc[0]
+    gamma = lc[2] - lc[0] - b / a * A  # log(1 + β) at α = 0: ζ > 0 but for rounding
+    if zeta <= tol or gamma <= 0:
+        log_excess = lc[3] + math.log(-math.expm1(log_L - lc[3]))
+        lu_f = log_far_node(log_excess, c[:3], k[:3] - e, tol)
+        return 1.0, np.array([lw_t, log_excess - e * lu_f, lu_t, lu_f]), False
+
+    def node_gap(rho):
+        # expm1(b x) / expm1(a x) lies between e^((b-a) x) and (b/a) e^((b-a) x),
+        # which brackets x; R >= b/a keeps the bracket positive but for rounding.
+        log_r = _log_expm1(gamma + b / a * _log1p_exp(rho)) - rho
+        g = lambda x: _log_expm1(b * x) - _log_expm1(a * x) - log_r  # noqa: E731
+        lo, hi = max((log_r - math.log(b / a)) / (b - a), 1e-300), log_r / (b - a)
+        g_lo, g_hi = g(lo), g(hi)
+        return lo if g_lo >= 0 else hi if g_hi <= 0 else _brent(g, lo, hi, g_lo, g_hi)
+
+    def excess(rho):  # log c_e(ρ) - log c_e, decreasing in ρ
+        x = node_gap(rho)
+        q = _log_expm1(e * x) - _log_expm1(a * x)
+        return e * (A - _log1p_exp(rho)) / a + _log1p_exp(rho + q) + lc[0] - lc[3]
+
+    lo, hi = -1.0, 1.0
+    f_lo, f_hi = excess(lo), excess(hi)
+    for _ in range(64):  # the bracket doubles in width with each move
+        if f_lo >= 0 >= f_hi:
+            break
+        width = 2 * (hi - lo)
+        if f_lo < 0:
+            lo, hi, f_hi = lo - width, lo, f_lo
+            f_lo = excess(lo)
+        else:
+            lo, hi, f_lo = hi, hi + width, f_hi
+            f_hi = excess(hi)
+    else:
+        raise NumericalFailureError("the two-atom family does not bracket c's top moment")
+    rho = _brent(excess, lo, hi, f_lo, f_hi)
+    x = node_gap(rho)
+    lu_1 = (A - _log1p_exp(rho)) / a
+    lp_2 = rho - _log_expm1(a * x)  # the share of u_2, below 1 but for rounding
+    lw = [lc[0] + math.log(-math.expm1(min(lp_2, -1e-300))), lc[0] + lp_2]
+    return 1.0, np.array(lw + [lu_1, lu_1 + x]), True
+
+
 def _principal_path(prob: _Problem, tol: float, init_seed: int = 0):
     """y of the principal representation, the square system len(y) == d, if
     the path reaches c, else of the polished exit measure if it reproduces c
-    within ``tol``; else None.  An empty y (every atom dropped) is a measure."""
+    within ``tol``; else None.  An empty y (every atom dropped) is a measure.
+    For d = 3 and d = 4 :func:`_family_measure` takes the place of the path."""
     k, c = prob.k, prob.values
     log_c = _log_scales(c)
     if c[0] <= 0 or np.any(c[1:] <= 0):
@@ -441,10 +570,14 @@ def _principal_path(prob: _Problem, tol: float, init_seed: int = 0):
         y = np.log([max(c[0], 1e-300)])
         res = float(np.abs(_system(y, k, c, log_c)[0]).max())
         return y if res <= tol else None
-    y, c_a = prob.start(init_seed)
-    s, found = _track(y, k, c_a, c)
+    if 3 <= len(k) <= 4:
+        s, found, polish = _family_measure(k, c, tol)
+    else:
+        y, c_a = prob.start(init_seed)
+        s, found = _track(y, k, c_a, c)
+        polish = True
     if s == 1.0:
-        y, res, _ = _correct(found, k, c, 0.0, MAX_ITER)
+        y, res, _ = _correct(found, k, c, 0.0, MAX_ITER if polish else 0)
         if res > tol:
             raise NumericalFailureError(f"the path misses c by {res:.3e}", residual=res)
         costs = _losses(y, k, log_c)[1][:-1]
@@ -530,7 +663,8 @@ def classify(c: MomentVector, tol: float = ACCEPT_TOL, init_seed: int = 0) -> Cl
     """Trichotomy of c relative to the moment cone, with a lowest-index witness.
 
     A positive pair is INTERIOR with its one atom, in closed form.  Otherwise
-    the principal path from start ``init_seed`` finds the witness; its index
+    the principal path from start ``init_seed`` finds the witness (d <= 4
+    takes no path, and ``init_seed`` has no effect there); its index
     is the verdict: below d/2 BOUNDARY, else INTERIOR.  Without exponent 0
     an odd d has no index d/2 (its zero atom feeds no moment): an interior c
     gets the principal representation with that atom moved to the node where

@@ -271,6 +271,22 @@ class TestDecideStatus:
             return
         assert isinstance(status, Status)
 
+    @pytest.mark.parametrize("values", [
+        (198596.94304683234, 25314.492439627684, 12739.961407719164, 817.266440158141,
+         104.17423755342784, 52.42750868133982, 5.773046500548197),
+        (188879.12899432916, 24287.635177130825, 12258.92300106325, 795.6474277817622,
+         102.31090412261896, 51.64033025279883, 5.76670861034635),
+        (192379.0321171523, 24658.907109989766, 12433.09315738888, 803.5273062720015,
+         102.99513927990246, 51.93045099563653, 5.768517443940728),
+    ], ids=["seed1", "seed2", "seed3"])
+    def test_item43_decides_at_tol_1e_10(self, values):
+        # decide-mixed round 0 item 43: its comparison sub-tuple k = (7,11,14,15)
+        # was EXTERIOR at tol = 1e-10 on the tracked path, and the decision raised.
+        M = NormVector(values, ExponentVector((3, 6, 7, 11, 14, 15, 20), 20),
+                       FunctionFamily(Family.AM, 20))
+        matching_spline.cache_clear()
+        assert decide_status(M, 1e-10)[0] is Status.ADMISSIBLE_BOUNDARY
+
 
 def _thin_boundary_tuple(kind, r, k, seed):
     """Norms of a random member with floor(d/2) knots and no constant."""
