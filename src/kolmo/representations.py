@@ -22,7 +22,9 @@ closes in on c without trying it again until the rest of the path has
 shrunk ENDGAME_SHRINK-fold, and the landing also tries exits predicted up to
 as far past c as s is short of it.  Each step's tangent reuses the Jacobian
 the corrector formed at the point it accepted; only a path's first tangent
-forms its own.
+forms its own.  A landing drops an atom whose weight vanishes, and every
+Newton solve ends where further steps cannot gain: at its rounding floor,
+or at a least-squares minimum.
 
 Small systems take no path.  A positive pair needs no solve at all: one atom
 attains it, found in closed form and checked in floats, and it is the
@@ -172,7 +174,9 @@ def _unit_columns(J):
 
 def _lstsq(scaled, rhs):
     """Solve (square) or least squares in the columns of :func:`_unit_columns`;
-    a solve that overflows as the column scaling is undone takes least squares."""
+    a solve that overflows as the column scaling is undone takes least squares.
+    Raises :class:`NumericalFailureError` where least squares would meet a
+    value beyond the float range (LAPACK's SVD does not converge on one)."""
     J, norms = scaled
     with np.errstate(over="ignore"):
         if J.shape[0] == J.shape[1]:
@@ -182,6 +186,8 @@ def _lstsq(scaled, rhs):
                     return x
             except np.linalg.LinAlgError:
                 pass
+        if not (np.isfinite(J).all() and np.isfinite(rhs).all()):
+            raise NumericalFailureError("a linear solve meets a value beyond the float range")
         return np.linalg.lstsq(J, rhs, rcond=None)[0] / norms
 
 
@@ -189,10 +195,17 @@ def _correct(y, k, target, tol, max_iter, dc=None):
     """Gauss-Newton in log variables (and σ, with ``dc``): the best (y,
     residual, Jacobian at y).
 
-    A step is halved until it lowers the residual or the next step from the
-    same Jacobian is shorter: with weights over many decades a full step can
-    raise the residual on its way to the root, and near the root rounding
-    makes steps noisy.  Stops at ``tol``, ``max_iter`` or steps < NEWTON_TOL.
+    A step is halved until it lowers the residual or contracts, the next step
+    from the same Jacobian at most 1 - alpha/2 of it: with weights over many
+    decades a full step can raise the residual on its way to the root, and
+    near the root rounding makes steps noisy.  Stops at ``tol``, ``max_iter``,
+    steps < NEWTON_TOL, or an iteration that cannot gain: one that does not
+    lower the best residual ends the solve unless it still converges as a
+    full Newton step must (Deuflhard's contraction test), its step
+    contracting to at most half toward a residual the linear model puts at
+    most at half the best.  A vanishing weight, whose log mass falls a unit
+    per iteration, passes; noise at the rounding floor and a least-squares
+    minimum above the best do not.
     """
     log_s = _log_scales(target)
     F, J = _system(y, k, target, log_s, dc)
@@ -210,7 +223,12 @@ def _correct(y, k, target, tol, max_iter, dc=None):
             trial = y + alpha * step
             Ft, Jt = _system(trial, k, target, log_s, dc)
             rt = float(np.abs(Ft).max())
-            if rt < res or np.abs(_lstsq(scaled, -Ft)).max() <= (1.0 - alpha / 2) * size:
+            if rt < best[1]:
+                break
+            theta = np.abs(_lstsq(scaled, -Ft)).max() / size  # the contraction
+            if rt < res or theta <= 1.0 - alpha / 2:
+                if theta > 0.5 or np.abs(F + J @ step).max() > 0.5 * best[1]:
+                    return best  # no gain on the best, and no converging step
                 break
         else:
             break
@@ -247,14 +265,19 @@ def _track(y, k, c_a, c_b):
 
     Euler predictor, Newton corrector; the step doubles after a success and
     halves after a failure, and moves no log variable by more than one unit.
+    A failed step is not tried again as it was: the step halves until the
+    point it reaches moves.
 
     One exit rule: a loss of :func:`_losses` vanishes linearly at an exit,
     so its last two values predict s*.  Once the earliest predicted loss is
     below LAND_TOL (a decade below its last try), one Newton solve of the
     bordered system, the exit measure of :func:`_exit_measure` without that
     loss (moved along the tangent to s*) and s* with moments c_a + s* (c_b -
-    c_a), lands on it; a miss tracks on.  A move of the top atom to infinity
-    predicted within ACCEPT_TOL of c_b is not landed: c_b is its own end.
+    c_a), lands on it; a miss tracks on.  An atom moved to 0 whose weight
+    vanishes along the tangent leaves that measure; kept as a zero atom, its
+    log mass would fall a unit per landing iteration and the landing miss.
+    A move of the top atom to infinity predicted within ACCEPT_TOL of c_b is
+    not landed: c_b is its own end.
     Only a landing that dropped the top moment reads it again, for the mass
     the atom at infinity must carry.  A loss below ACCEPT_TOL is the exit of
     last resort, without the solve.  A step below NEWTON_TOL raises.
@@ -281,7 +304,9 @@ def _track(y, k, c_a, c_b):
         if costs[:-1].min() < ACCEPT_TOL:
             return s, _exit_measure(y, k, log_ref)
         log_s = _log_scales(c_a + s * dc)
-        tangent = _lstsq(_unit_columns(J), dc * np.exp(-log_s))
+        with np.errstate(over="ignore"):  # _lstsq raises on an overflow
+            rates = dc * np.exp(-log_s)  # relative moment change per unit s
+        tangent = _lstsq(_unit_columns(J), rates)
         h = min(2.0 * h, 1.0 / max(float(np.abs(tangent).max()), 1e-300))
         fall = (costs < level) & (costs < prev)
         # A merge, or a move to 0 onto a zero atom, loses two degrees of freedom.
@@ -294,10 +319,10 @@ def _track(y, k, c_a, c_b):
             # within ACCEPT_TOL if a far atom can carry c_b: so is its prediction.
             top = j == len(costs) - 1
             bar = ACCEPT_TOL if top else -1e-2 * ACCEPT_TOL
-            rate = np.abs(dc * np.exp(-log_s)).max()  # relative moment change per unit s
+            rate = np.abs(rates).max()
             if not top or (1.0 - exits[j]) * rate > bar:
                 level[j] = 0.1 * costs[j]
-                y_e = _exit_measure(y + (exits[j] - s) * tangent, k, log_ref, j)
+                y_e = _exit_measure(y + (exits[j] - s) * tangent, k, log_ref, j, tangent)
                 n = len(k) - top  # an atom at infinity frees the top moment
                 z, res, _ = _correct(np.append(y_e, exits[j] - s), k[:n], (c_a + s * dc)[:n],
                                      1e-2 * ACCEPT_TOL, LAND_ITER, dc[:n])
@@ -305,18 +330,21 @@ def _track(y, k, c_a, c_b):
                     res = max(res, _system(z, k, c_a + s * dc, log_s, dc)[0][-1])
                 if res <= 1e-2 * ACCEPT_TOL and z[-1] >= 0.0 and (1.0 - s - z[-1]) * rate > bar:
                     return s + z[-1], z[:-1]
+        tried = None  # the last s_new whose corrector failed
         while True:
             if h < NEWTON_TOL:
                 raise NumericalFailureError(f"the path's step underflows at s = {s!r}")
             s_new = min(s + h, 1.0 if 1.0 - s <= near else 1.0 - 0.25 * (1.0 - s))
-            # Two decades below the degeneracy level, so that every atom
-            # still in the structure is resolved.
-            y_new, res, J_new = _correct(y + (s_new - s) * tangent, k,
-                                         c_a + s_new * dc, 1e-2 * ACCEPT_TOL, 4)
-            if res <= 1e-2 * ACCEPT_TOL:
-                break
-            if s_new == 1.0:
-                near = (1.0 - s) / ENDGAME_SHRINK
+            if s_new != tried:
+                # Two decades below the degeneracy level, so that every atom
+                # still in the structure is resolved.
+                y_new, res, J_new = _correct(y + (s_new - s) * tangent, k,
+                                             c_a + s_new * dc, 1e-2 * ACCEPT_TOL, 4)
+                if res <= 1e-2 * ACCEPT_TOL:
+                    break
+                if s_new == 1.0:
+                    near = (1.0 - s) / ENDGAME_SHRINK
+                tried = s_new
             h *= 0.5
         s, y, J = s_new, y_new, J_new
         costs = _losses(y, k, log_ref)[1]
@@ -410,18 +438,31 @@ def _log_max_mass(c, k, lu):
     return np.min(np.log(c)[:, None] - np.outer(k, np.atleast_1d(lu)), axis=0)
 
 
-def _exit_measure(y, k, log_s, drop=None):
+def _exit_measure(y, k, log_s, drop=None, dy=None):
     """The measure without its degenerate atoms.
 
     Takes every loss of :func:`_losses` below ACCEPT_TOL but the top atom's
     to infinity, and the loss ``drop`` (an index into the costs); drops a zero
     atom left below ACCEPT_TOL.  An atom moved to infinity leaves the measure.
+
+    An atom moved to 0 joins the zero atom, unless the path's direction
+    ``dy`` shows its weight vanishing: then it leaves the measure.  Near the
+    exit its loss, led by w u^k_1, vanishes like s* - s; if the weight's log
+    carries the part a of that rate, w ~ (s* - s)^a, and only a = 0, a node
+    running to 0 with its mass, leaves mass at 0.  The weight is taken to
+    vanish for a > 1/2, midway between that and a weight vanishing at a fixed
+    node (a = 1): d log w < min(0, k_1 d log u).
     """
     (lz, lw, lu), costs, (mw, mu) = _losses(y, k, log_s)
     taken = np.append(costs[:-1] < ACCEPT_TOL, False) | (np.arange(len(costs)) == drop)
     p = len(lw)
     moved, merged = taken[1:p + 1], taken[p + 1:-1]
-    zero = ([] if lz is None or taken[0] else [lz]) + list(lw[moved])
+    joins = moved  # the moved atoms whose mass joins the zero atom
+    if dy is not None and moved.any():
+        _, dlw, dlu = _unpack(dy)
+        order = np.argsort(_unpack(y)[2])  # as _losses orders the atoms
+        joins = moved & ~(dlw[order] < np.minimum(0.0, k[1] * dlu[order]))
+    zero = ([] if lz is None or taken[0] else [lz]) + list(lw[joins])
     atoms, j = [], 0
     while j < p:
         if not moved[j]:

@@ -616,18 +616,33 @@ class TestSingularEnd:
         assert np.abs(back / np.asarray(values) - 1.0).max() <= 1e-8
 
     def test_no_repeated_jump_onto_c(self, monkeypatch):
-        # moments_round(1, 0)[8]: 57 tracker corrector calls when the path
+        # moments_round(1, 0)[31]: 17 tracker corrector calls when the path
         # jumped onto c after every accepted step, one failed jump and one
-        # accepted half step per halving of 1 - s.
-        c = MomentVector((1.6151227659876852, 0.005263770673571097,
-                          0.00011570654019460298, 2.543424528546654e-06),
-                         ExponentVector((0, 3, 5, 7), 8))
+        # accepted half step per halving of 1 - s; 9 with the endgame.
+        c = MomentVector((2.086033959421723, 1.2493273335952888, 0.5795235147037244,
+                          0.19795851722369015, 0.09696882103474017),
+                         ExponentVector((0, 1, 3, 6, 8), 8))
         calls = []
         correct = kolmo.representations._correct
         monkeypatch.setattr(kolmo.representations, "_correct", lambda *args: calls.append(
             sys._getframe(1).f_code.co_name) or correct(*args))
         assert classify(c).kind is ClassKind.BOUNDARY
-        assert calls.count("_track") <= 40
+        assert calls.count("_track") <= 12
+
+    def test_no_identical_retry(self, monkeypatch):
+        # moments_round(1, 0)[21]: a step that failed onto the 3/4 cap of the
+        # rest of the path was tried again as it was after h was halved, 2 of
+        # its 12 tracker corrector calls.
+        c = MomentVector((9.292396579962272, 184.2302395081556, 6627.815792933232,
+                          267537.9724256728, 18439749862.302036), ExponentVector((0, 1, 2, 3, 6), 8))
+        targets = []
+        correct = kolmo.representations._correct
+        monkeypatch.setattr(kolmo.representations, "_correct", lambda *args: (
+            sys._getframe(1).f_code.co_name == "_track" and len(args) == 5
+            and targets.append(tuple(args[2]))) or correct(*args))
+        assert classify(c).kind is ClassKind.BOUNDARY
+        assert len(targets) >= 8
+        assert all(a != b for a, b in zip(targets, targets[1:]))
 
 
 class TestStepUnderflow:
@@ -714,6 +729,88 @@ class TestSavedJacobians:
         assert systems.count(("_track", True)) == dropped_top == 0
         assert {caller for caller, _ in systems} <= {
             "_correct", "_track", "_principal_path"}
+
+
+class TestNoSolveThatCannotGain:
+    """Newton solves end once they can no longer change the answer."""
+
+    # perfbench/gen.py decide_round(1, 0)[43] (AM r = 20) classifies these
+    # suffixes.  Their polishes reached the rounding floor within 2
+    # iterations and then wandered on for 120 and 276 evaluations.
+    @pytest.mark.parametrize("ks, values, kind", [
+        ((11, 14, 15, 20), (817.266440158141, 104.17423755342784, 52.42750868133982,
+                            5.773046500548197), ClassKind.INTERIOR),
+        ((6, 7, 11, 14, 15, 20), (25314.492439627684, 12739.961407719164, 817.266440158141,
+                                  104.17423755342784, 52.42750868133982, 5.773046500548197),
+         ClassKind.BOUNDARY),
+    ], ids=["d4", "d6"])
+    def test_polish_stops_at_its_rounding_floor(self, monkeypatch, ks, values, kind):
+        R = kolmo.representations
+        system, polish = R._system, []
+        monkeypatch.setattr(R, "_system", lambda *args: polish.append(
+            sys._getframe(1).f_code.co_name == "_correct"
+            and sys._getframe(2).f_code.co_name == "_principal_path") or system(*args))
+        c = MomentVector(values, ExponentVector(ks, 20))
+        result = classify(c)
+        assert result.kind is kind
+        back = np.asarray(moments_of(result.witness, c.exponents).values)
+        assert np.abs(back / np.asarray(values) - 1.0).max() <= ACCEPT_TOL
+        assert sum(polish) <= 10
+
+    # perfbench/gen.py moments_round(1, 0)[40] and [62]: an atom's weight
+    # vanishes as the path reaches c.  Kept as a zero atom, its log mass fell
+    # by one unit per landing iteration, and 5 landings missed per path.
+    @pytest.mark.parametrize("ks, values", [
+        ((0, 1, 2, 5, 7, 8), (8.741183222652285, 12.641136609369415, 19.52179359465077,
+                              300.52923172160297, 5478.9650671637755, 24941.98221061041)),
+        ((0, 1, 2, 4, 5, 8), (10.963029347667572, 8.004414178171205, 10.461344949112574,
+                              33.32566363177839, 62.54517415336228, 417.5734694688109)),
+    ], ids=["item40", "item62"])
+    def test_vanishing_weight_leaves_the_measure(self, monkeypatch, ks, values):
+        R = kolmo.representations
+        correct, landings = R._correct, []
+        monkeypatch.setattr(R, "_correct", lambda *args: landings.append(
+            args[4] == R.LAND_ITER) or correct(*args))
+        c = MomentVector(values, ExponentVector(ks, 8))
+        result = classify(c)
+        assert result.kind is ClassKind.BOUNDARY
+        assert 0.0 not in result.witness.nodes
+        back = np.asarray(moments_of(result.witness, c.exponents).values)
+        assert np.abs(back / np.asarray(values) - 1.0).max() <= ACCEPT_TOL
+        assert sum(landings) <= 2
+
+
+class TestFloatRangeTracking:
+    """5- and 6-moment vectors over the float range: the path's direction
+    once overflowed into numpy's LinAlgError, with LAPACK's DLASCL message on
+    stderr, on about 1 in 8 of them."""
+
+    @pytest.mark.parametrize("ks, values, tol", [
+        ((0, 2, 3, 5, 14), (3.47244e49, 7.26296e-179, 8.3034e27, 7.4993e269, 2.21419e218), 1e-8),
+        ((1, 5, 6, 10, 20), (2.19615e-170, 1.20259e-287, 2.8242e-107, 2.74354e167,
+                             2.93406e202), 1e-300),
+    ])
+    def test_overflowing_direction_raises(self, capfd, ks, values, tol):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailureError):
+                classify(MomentVector(values, ExponentVector(ks, 20)), tol)
+        assert capfd.readouterr().err == ""
+
+    def test_only_typed_errors(self, capfd):
+        rng = np.random.default_rng(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(300):
+                d = int(rng.choice([5, 6]))
+                ks = tuple(sorted(int(v) for v in rng.choice(21, d, replace=False)))
+                c = MomentVector(tuple(float(v) for v in 10.0 ** rng.uniform(-300, 300, d)),
+                                 ExponentVector(ks, 20))
+                try:
+                    classify(c, float(rng.choice([1e-8, 1e-12, 1e-300, 0.5])))
+                except NumericalFailureError:
+                    pass
+        assert capfd.readouterr().err == ""
 
 
 class TestSingleMoment:
