@@ -38,8 +38,9 @@ polish, the thinning and the checks after it are those of the path.
   measure polished against c if it reproduces c (else c is exterior); for
   d >= 5 the path runs from a start measure spread over the moment-ratio
   range of c to c.  The verdict is the witness's index against d/2.
-  Without exponent 0 an odd d's principal zero atom, which feeds no moment,
-  moves in closed form to a node near 0: a witness of index (d+1)/2.
+  Without exponent 0 a zero atom of the solver's system is mass escaping to
+  0: the witness puts it, in closed form, at a node near 0, where it counts
+  as a whole atom.
 - A root pinned at t* tracks the ray c - s w v(t*), v(t*) the powers of t*,
   from the principal representation to its exit, where the mass at t* is
   maximal: that measure and s, polished by the same bordered system, plus
@@ -191,7 +192,7 @@ def _lstsq(scaled, rhs):
         return np.linalg.lstsq(J, rhs, rcond=None)[0] / norms
 
 
-def _correct(y, k, target, tol, max_iter, dc=None):
+def _correct(y, k, target, tol, max_iter, dc=None, verdict=math.inf):
     """Gauss-Newton in log variables (and σ, with ``dc``): the best (y,
     residual, Jacobian at y).
 
@@ -205,7 +206,9 @@ def _correct(y, k, target, tol, max_iter, dc=None):
     contracting to at most half toward a residual the linear model puts at
     most at half the best.  A vanishing weight, whose log mass falls a unit
     per iteration, passes; noise at the rounding floor and a least-squares
-    minimum above the best do not.
+    minimum above the best do not.  A polish whose residual decides a verdict
+    at ``verdict`` stops so only where the verdict is fixed: the best is
+    within it, or the linear model itself misses it.
     """
     log_s = _log_scales(target)
     F, J = _system(y, k, target, log_s, dc)
@@ -227,8 +230,10 @@ def _correct(y, k, target, tol, max_iter, dc=None):
                 break
             theta = np.abs(_lstsq(scaled, -Ft)).max() / size  # the contraction
             if rt < res or theta <= 1.0 - alpha / 2:
-                if theta > 0.5 or np.abs(F + J @ step).max() > 0.5 * best[1]:
-                    return best  # no gain on the best, and no converging step
+                model = np.abs(F + J @ step).max()
+                if theta > 0.5 or model > 0.5 * best[1]:  # no gain, no converging step
+                    if best[1] <= verdict or model > verdict:
+                        return best
                 break
         else:
             break
@@ -388,8 +393,8 @@ class _Problem:
     def representation(self, y) -> Representation | None:
         """The measure of y in the original system, or None.
 
-        A zero atom of y is kept: without exponent 0 it feeds no moment, and
-        :func:`_witness` strips it before it gets here (a canonical ray's
+        A zero atom of y is kept at 0: without exponent 0 :func:`_witness`
+        moves it to a node near 0 before it gets here (a canonical ray's
         exit has none there: d is odd).  Callers check the rest.
         """
         lz, lw, lu = _unpack(y)
@@ -618,7 +623,7 @@ def _principal_path(prob: _Problem, tol: float, init_seed: int = 0):
         s, found = _track(y, k, c_a, c)
         polish = True
     if s == 1.0:
-        y, res, _ = _correct(found, k, c, 0.0, MAX_ITER if polish else 0)
+        y, res, _ = _correct(found, k, c, 0.0, MAX_ITER if polish else 0, None, tol)
         if res > tol:
             raise NumericalFailureError(f"the path misses c by {res:.3e}", residual=res)
         costs = _losses(y, k, log_c)[1][:-1]
@@ -629,7 +634,7 @@ def _principal_path(prob: _Problem, tol: float, init_seed: int = 0):
     # An exit can lose several degrees of freedom at once; the polish drives
     # out the rest, and they are taken after it.
     if len(found):
-        y_thin, res, _ = _correct(found, k, c, 0.0, MAX_ITER)
+        y_thin, res, _ = _correct(found, k, c, 0.0, MAX_ITER, None, tol)
         if res <= tol:
             return _exit_measure(y_thin, k, log_c)
     # A near-degenerate principal representation whose thinning misses c.
@@ -649,17 +654,23 @@ def _mismatch(rep: Representation, c: MomentVector) -> float:
 def _witness(prob: _Problem, y, tol: float) -> Representation | None:
     """The measure of the variables y (or None) if it reproduces c within tol.
 
-    Without exponent 0 a zero atom feeds no moment: it is left out here,
-    the one place that rule lives.  The one check of a returned measure is
-    :func:`_mismatch` against c.  Raises :class:`NumericalFailureError` when
-    y reproduces c in the solver's system but its measure in floats does not:
-    a node or weight beyond the float range, or a weight too far below it to
-    keep its digits.  Such a c is neither exterior nor boundary.
+    Without exponent 0 a zero atom of y is mass escaping to 0 in the original
+    system: it becomes an atom of the same mass at the node where its share
+    of every other moment is FAR_KNOT_SHARE * tol, for every d and every
+    measure; this is the one place that rule lives.  No such node exists
+    where a moment above the first is 0.  The one check of a returned measure
+    is :func:`_mismatch` against c.  Raises :class:`NumericalFailureError`
+    when y reproduces c in the solver's system but its measure in floats does
+    not: a node or weight beyond the float range, or a weight too far below
+    it to keep its digits.  Such a c is neither exterior nor boundary.
     """
     if y is None:
         return None
     if len(y) % 2 and prob.shift:
-        y = y[1:]
+        if np.any(prob.values[1:] <= 0):
+            return None
+        lz, lw, lu = _unpack(y)
+        y = np.concatenate([[lz], lw, [log_far_node(lz, prob.values[1:], prob.k[1:], tol)], lu])
     rep = prob.representation(y)
     if rep is not None and _mismatch(rep, prob.c) <= tol:
         return rep
@@ -707,9 +718,9 @@ def classify(c: MomentVector, tol: float = ACCEPT_TOL, init_seed: int = 0) -> Cl
     the principal path from start ``init_seed`` finds the witness (d <= 4
     takes no path, and ``init_seed`` has no effect there); its index
     is the verdict: below d/2 BOUNDARY, else INTERIOR.  Without exponent 0
-    an odd d has no index d/2 (its zero atom feeds no moment): an interior c
-    gets the principal representation with that atom moved to the node where
-    its share of every other moment is FAR_KNOT_SHARE * tol, of index (d+1)/2.
+    the witness has no zero atom: :func:`_witness` moves the path's to a node
+    near 0, where it counts a whole atom (an odd d's interior c gets index
+    (d+1)/2).
     """
     require_tolerance(tol)
     if not any(c.values):
@@ -717,12 +728,7 @@ def classify(c: MomentVector, tol: float = ACCEPT_TOL, init_seed: int = 0) -> Cl
     if (atom := _pair_atom(c, tol)) is not None:
         return Classification(ClassKind.INTERIOR, atom)
     prob = _Problem(c)
-    found = _principal_path(prob, tol, init_seed)
-    if found is not None and len(found) == c.d and c.d % 2 and prob.shift:
-        lz, lw, lu = _unpack(found)
-        lu_0 = log_far_node(lz, prob.values[1:], prob.k[1:], tol)
-        found = np.concatenate([[lz], lw, [lu_0], lu])
-    rep = _witness(prob, found, tol)
+    rep = _witness(prob, _principal_path(prob, tol, init_seed), tol)
     if rep is None:
         return Classification(ClassKind.EXTERIOR)
     kind = ClassKind.BOUNDARY if index_of(rep).twice < c.d else ClassKind.INTERIOR

@@ -108,15 +108,25 @@ class TestClassify:
         assert parsed["kind"] == "interior"
         assert parsed["witness"]["index"] == 2
 
-    @pytest.mark.parametrize("doc", [
-        {"k": [1, 2, 3], "c": [1, 0, 0]},
-        {"k": [1, 2, 3, 4], "c": [2, 1, 1, 1]},
-    ])
-    def test_exterior_without_exponent_zero(self, capsys, monkeypatch, doc):
-        # Only a zero atom would carry these; without exponent 0 it feeds no moment.
+    def test_exterior_without_exponent_zero(self, capsys, monkeypatch):
+        # Only a zero atom would carry c; without exponent 0 no atom near 0
+        # can stand for it, since each feeds the zero moments.
+        doc = {"k": [1, 2, 3], "c": [1, 0, 0]}
         code, out, err = run(capsys, ["classify"], stdin=doc, monkeypatch=monkeypatch)
         assert code == 0, err
         assert json.loads(out)["kind"] == "exterior"
+
+    def test_zero_atom_without_exponent_zero_is_near_0(self, capsys, monkeypatch):
+        # The (0..3) moments of delta_0 + delta_1: an atom near 0 carries c_1.
+        doc = {"k": [1, 2, 3, 4], "c": [2, 1, 1, 1]}
+        code, out, err = run(capsys, ["classify"], stdin=doc, monkeypatch=monkeypatch)
+        assert code == 0, err
+        parsed = json.loads(out)
+        assert parsed["kind"] == "interior"
+        assert parsed["witness"]["index"] == 2
+        atoms = parsed["witness"]["atoms"]
+        back = [sum(a["weight"] * a["node"] ** k for a in atoms) for k in doc["k"]]
+        assert max(abs(b / v - 1.0) for b, v in zip(back, doc["c"])) <= 1e-8
 
     @pytest.mark.parametrize("argv, kind, atoms", [
         (["classify", "--tol", "1e-6"], "boundary", 1),
