@@ -1,13 +1,15 @@
 """Exact-structure solves for the power-moment problem on [0, inf).
 
 :func:`classify` solves for the lowest-index structure in every exponent
-system, from the path start its ``init_seed`` selects for d >= 5 (its
+system, from the path start its ``init_seed`` selects where it tracks (its
 witness is the minimal-index representation); :func:`principal_representation`
 (index d/2) is its INTERIOR witness, and it and
 :func:`canonical_representation` (index (d+1)/2, through a prescribed root)
 reject the systems without exponent 0 where their index has no structure.
 
-A principal solve with d >= 5, and every canonical ray, runs one tracker.
+A principal solve with d >= 6, one with d = 5 within tol of a thinner
+measure (see :func:`_family_measure`), and every canonical ray run one
+tracker.
 Inside the convex moment cone the principal (index d/2) representation is
 unique and smooth in the moments, so :func:`_track` follows it (Euler
 predictor, Newton corrector, in log weights and log nodes) along a straight
@@ -26,17 +28,19 @@ forms its own.  A landing drops an atom whose weight vanishes, and every
 Newton solve ends where further steps cannot gain: at its rounding floor,
 or at a least-squares minimum.
 
-Small systems take no path.  A positive pair needs no solve at all: one atom
+d <= 5 takes no path.  A positive pair needs no solve at all: one atom
 attains it, found in closed form and checked in floats, and it is the
-verdict and the principal representation both.  For d = 3 and d = 4,
+verdict and the principal representation both.  For d = 3, 4 and 5,
 :func:`_family_measure` puts the principal or the thin measure where the
-path would have ended, in closed form (d = 3) or by one bracketed search
-over the two-atom measures through the first three moments (d = 4); the
-polish, the thinning and the checks after it are those of the path.
+path would have ended, by one bracketed search over the two-atom measures
+through the first three moments (d = 4), and for an odd d by a zero atom
+plus the measure of the top d - 1 moments (one atom in closed form for
+d = 3, the d = 4 search for d = 5); the polish, the thinning and the checks
+after it are those of the path.
 
 - Classification gets the principal representation at c, else the exit
-  measure polished against c if it reproduces c (else c is exterior); for
-  d >= 5 the path runs from a start measure spread over the moment-ratio
+  measure polished against c if it reproduces c (else c is exterior); where
+  it tracks, the path runs from a start measure spread over the moment-ratio
   range of c to c.  The verdict is the witness's index against d/2.
   Without exponent 0 a zero atom of the solver's system is mass escaping to
   0: the witness puts it, in closed form, at a node near 0, where it counts
@@ -525,32 +529,68 @@ def _brent(f, lo, hi, f_lo, f_hi):
 
 
 def _family_measure(k, c, tol):
-    """(s, y, polish) of the principal path for d = 3 and d = 4, without one.
+    """(s, y, polish) of the principal path for d = 3, 4 and 5 without one, or
+    None where d = 5 must track it.
 
-    For exponents (0, a, b), the atom (w_τ, u_τ) through c_a and c_b leaves c_0
-    the share ζ = 1 - w_τ/c_0 (ζ >= 0 is Lyapunov's inequality): d = 3 is
-    that atom plus the zero atom c_0 ζ at s = 1, or the atom alone as the thin
-    measure.  For (0, a, b, e), the two-atom measures matching c_0..c_b form
-    one family along which c_e rises from L = w_τ u_τ^e, that zero atom's
-    limit, to infinity (Markov-Krein): c_e <= L (1 + tol) is outside or on
-    the boundary (the thin measure), and otherwise one bracketed search over
-    the family finds the principal measure.  A 3-vector within tol of one
-    atom, below c_e, gets the atom plus an atom carrying c_e's excess at the
-    node :func:`log_far_node` places, without a polish (``polish`` False):
-    against c exactly, the polish would push that atom out until its weight
-    underflows.  Everything is in logs of the scaled system, where every c_i
-    is positive; s is 1.0 for the principal measure and 0.0 for a thin one.
+    An odd d is a zero atom plus the measure of the top system (exponents
+    k_1..k_d shifted to start at 0, moments c_1..c_d): a zero atom feeds c_0
+    alone, so the positive atoms match the top d - 1 moments, and the least
+    c_0 among such measures is the top system's lower representation
+    (Markov-Krein; Krein & Nudelman 1977, Ch. III-IV).  With its weights
+    shifted back, w = w' u^(-k_1), its mass μ_0 leaves c_0 the share ζ = 1 -
+    μ_0/c_0.  A principal top with ζ > 0 plus the zero atom c_0 ζ is the
+    principal measure (s = 1); anything else is the thin measure, the top
+    measure with the zero atom only where ζ > tol, for the polish against c
+    to settle.  For d = 3 the top is the one atom (w_τ, u_τ) through c_a and
+    c_b (ζ >= 0 is Lyapunov's inequality); for d = 5 it is the d = 4 measure
+    below.  Where that search raises, or returns a zero atom or a far atom,
+    the top system lies within tol of its own boundary, where a zero atom of
+    c would merge into the top's lowest atom (not done here): such a d = 5
+    takes the path (None).  So does a d = 5 whose zero atom, dropped with
+    the positive atoms refitted, costs tol at most: to first order that cost
+    is ζ |n_0| / ||n||_1, n the left null vector of the positive atoms'
+    Jacobian columns, and its bare share ζ can exceed tol by orders where
+    the top's mass is that much more sensitive than its moments.  c then
+    lies within tol of the thinner measure, the lowest-index witness.
+
+    For (0, a, b, e), the two-atom measures matching c_0..c_b form one
+    family along which c_e rises from L = w_τ u_τ^e, its limit at the zero
+    atom of (0, a, b), to infinity (Markov-Krein): c_e <= L (1 + tol) is
+    outside or on the boundary (the thin measure), and otherwise one
+    bracketed search over the family finds the principal measure.  A
+    3-vector within tol of one atom, below c_e, gets the atom plus an atom
+    carrying c_e's excess at the node :func:`log_far_node` places, without a
+    polish (``polish`` False): against c exactly, the polish would push that
+    atom out until its weight underflows.  Everything is in logs of the
+    scaled system, where every c_i is positive; s is 1.0 for the principal
+    measure and 0.0 for a thin one.
     """
-    a, b = float(k[1]), float(k[2])
     lc = [math.log(v) for v in c]
+    if len(k) % 2:
+        if len(k) == 3:  # the one atom through c_a and c_b, principal
+            s, y = 1.0, np.array([lc[1], (lc[2] - lc[1]) / (k[2] - k[1])])
+        else:
+            try:
+                s, y, polish = _family_measure(k[1:] - k[1], c[1:], tol)
+            except NumericalFailureError:
+                return None
+            if len(y) % 2 or not polish:
+                return None
+        p = len(y) // 2
+        lw, lu = y[:p] - k[1] * y[p:], y[p:]
+        zeta = -math.expm1(min(np.logaddexp.reduce(lw) - lc[0], 700.0))
+        if len(k) == 5 and s == 1.0 and zeta > tol:  # the cost of the zero atom, refitted
+            J = _system(np.concatenate([lw, lu]), k, c, np.array(lc))[1]
+            n = np.linalg.svd(J)[0][:, -1]
+            if zeta * abs(n[0]) <= tol * np.abs(n).sum():
+                return None
+        zero = [lc[0] + math.log(zeta)] if zeta > (0.0 if s == 1.0 else tol) else []
+        return (1.0 if s == 1.0 and zeta > 0 else 0.0), np.concatenate([zero, lw, lu]), True
+    a, b = float(k[1]), float(k[2])
     lu_t = (lc[2] - lc[1]) / (b - a)
     lw_t = lc[1] - a * lu_t
     zeta = -math.expm1(min(lw_t - lc[0], 700.0))  # far below -tol once capped
     atom = [lw_t, lu_t]
-    if len(k) == 3 and zeta > 0:
-        return 1.0, np.array([lc[0] + math.log(zeta)] + atom), True
-    if len(k) == 3:
-        return 0.0, np.array(atom), True
     e = float(k[3])
     log_L = lw_t + e * lu_t
     if zeta < -tol:
@@ -608,7 +648,8 @@ def _principal_path(prob: _Problem, tol: float, init_seed: int = 0):
     """y of the principal representation, the square system len(y) == d, if
     the path reaches c, else of the polished exit measure if it reproduces c
     within ``tol``; else None.  An empty y (every atom dropped) is a measure.
-    For d = 3 and d = 4 :func:`_family_measure` takes the place of the path."""
+    d <= 5 takes no path: :func:`_family_measure` takes its place, but for a
+    d = 5 within tol of a thinner measure, of c or of its top four moments."""
     k, c = prob.k, prob.values
     log_c = _log_scales(c)
     if c[0] <= 0 or np.any(c[1:] <= 0):
@@ -616,12 +657,13 @@ def _principal_path(prob: _Problem, tol: float, init_seed: int = 0):
         y = np.log([max(c[0], 1e-300)])
         res = float(np.abs(_system(y, k, c, log_c)[0]).max())
         return y if res <= tol else None
-    if 3 <= len(k) <= 4:
-        s, found, polish = _family_measure(k, c, tol)
-    else:
+    family = _family_measure(k, c, tol) if 3 <= len(k) <= 5 else None
+    if family is None:
         y, c_a = prob.start(init_seed)
         s, found = _track(y, k, c_a, c)
         polish = True
+    else:
+        s, found, polish = family
     if s == 1.0:
         y, res, _ = _correct(found, k, c, 0.0, MAX_ITER if polish else 0, None, tol)
         if res > tol:
@@ -715,8 +757,9 @@ def classify(c: MomentVector, tol: float = ACCEPT_TOL, init_seed: int = 0) -> Cl
     """Trichotomy of c relative to the moment cone, with a lowest-index witness.
 
     A positive pair is INTERIOR with its one atom, in closed form.  Otherwise
-    the principal path from start ``init_seed`` finds the witness (d <= 4
-    takes no path, and ``init_seed`` has no effect there); its index
+    the principal path from start ``init_seed`` finds the witness (d <= 5
+    takes no path, but where a d = 5 lies within tol of a thinner measure,
+    and ``init_seed`` has no effect there); its index
     is the verdict: below d/2 BOUNDARY, else INTERIOR.  Without exponent 0
     the witness has no zero atom: :func:`_witness` moves the path's to a node
     near 0, where it counts a whole atom (an odd d's interior c gets index

@@ -171,7 +171,7 @@ def oracle_suite(cases: int = 500, seed: int = DEFAULT_SEED) -> SuiteReport:
     """
 
     def case(rng):
-        d = int(rng.integers(2, 6))
+        d = int(rng.integers(2, 8))
         k = _exponents_with_zero(rng, d, 8, 8)
         base = _random_representation(
             rng, int(rng.integers(1, 4)), bool(rng.integers(0, 2)),
@@ -304,7 +304,7 @@ def uniqueness_suite(cases: int = 100, seed: int = DEFAULT_SEED) -> SuiteReport:
     """Classifications from distinct path starts are INTERIOR with one witness spline."""
 
     def case(rng):
-        d = int(rng.choice([2, 4, 6]))
+        d = int(rng.choice([6, 8]))
         r = 8
         exps = sorted(int(v) for v in rng.choice(r + 1, size=d, replace=False))
         k = ExponentVector(tuple(exps), r)

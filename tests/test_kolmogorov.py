@@ -288,6 +288,32 @@ class TestDecideStatus:
         assert decide_status(M, 1e-10)[0] is Status.ADMISSIBLE_BOUNDARY
 
 
+class TestDecideStatusAgreesWithClassify:
+    """Where classify finds a witness within tol, decide_status must not say
+    not_admissible (ROADMAP item 10: one verdict for both).  Both tuples
+    read not_admissible while classify of their moments says INTERIOR."""
+
+    STATUS_OF = {ClassKind.INTERIOR: Status.ADMISSIBLE_INTERIOR,
+                 ClassKind.BOUNDARY: Status.ADMISSIBLE_BOUNDARY,
+                 ClassKind.EXTERIOR: Status.NOT_ADMISSIBLE}
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 10: "
+                       "decide_status says not_admissible where classify finds a witness")
+    @pytest.mark.parametrize("M", [
+        # The moments of atoms (0.1000349923844542, 1.0741015374176726) and
+        # (25.809309104196263, 1.1023823673269733) as AM r = 8 norms: the
+        # sublevel (4,6,8) reads boundary, and the top level's excess over
+        # k_1 = 2 then says not_admissible.
+        NormVector((734.3301721769013, 489145.17506812094, 325829597.4252677,
+                    217041753640.6679), ExponentVector((2, 4, 6, 8), 8), FunctionFamily(Family.AM, 8)),
+        # classify finds an atom near 0 carrying c_1's excess, within 1e-10.
+        NormVector((2.0, 1.0, 1.0, 1.0), ExponentVector((1, 2, 3, 4), 4), FunctionFamily(Family.AM, 4)),
+    ], ids=["k2468", "k1234"])
+    def test_status_is_classify_kind(self, M):
+        matching_spline.cache_clear()
+        assert decide_status(M)[0] is self.STATUS_OF[classify(moment_coordinates(M)).kind]
+
+
 def _thin_boundary_tuple(kind, r, k, seed):
     """Norms of a random member with floor(d/2) knots and no constant."""
     family = FunctionFamily(kind, r)

@@ -2,7 +2,7 @@
 
     PYTHONPATH=src python tests/verdict_check.py
 
-Two sets of inputs, about 20 s on one core of a 2-CPU x86-64 host:
+Three checks, about 25 s on one core of a 2-CPU x86-64 host:
 
 - the moment coordinates of the 936 decide-mixed tuples of perfbench/gen.py
   (seeds 1-3, rounds 0-5).  An attainable tuple (the norms of a spline) may
@@ -10,7 +10,11 @@ Two sets of inputs, about 20 s on one core of a 2-CPU x86-64 host:
   ``decide_status`` (interior, boundary, exterior against admissible_interior,
   admissible_boundary, not_admissible);
 - the moment vectors of the FUZZ_DRAWS measures of :func:`exact_measures`.
-  None may read EXTERIOR outside KNOWN_EXTERIOR.
+  None may read EXTERIOR outside KNOWN_EXTERIOR;
+- the 832 inputs of :func:`five_moment_inputs`, classified as they are and
+  with the principal path forced (the closed form of
+  ``representations._family_measure`` taken out for d = 5).  No verdict may
+  differ outside KNOWN_PATH_DIFFERENCES, and each of those must still differ.
 
 A typed NumericalFailureError is no verdict and passes.  Exits 1 on a
 failure, after printing every one.
@@ -27,6 +31,7 @@ from kolmo import (
     ExponentVector,
     FunctionFamily,
     Family,
+    MomentVector,
     NormVector,
     NumericalFailureError,
     Representation,
@@ -35,6 +40,7 @@ from kolmo import (
     moment_coordinates,
     moments_of,
 )
+from kolmo import representations
 from kolmo.representations import ClassKind
 
 FUZZ_DRAWS = 1200
@@ -46,6 +52,24 @@ KNOWN_EXTERIOR = {
         "every moment but c_1; the path takes its last-resort exit 7.5e-9 short of c, "
         "and the exit polish ends at 1.2e-8, above tol",
 }
+
+
+#: Five-moment inputs whose verdict the closed form changes against the path:
+#: (the path's kind, the closed form's kind; None is a raise), and the cause.
+KNOWN_PATH_DIFFERENCES = {
+    f"decide-mixed mirror seed {seed} round 5 item 10": (
+        None, ClassKind.EXTERIOR,
+        "k = (0,1,15,17,20) breaks Lyapunov's inequality c_15^16 <= c_1^2 c_17^14 "
+        "by e^7; the path raised") for seed in (1, 2, 3)
+}
+
+
+def perfbench_gen():
+    """perfbench/gen.py, the benchmark's input generator."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import gen
+
+    return gen
 
 
 def exact_measures(count, seed=7, r=8):
@@ -81,10 +105,43 @@ def kind_of(c):
         return None
 
 
-def _decide_mixed_failures():
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-    import gen
+def mirror(c):
+    """c under t -> 1/t: the exponents k_d - k and the moments, both reversed."""
+    ks = c.exponents.exponents
+    return MomentVector(c.values[::-1], ExponentVector(tuple(ks[-1] - k for k in ks[::-1]),
+                                                       c.exponents.r))
 
+
+def _norms(doc):
+    return NormVector(tuple(doc["M"]), ExponentVector(tuple(doc["k"]), doc["r"]),
+                      FunctionFamily(Family(doc["family"]), doc["r"]))
+
+
+def five_moment_inputs():
+    """(name, c) of the 832 five-moment inputs: the moment coordinates of the
+    144 five-norm decide-mixed tuples (seeds 1-3, rounds 0-5) and their
+    mirrors, the 144 five-moment moments-spread classify items (rounds 0-3),
+    and the 400 five-moment draws of :func:`exact_measures`."""
+    gen = perfbench_gen()
+    for seed in (1, 2, 3):
+        for index in range(6):
+            for item, doc in enumerate(gen.decide_round(seed, index)):
+                if len(doc["k"]) == 5:
+                    c = moment_coordinates(_norms(doc))
+                    yield f"decide-mixed seed {seed} round {index} item {item}", c
+                    yield f"decide-mixed mirror seed {seed} round {index} item {item}", mirror(c)
+        for index in range(4):
+            for item, doc in enumerate(gen.moments_round(seed, index)):
+                if len(doc["k"]) == 5 and doc["call"] == "classify":
+                    yield (f"moments-spread seed {seed} round {index} item {item}",
+                           MomentVector(tuple(doc["c"]), ExponentVector(tuple(doc["k"]), gen.MOMENT_R)))
+    for i, c in exact_measures(FUZZ_DRAWS):
+        if c.d == 5:
+            yield f"exact measure draw {i}", c
+
+
+def _decide_mixed_failures():
+    gen = perfbench_gen()
     status_of = {ClassKind.INTERIOR: "admissible_interior",
                  ClassKind.BOUNDARY: "admissible_boundary",
                  ClassKind.EXTERIOR: "not_admissible"}
@@ -92,8 +149,7 @@ def _decide_mixed_failures():
     for seed in (1, 2, 3):
         for index in range(6):
             for item, doc in enumerate(gen.decide_round(seed, index)):
-                M = NormVector(tuple(doc["M"]), ExponentVector(tuple(doc["k"]), doc["r"]),
-                               FunctionFamily(Family(doc["family"]), doc["r"]))
+                M = _norms(doc)
                 kind = kind_of(moment_coordinates(M))
                 try:
                     status = decide_status(M)[0].value
@@ -121,8 +177,34 @@ def _fuzz_failures():
     return failures
 
 
+def _path_failures():
+    family = representations._family_measure
+    failures, found, count = [], set(), 0
+    for name, c in five_moment_inputs():
+        kind = kind_of(c)
+        representations._family_measure = lambda k, v, tol: None if len(k) == 5 else family(k, v, tol)
+        try:
+            tracked = kind_of(c)
+        finally:
+            representations._family_measure = family
+        count += 1
+        if kind is tracked:
+            continue
+        found.add(name)
+        if name not in KNOWN_PATH_DIFFERENCES or KNOWN_PATH_DIFFERENCES[name][:2] != (tracked, kind):
+            failures.append(f"{name}: {_name(tracked)} on the path, {_name(kind)} in closed form")
+    print(f"five moments: {len(found)} of {count} verdicts differ from the path's")
+    failures += [f"{name}: no longer differs from the path" for name in KNOWN_PATH_DIFFERENCES
+                 if name not in found]
+    return failures
+
+
+def _name(kind):
+    return "a raise" if kind is None else kind.value
+
+
 def main() -> int:
-    failures = _decide_mixed_failures() + _fuzz_failures()
+    failures = _decide_mixed_failures() + _fuzz_failures() + _path_failures()
     for line in failures:
         print("FAIL", line)
     return 1 if failures else 0
