@@ -39,6 +39,7 @@ from .kolmogorov import (
 )
 from .oracle import FeasibilityReport, cone_membership
 from .representations import (
+    Certificate,
     ClassKind,
     Classification,
     canonical_representation,

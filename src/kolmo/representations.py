@@ -42,6 +42,13 @@ after it are those of the path.
   measure polished against c if it reproduces c (else c is exterior); where
   it tracks, the path runs from a start measure spread over the moment-ratio
   range of c to c.  The verdict is the witness's index against d/2.
+  EXTERIOR is settled without a polish where a polynomial p(t) = Σ λ_i t^k_i
+  >= 0 on [0, inf) has λ·c < -tol Σ|λ_i c_i|, which no measure within tol
+  of c allows.  Before any path, three consecutive moments that break
+  Lyapunov's inequality give one in closed form (:func:`_lyapunov`); at an
+  exit, the left null vector of the Jacobian of an exit measure of d - 1 or
+  d - 2 variables that misses c, with a double root of p at each node
+  (:func:`_separation`).
   Without exponent 0 a zero atom of the solver's system is mass escaping to
   0: the witness puts it, in closed form, at a node near 0, where it counts
   as a whole atom.
@@ -108,9 +115,22 @@ class ClassKind(Enum):
 
 
 @dataclass(frozen=True)
+class Certificate:
+    """A separating polynomial p(t) = Σ λ_i t^k_i >= 0 on [0, inf) with λ·c < 0.
+
+    ``coefficients`` are λ in c's own exponents, and ``margin`` is -λ·c /
+    Σ|λ_i c_i|: every measure's moments m have λ·m >= 0, so none is within a
+    relative ``margin`` of c in every moment.
+    """
+    coefficients: tuple[float, ...]
+    margin: float
+
+
+@dataclass(frozen=True)
 class Classification:
     kind: ClassKind
     witness: Representation | None = None
+    certificate: Certificate | None = None
 
 
 def _log_scales(target):
@@ -644,12 +664,122 @@ def _family_measure(k, c, tol):
     return 1.0, np.array(lw + [lu_1, lu_1 + x]), True
 
 
+def _separation(y, k, c, log_c, tol):
+    """μ, λ_i c_i of a polynomial p(t) = Σ λ_i t^k_i >= 0 on [0, inf) that the
+    exit measure y supports, if λ·c < 0 shows that no measure reproduces c
+    within ``tol``; else None.  Tried only where y itself misses c by more.
+
+    μ is the left null vector of y's scaled Jacobian J (:func:`_system`):
+    μ^T J = 0 puts a double root of p at every node, p(u_j) = u_j p'(u_j) =
+    0, and a zero atom puts a root at 0, λ_0 = 0.  With d - 1 variables μ is
+    unique; with d - 2, one unit column more picks it: an atom at infinity
+    (λ_top = 0) or a zero atom of no mass (λ_0 = 0), tried in that order.
+    Either way the roots use up every sign change that Descartes' rule of
+    signs allows the free coefficients, so p keeps one sign on [0, inf), and
+    its lowest and highest free coefficients, which it needs for that many
+    sign changes, carry that sign.  μ is signed so that they are positive,
+    and p is checked nonnegative between and beyond its roots as well.  A
+    measure's moments m then have λ·m = ∫p >= 0, and ones within tol of c in
+    every moment have λ·c >= -tol Σ|μ|: -Σμ > tol Σ|μ| shows c exterior.
+
+    Rounding: J's entries are rounded to float and its columns scaled to
+    unit norm, each to a few ulps, and the SVD is backward stable, so μ is
+    the null vector of some J + E with ||E||_2 of order d eps ||J||_2 <= d^1.5
+    eps.  It then lies within √2 ||E||_2 / σ of the exact μ* (Wedin), σ the
+    smallest singular value of J, and so within δ = 2 d^2 eps / σ in 1-norm:
+    each coefficient, Σμ and Σ|μ| are within δ of μ*'s.  So both end
+    coefficients must exceed δ, which gives μ* their signs, and -Σμ > tol
+    Σ|μ| + (1 + tol) δ, which then holds for μ*.  A σ that rounding can zero
+    (nodes that merge, a vanishing weight) gives no certificate, and no more
+    does a J at :func:`_relative`'s cap, which is not y's Jacobian.
+    """
+    d, n = len(k), len(y)
+    F, J = _system(y, k, c, log_c)
+    if not (d - 2 <= n < d and np.abs(F).max() > tol):
+        return None
+    lz, lw, lu = _unpack(y)
+    u, p = sorted(lu.tolist()), len(lu)
+    between = [u[0] - 1.0] + [(a + b) / 2 for a, b in zip(u, u[1:])] + [u[-1] + 1.0] if p else [0.0]
+    L = np.outer(k, lu.tolist() + between) - log_c[:, None]
+    if (L[:, :p] + lw).max(initial=-math.inf) >= 300.0:
+        return None
+    L = L[:, p:]
+    X = np.exp(L - L.max(axis=0))  # t^k_i / c_i at each check point, up to a factor
+    slack = 2.0 * d * d * math.ulp(1.0)  # δ σ
+    A = np.zeros((d, d - 1))
+    A[:, :n] = _unit_columns(J)[0]
+    for row in [None] if n == d - 1 else [d - 1] if lz is not None else [d - 1, 0]:
+        if row is not None:
+            A[:, n] = 0.0
+            A[row, n] = 1.0
+        U, sv, _ = np.linalg.svd(A)
+        zeros = ([0] if lz is not None else []) + ([] if row is None else [row])
+        mu = U[:, -1]
+        mu[zeros] = 0.0  # as in the exact μ*
+        low, lead = (1 if 0 in zeros else 0), (d - 2 if d - 1 in zeros else d - 1)
+        if mu[lead] < 0:
+            mu = -mu
+        if (sv[-1] * min(mu[low], mu[lead]) > slack and (mu @ X).min() >= 0.0
+                and sv[-1] * (-mu.sum() - tol * np.abs(mu).sum()) > (1.0 + tol) * slack):
+            return mu
+    return None
+
+
+def _lyapunov(k, c, tol):
+    """μ, λ_i c_i, of the first consecutive exponents a < b < e of k whose
+    moments break Lyapunov's inequality c_b^(e-a) <= c_a^(e-b) c_e^(b-a) by
+    more than ``tol``, zero but at those three; else None.
+
+    The atom through c_b and c_e, at u with mass w, needs the mass W = c_a
+    u^-a for c_a, and W < w breaks the inequality.  That atom is then the
+    exit measure of the three moments, and its polynomial (see
+    :func:`_separation`) is p(t) = t^a (λ_a + λ_b t^(b-a) + λ_e t^(e-a)),
+    λ_a u^a : λ_b u^b : λ_e u^e = (e-b) : -(e-a) : (b-a): a double root at
+    u, two sign changes, so p >= 0 on [0, inf).  With r = W/w, μ = ((e-b) r,
+    -(e-a), b-a) and the margin -Σμ/Σ|μ| is (e-b)(1-r) / ((e-b) r + e+b-2a).
+
+    Rounding: log r = log c_a - log c_b + q (log c_e - log c_b), q = (b-a) /
+    (e-b), is within about 2.5 (1+q) eps L of its exact value, L the largest
+    |log c| of the three (each log to an ulp, four roundings more), and the
+    margin moves by at most half as much: its derivative in log r is at most
+    1/2 in size.  The test is margin > tol + 2 (1+q) eps max(L, 1).
+    """
+    ks, lc = k.tolist(), [math.log(v) for v in c.tolist()]
+    for j in range(len(ks) - 2):
+        a, b, e = ks[j:j + 3]
+        q = (b - a) / (e - b)
+        log_r = lc[j] - lc[j + 1] + q * (lc[j + 2] - lc[j + 1])
+        if log_r >= 0.0:
+            continue
+        r = math.exp(log_r)
+        margin = (e - b) * (1.0 - r) / ((e - b) * r + (e + b - 2.0 * a))
+        if margin > tol + 2.0 * (1.0 + q) * math.ulp(1.0) * max(1.0, *map(abs, lc[j:j + 3])):
+            mu = np.zeros(len(ks))
+            mu[j:j + 3] = (e - b) * r, a - e, b - a
+            return mu
+    return None
+
+
+def _certificate(prob: _Problem, mu) -> Certificate:
+    """The :class:`Certificate` of μ = λ_i c_i, a scale-free form of λ."""
+    return Certificate(tuple((mu / np.asarray(prob.c.values)).tolist()),
+                       float(-mu.sum() / np.abs(mu).sum()))
+
+
 def _principal_path(prob: _Problem, tol: float, init_seed: int = 0):
     """y of the principal representation, the square system len(y) == d, if
     the path reaches c, else of the polished exit measure if it reproduces c
     within ``tol``; else None.  An empty y (every atom dropped) is a measure.
     d <= 5 takes no path: :func:`_family_measure` takes its place, but for a
-    d = 5 within tol of a thinner measure, of c or of its top four moments."""
+    d = 5 within tol of a thinner measure, of c or of its top four moments.
+
+    Where a separating polynomial shows c more than tol outside the cone, the
+    :class:`Certificate` is returned in place of y: before any path, from
+    three consecutive moments that break Lyapunov's inequality
+    (:func:`_lyapunov`), and at an exit (s < 1) whose measure, of d - 1 or d
+    - 2 variables, misses c by more than tol, from that measure
+    (:func:`_separation`).  No polish could reproduce such a c.  Smaller exit
+    measures, and separations within the band, are polished as before."""
     k, c = prob.k, prob.values
     log_c = _log_scales(c)
     if c[0] <= 0 or np.any(c[1:] <= 0):
@@ -657,6 +787,8 @@ def _principal_path(prob: _Problem, tol: float, init_seed: int = 0):
         y = np.log([max(c[0], 1e-300)])
         res = float(np.abs(_system(y, k, c, log_c)[0]).max())
         return y if res <= tol else None
+    if (mu := _lyapunov(k, c, tol)) is not None:
+        return _certificate(prob, mu)
     family = _family_measure(k, c, tol) if 3 <= len(k) <= 5 else None
     if family is None:
         y, c_a = prob.start(init_seed)
@@ -676,6 +808,8 @@ def _principal_path(prob: _Problem, tol: float, init_seed: int = 0):
     # An exit can lose several degrees of freedom at once; the polish drives
     # out the rest, and they are taken after it.
     if len(found):
+        if s < 1.0 and (mu := _separation(found, k, c, log_c, tol)) is not None:
+            return _certificate(prob, mu)
         y_thin, res, _ = _correct(found, k, c, 0.0, MAX_ITER, None, tol)
         if res <= tol:
             return _exit_measure(y_thin, k, log_c)
@@ -763,7 +897,10 @@ def classify(c: MomentVector, tol: float = ACCEPT_TOL, init_seed: int = 0) -> Cl
     is the verdict: below d/2 BOUNDARY, else INTERIOR.  Without exponent 0
     the witness has no zero atom: :func:`_witness` moves the path's to a node
     near 0, where it counts a whole atom (an odd d's interior c gets index
-    (d+1)/2).
+    (d+1)/2).  EXTERIOR carries a :class:`Certificate` where a polynomial
+    separates c from the cone by more than ``tol`` (see
+    :func:`_principal_path`); an EXTERIOR whose exit polish failed to
+    reproduce c carries none.
     """
     require_tolerance(tol)
     if not any(c.values):
@@ -771,7 +908,10 @@ def classify(c: MomentVector, tol: float = ACCEPT_TOL, init_seed: int = 0) -> Cl
     if (atom := _pair_atom(c, tol)) is not None:
         return Classification(ClassKind.INTERIOR, atom)
     prob = _Problem(c)
-    rep = _witness(prob, _principal_path(prob, tol, init_seed), tol)
+    found = _principal_path(prob, tol, init_seed)
+    if isinstance(found, Certificate):
+        return Classification(ClassKind.EXTERIOR, certificate=found)
+    rep = _witness(prob, found, tol)
     if rep is None:
         return Classification(ClassKind.EXTERIOR)
     kind = ClassKind.BOUNDARY if index_of(rep).twice < c.d else ClassKind.INTERIOR
@@ -809,7 +949,7 @@ def canonical_representation(
         raise UnsupportedSystemError("even-dimensional canonical structure needs exponent 0")
     prob = _Problem(c)
     found = _principal_path(prob, tol)
-    if found is None or len(found) != c.d:
+    if not isinstance(found, np.ndarray) or len(found) != c.d:
         raise NotInteriorError("a canonical representation needs an interior vector")
     for u in prob.nodes(_unpack(found)[2]):
         if abs(u - t_star) <= NODE_MERGE_REL * max(u, t_star):

@@ -567,6 +567,9 @@ class TestTrackerExit:
 
     def test_node_running_off_is_landed(self, monkeypatch):
         R = kolmo.representations
+        # c_1^2 > c_0 c_2 settles C10 before any path (TestSeparatingCertificate);
+        # that check is taken out to reach the path.
+        monkeypatch.setattr(R, "_lyapunov", lambda *args: None)
         calls, tracks = [], []
         correct, track = R._correct, R._track
         monkeypatch.setattr(R, "_correct", lambda *args: calls.append(args[4]) or correct(*args))
@@ -655,7 +658,8 @@ class TestStepUnderflow:
     """Tuples whose principal path runs its step below NEWTON_TOL, which raises.
 
     perfbench/gen.py decide_round(1, round)[item].  Each answer is its right
-    side or a typed NumericalFailureError, never the wrong side.
+    side or a typed NumericalFailureError, never the wrong side; the two
+    outside the cone are EXTERIOR, with a certificate, before any path.
     """
 
     @pytest.mark.parametrize("family, r, k, M, exterior", [
@@ -676,11 +680,16 @@ class TestStepUnderflow:
     ], ids=["round4-item35", "round2-item5", "round4-item29"])
     def test_classify_keeps_its_side(self, family, r, k, M, exterior):
         c = moment_coordinates(NormVector(M, ExponentVector(k, r), FunctionFamily(family, r)))
+        if exterior:
+            result = classify(c)
+            assert result.kind is ClassKind.EXTERIOR
+            _assert_separates(result.certificate, c)
+            return
         try:
             kind = classify(c).kind
         except NumericalFailureError:
             return
-        assert (kind is ClassKind.EXTERIOR) is exterior
+        assert kind is not ClassKind.EXTERIOR
 
     def test_decide_keeps_its_side(self):
         # round5-item15: norms of a spline, admissible.
@@ -815,9 +824,13 @@ class TestPolishStopKeepsTheVerdict:
           2037453623585494.5, 1307296827.0278585, 30.42695521478327, 6.945835120371406)),
     ], ids=[f"{name}-seed{seed}" for name in ("round0-item37", "round5-item15")
             for seed in (1, 2, 3)])
-    def test_attainable_tuple_is_boundary(self, family, r, k, M):
+    def test_attainable_tuple_is_boundary(self, monkeypatch, family, r, k, M):
         c = moment_coordinates(NormVector(M, ExponentVector(k, r), FunctionFamily(family, r)))
+        # Each exit measure misses c by more than tol, so it is asked for a
+        # separating polynomial; none separates.
+        asked = _separations(monkeypatch)
         self._assert_boundary(c)
+        assert asked and all(mu is None for mu in asked)
 
     def test_mirror_is_boundary(self):
         # The mirror t -> 1/t of decide_round(2, 0)[43] (AM r = 20, so c = M):
@@ -841,8 +854,8 @@ class TestFloatRangeTracking:
     stderr, on about 1 in 8 of them."""
 
     # Both break Lyapunov's inequality c_b^(k_x - k_a) <= c_a^(k_x - k_b)
-    # c_x^(k_b - k_a): c_3^3 > c_2^2 c_5 and c_6^5 > c_5^4 c_10.  A 5-moment
-    # system takes no path, and its top four moments say so in closed form.
+    # c_x^(k_b - k_a): c_3^3 > c_2^2 c_5 and c_6^5 > c_5^4 c_10, which
+    # classify checks on consecutive exponents before any path.
     @pytest.mark.parametrize("ks, values, tol", [
         ((0, 2, 3, 5, 14), (3.47244e49, 7.26296e-179, 8.3034e27, 7.4993e269, 2.21419e218), 1e-8),
         ((1, 5, 6, 10, 20), (2.19615e-170, 1.20259e-287, 2.8242e-107, 2.74354e167,
@@ -862,6 +875,12 @@ class TestFloatRangeTracking:
                           1.12318e-260), ExponentVector((0, 1, 2, 4, 6, 19), 20))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            # c_1^2 > c_0 c_2 by far: EXTERIOR before any path.
+            result = classify(c)
+            assert result.kind is ClassKind.EXTERIOR and result.certificate is not None
+            assert not tracks
+            # Without that check the path's direction overflows: a typed error.
+            monkeypatch.setattr(R, "_lyapunov", lambda *args: None)
             with pytest.raises(NumericalFailureError):
                 classify(c)
         assert tracks
@@ -1261,10 +1280,14 @@ class TestExactMeasureFuzz:
     A typed NumericalFailureError is no verdict."""
 
     def test_no_exterior(self):
-        exterior = [i for i, c in verdict_check.exact_measures(FUZZ_DRAWS)
-                    if i not in verdict_check.KNOWN_EXTERIOR
-                    and verdict_check.kind_of(c) is ClassKind.EXTERIOR]
+        results = {i: verdict_check.classified(c)
+                   for i, c in verdict_check.exact_measures(FUZZ_DRAWS)}
+        exterior = [i for i, result in results.items() if i not in verdict_check.KNOWN_EXTERIOR
+                    and result is not None and result.kind is ClassKind.EXTERIOR]
         assert not exterior
+        # Nor does a separating certificate fire on one, draw 17 included.
+        assert not [i for i, result in results.items()
+                    if result is not None and result.certificate is not None]
 
     @pytest.mark.parametrize("draw", [
         pytest.param(i, marks=pytest.mark.xfail(strict=True, reason=cause), id=f"draw{i}")
@@ -1272,6 +1295,137 @@ class TestExactMeasureFuzz:
     def test_known_exterior(self, draw):
         c = dict(verdict_check.exact_measures(draw + 1))[draw]
         assert verdict_check.kind_of(c) is not ClassKind.EXTERIOR
+
+
+def _separations(monkeypatch):
+    """The list that every later result of representations._separation joins."""
+    R = kolmo.representations
+    separation, asked = R._separation, []
+    monkeypatch.setattr(R, "_separation", lambda *args: asked.append(separation(*args)) or asked[-1])
+    return asked
+
+
+def _assert_separates(certificate, c):
+    """certificate separates c from the moment cone: λ·c = -margin Σ|λ_i c_i|
+    with margin above tol, and p(t) = Σ λ_i t^k_i >= 0 near 0 and infinity
+    (its end coefficients) and, to rounding, on a log grid from e^-7 below
+    c's smallest moment ratio to e^7 above its largest."""
+    lam, vals = np.asarray(certificate.coefficients), np.asarray(c.values)
+    k = np.asarray(c.exponents.exponents, dtype=float)
+    assert len(lam) == c.d and lam[0] >= 0 and lam[-1] >= 0
+    margin = -(lam * vals).sum() / np.abs(lam * vals).sum()
+    assert margin == pytest.approx(certificate.margin, rel=1e-9) and margin > ACCEPT_TOL
+    ratios = np.diff(np.log(vals)) / np.diff(k)
+    log_t = np.linspace(ratios.min() - 7, ratios.max() + 7, 2001)
+    with np.errstate(divide="ignore"):
+        L = np.log(np.abs(lam))[:, None] + np.outer(k, log_t)
+    E = np.exp(L - L.max(axis=0))
+    assert ((np.sign(lam) @ E) / E.sum(axis=0)).min() >= -1e-9
+
+
+class TestSeparatingCertificate:
+    """EXTERIOR settled by a polynomial p >= 0 on [0, inf) with λ·c < 0, which
+    shows no measure within tol of c: first three consecutive moments that
+    break Lyapunov's inequality, else the exit measure that misses c, whose
+    polynomial has a double root at each node.  No polish runs then."""
+
+    @pytest.mark.parametrize("lyapunov", [True, False], ids=["lyapunov-first", "exit-measure-only"])
+    def test_moments_spread_exterior_is_certified(self, monkeypatch, lyapunov):
+        # Every classify item labelled exterior with d = 3..6 in round 0 at
+        # seeds 1-3 but item 38, which two atoms reproduce within tol.
+        R = kolmo.representations
+        if not lyapunov:
+            monkeypatch.setattr(R, "_lyapunov", lambda *args: None)
+        correct, polishes = R._correct, []
+        monkeypatch.setattr(R, "_correct", lambda *args: polishes.append(args[4] == R.MAX_ITER)
+                            or correct(*args))
+        gen = verdict_check.perfbench_gen()
+        calls = 0
+        for seed in (1, 2, 3):
+            for item, doc in enumerate(gen.moments_round(seed, 0)):
+                if doc["call"] == "classify" and doc["truth"] == "exterior" and len(doc["k"]) > 2 \
+                        and item != 38:
+                    c = MomentVector(tuple(doc["c"]), ExponentVector(tuple(doc["k"]), gen.MOMENT_R))
+                    result = classify(c)
+                    assert result.kind is ClassKind.EXTERIOR and result.witness is None
+                    _assert_separates(result.certificate, c)
+                    calls += 1
+        assert calls == 69
+        assert not any(polishes)
+
+    def test_decide_mixed_certificates_in_original_coordinates(self):
+        # The perturbed tuples of perfbench/gen.py decide_round(1, 0): exponent
+        # systems with and without 0, moments over tens of decades.
+        gen = verdict_check.perfbench_gen()
+        certified = 0
+        for doc in gen.decide_round(1, 0):
+            c = moment_coordinates(verdict_check._norms(doc))
+            result = verdict_check.classified(c)
+            if result is not None and result.certificate is not None:
+                assert not doc["attainable"] and result.kind is ClassKind.EXTERIOR
+                _assert_separates(result.certificate, c)
+                certified += 1
+        assert certified >= 20
+
+    def test_no_certificate_where_a_measure_is_within_tol(self, monkeypatch):
+        # moments-spread round 0 item 38 at seed 1, labelled exterior, which
+        # two atoms reproduce to 2.4e-9: its exit measure is asked, and does
+        # not separate.  TestPolishStopKeepsTheVerdict asks the same of ROADMAP
+        # item 22's attainable tuples.
+        asked = _separations(monkeypatch)
+        doc = verdict_check.perfbench_gen().moments_round(1, 0)[38]
+        result = classify(MomentVector(tuple(doc["c"]), ExponentVector(tuple(doc["k"]), 8)))
+        assert result.kind is ClassKind.BOUNDARY
+        assert asked and all(mu is None for mu in asked)
+
+    @pytest.mark.parametrize("lyapunov", [True, False], ids=["lyapunov-first", "exit-measure-only"])
+    def test_three_moments_fire_where_lyapunov_fails(self, monkeypatch, lyapunov):
+        """(0, a, b): the certificate fires exactly where Lyapunov's inequality
+        c_a^b <= c_0^(b-a) c_b^a fails by more than tol in its margin m =
+        (b-a)(w - c_0) / ((b-a) c_0 + (a+b) w), w the mass of the atom (u, w)
+        through c_a and c_b, and p has its double root at u, whether the
+        inequality itself or the exit measure, that atom, gives it.  The
+        margin's rounding slack, below 1e-11 here, is kept clear of by 1e-3
+        tol."""
+        if not lyapunov:
+            monkeypatch.setattr(kolmo.representations, "_lyapunov", lambda *args: None)
+        rng = np.random.default_rng(11)
+        fired = 0
+        for _ in range(300):
+            a, b = sorted(int(v) for v in rng.choice(np.arange(1, 21), 2, replace=False))
+            u, w = 10.0 ** rng.uniform(-2, 2), 10.0 ** rng.uniform(-3, 3)
+            m = ACCEPT_TOL * 10.0 ** rng.uniform(-2, 2)
+            if abs(m / ACCEPT_TOL - 1.0) < 1e-3:
+                continue
+            c0 = w * ((b - a) - m * (a + b)) / ((b - a) * (1.0 + m))
+            c = MomentVector((c0, w * u ** a, w * u ** b), ExponentVector((0, a, b), 20))
+            certificate = classify(c).certificate
+            assert (certificate is not None) is (m > ACCEPT_TOL), (a, b, u, w, m)
+            if certificate is None:
+                continue
+            fired += 1
+            assert certificate.margin == pytest.approx(m, rel=1e-6)
+            lam0, lam_a, lam_b = certificate.coefficients
+            at_u = np.array([lam0, lam_a * u ** a, lam_b * u ** b])
+            scale = np.abs(at_u).sum()
+            assert abs(at_u.sum()) <= 1e-12 * scale  # p(u) = 0
+            assert abs(a * at_u[1] + b * at_u[2]) <= 1e-12 * scale  # u p'(u) = 0
+        assert 100 <= fired <= 200
+
+    def test_lyapunov_settles_before_the_path(self, monkeypatch):
+        # TestTrackerExit.C10: c_1^2 > c_0 c_2.
+        R = kolmo.representations
+        tracks, track = [], R._track
+        monkeypatch.setattr(R, "_track", lambda *args: tracks.append(1) or track(*args))
+        result = classify(TestTrackerExit.C10)
+        assert result.kind is ClassKind.EXTERIOR and not tracks
+        _assert_separates(result.certificate, TestTrackerExit.C10)
+        assert np.flatnonzero(result.certificate.coefficients).tolist() == [0, 1, 2]
+
+    def test_interior_and_boundary_carry_none(self):
+        assert classify(C235).certificate is None
+        result = classify(MomentVector((1.0, 2.0, 4.0), K012))  # one atom at 2
+        assert result.kind is ClassKind.BOUNDARY and result.certificate is None
 
 
 README_TUPLE = NormVector((1.0, 2.0, 2.0), K012, FunctionFamily(Family.MM, 2))
