@@ -44,11 +44,11 @@ after it are those of the path.
   range of c to c.  The verdict is the witness's index against d/2.
   EXTERIOR is settled without a polish where a polynomial p(t) = Σ λ_i t^k_i
   >= 0 on [0, inf) has λ·c < -tol Σ|λ_i c_i|, which no measure within tol
-  of c allows.  Before any path, three consecutive moments that break
-  Lyapunov's inequality give one in closed form (:func:`_lyapunov`); at an
-  exit, the left null vector of the Jacobian of an exit measure of d - 1 or
-  d - 2 variables that misses c, with a double root of p at each node
-  (:func:`_separation`).
+  of c allows.  A negative moment c_i gives p(t) = t^k_i; before any path,
+  three consecutive moments that break Lyapunov's inequality give one in
+  closed form (:func:`_lyapunov`); at an exit, the left null vector of the
+  Jacobian of an exit measure of d - 1 or d - 2 variables that misses c,
+  with a double root of p at each node (:func:`_separation`).
   Without exponent 0 a zero atom of the solver's system is mass escaping to
   0: the witness puts it, in closed form, at a node near 0, where it counts
   as a whole atom.
@@ -153,33 +153,44 @@ def _unpack(y):
     return (y[0] if z else None), y[z:z + p], y[z + p:]
 
 
-def _relative(lw, lu, k, log_s):
-    """Contributions of atoms (rows: exponents) relative to each equation's scale.
+def _relative(lw, lu, k, log_s, out=None):
+    """Contributions of atoms (rows: exponents) relative to each equation's
+    scale, exp(min(lw + k lu - log s, 300)), formed in place in ``out`` (a
+    (len(k), len(lw)) extended-precision array) or in a new array.
 
     Logarithms keep hundreds of decades finite; the cap at e^300 keeps squared
     Jacobian columns finite.  Extended precision, where the platform has it,
     keeps residual rounding from limiting close nodes to about 1e-6.
     """
     lw, lu = np.asarray(lw, np.longdouble), np.asarray(lu, np.longdouble)
-    return np.exp(np.minimum(lw[None, :] + k[:, None] * lu[None, :] - log_s[:, None], 300.0))
+    if out is None:
+        out = np.empty((len(k), len(lw)), np.longdouble)
+    np.multiply(k[:, None], lu, out=out)
+    out += lw
+    out -= log_s[:, None]
+    np.minimum(out, 300.0, out=out)
+    return np.exp(out, out=out)
 
 
-def _system(y, k, target, log_s, dc=None):
+def _system(y, k, target, log_s, dc=None, rhs=None):
     """Scaled residual and Jacobian of the moment equations in log variables.
 
     With ``dc`` the last variable is a path offset σ and the target is
-    target + σ dc: the bordered system of an exit.
+    target + σ dc: the bordered system of an exit.  ``rhs`` is the scaled
+    target, target e^(-log s) in extended precision (:func:`_scaled_target`),
+    for a caller that evaluates many y against one unbordered target.
     """
     n = len(y) - (dc is not None)
-    lz, lw, lu = _unpack(y[:n])
-    z, p = int(lz is not None), len(lw)
-    R = np.zeros((len(k), z + p), np.longdouble)
-    R[:, z:] = _relative(lw, lu, k, log_s)
+    z, p = n % 2, n // 2  # see _unpack
+    y_ext = np.asarray(y[:n], np.longdouble)
+    R = np.empty((len(k), z + p), np.longdouble)
+    _relative(y_ext[z:z + p], y_ext[z + p:], k, log_s, out=R[:, z:])
     if z:  # the zero atom feeds exponent 0 alone (_Problem shifts k_1 to 0)
-        R[0, 0] = np.exp(np.minimum(np.longdouble(lz) - log_s[0], 300.0))
-    if dc is not None:
-        target = target + y[-1] * dc
-    F = (R.sum(axis=1) - target * np.exp(-log_s.astype(np.longdouble))).astype(float)
+        R[1:, 0] = 0.0
+        R[0, 0] = np.exp(np.minimum(y_ext[0] - log_s[0], 300.0))
+    if rhs is None:
+        rhs = _scaled_target(target if dc is None else target + y[-1] * dc, log_s)
+    F = (R.sum(axis=1) - rhs).astype(float)
     # d/dlog w = contribution, d/dlog u = k * contribution, d/dσ = -dc.
     J = np.empty((len(k), len(y)))
     J[:, :z + p] = R
@@ -187,6 +198,11 @@ def _system(y, k, target, log_s, dc=None):
     if dc is not None:
         J[:, -1] = -dc * np.exp(-log_s)
     return F, J
+
+
+def _scaled_target(target, log_s):
+    """target e^(-log s), in extended precision: the constant term of F."""
+    return target * np.exp(-log_s.astype(np.longdouble))
 
 
 def _unit_columns(J):
@@ -235,7 +251,8 @@ def _correct(y, k, target, tol, max_iter, dc=None, verdict=math.inf):
     within it, or the linear model itself misses it.
     """
     log_s = _log_scales(target)
-    F, J = _system(y, k, target, log_s, dc)
+    rhs = None if dc is not None else _scaled_target(target, log_s)
+    F, J = _system(y, k, target, log_s, dc, rhs)
     res = float(np.abs(F).max())
     best = (y, res, J)
     for _ in range(max_iter):
@@ -248,7 +265,7 @@ def _correct(y, k, target, tol, max_iter, dc=None, verdict=math.inf):
             break
         for alpha in _HALVINGS:
             trial = y + alpha * step
-            Ft, Jt = _system(trial, k, target, log_s, dc)
+            Ft, Jt = _system(trial, k, target, log_s, dc, rhs)
             rt = float(np.abs(Ft).max())
             if rt < best[1]:
                 break
@@ -327,11 +344,12 @@ def _track(y, k, c_a, c_b):
     near = math.inf  # the rest of the path from which c_b may be tried again
     # Later tangents reuse the corrector's Jacobian at the accepted point.
     J = _system(y, k, c_a, _log_scales(c_a))[1]
-    costs = prev = _losses(y, k, log_ref)[1]
+    losses = _losses(y, k, log_ref)
+    costs = prev = losses[1]
     level = np.full(len(costs), LAND_TOL)
     while s < 1.0:
         if costs[:-1].min() < ACCEPT_TOL:
-            return s, _exit_measure(y, k, log_ref)
+            return s, _exit_measure(y, k, log_ref, losses=losses)
         log_s = _log_scales(c_a + s * dc)
         with np.errstate(over="ignore"):  # _lstsq raises on an overflow
             rates = dc * np.exp(-log_s)  # relative moment change per unit s
@@ -376,7 +394,8 @@ def _track(y, k, c_a, c_b):
                 tried = s_new
             h *= 0.5
         s, y, J = s_new, y_new, J_new
-        costs = _losses(y, k, log_ref)[1]
+        losses = _losses(y, k, log_ref)
+        costs = losses[1]
     return s, y
 
 
@@ -392,23 +411,25 @@ class _Problem:
 
     def __init__(self, c: MomentVector):
         self.c = c
-        ks = c.exponents.exponents
+        ks, vals = c.exponents.exponents, c.values
         self.shift = ks[0]
-        self.k = np.asarray(ks, dtype=float) - ks[0]
-        vals = np.asarray(c.values, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.diff(np.log(np.abs(vals))) / np.diff(self.k)
-        ratios = ratios[(vals[:-1] > 0) & (vals[1:] > 0)]
-        mid = (ratios.min() + ratios.max()) / 2 if len(ratios) else 0.0
+        k = [e - ks[0] for e in ks]
+        # At most a few numbers each: plain floats cost less than arrays.
+        ratios = [(math.log(b) - math.log(a)) / (kb - ka)
+                  for a, b, ka, kb in zip(vals, vals[1:], k, k[1:]) if a > 0 and b > 0]
+        mid = (min(ratios) + max(ratios)) / 2 if ratios else 0.0
         # 2^(log2|c_i| - m k_i) stays within [2^-1021, 2^1023] for m in [lo, hi].
-        nz = (vals != 0) & (self.k > 0)
-        log2, k = np.log2(np.abs(vals[nz])), self.k[nz]
-        lo = np.ceil((log2 - 1023) / k).max(initial=-math.inf)
-        hi = np.floor((log2 + 1021) / k).min(initial=math.inf)
+        lo, hi = -math.inf, math.inf
+        for v, ki in zip(vals, k):
+            if v != 0 and ki > 0:
+                log2 = math.log2(abs(v))
+                lo = max(lo, math.ceil((log2 - 1023) / ki))
+                hi = min(hi, math.floor((log2 + 1021) / ki))
         if lo > hi:
             raise NumericalFailureError("a moment leaves the float range as the nodes are scaled")
         self.m = int(min(max(round(mid / math.log(2.0)), lo), hi))
-        self.values = np.ldexp(vals, (-self.m * self.k).astype(int))
+        self.k = np.array(k, dtype=float)
+        self.values = np.ldexp(np.array(vals), [-self.m * ki for ki in k])
 
     def nodes(self, lu):
         """Log scaled nodes back to nodes."""
@@ -467,12 +488,13 @@ def _log_max_mass(c, k, lu):
     return np.min(np.log(c)[:, None] - np.outer(k, np.atleast_1d(lu)), axis=0)
 
 
-def _exit_measure(y, k, log_s, drop=None, dy=None):
+def _exit_measure(y, k, log_s, drop=None, dy=None, losses=None):
     """The measure without its degenerate atoms.
 
     Takes every loss of :func:`_losses` below ACCEPT_TOL but the top atom's
     to infinity, and the loss ``drop`` (an index into the costs); drops a zero
     atom left below ACCEPT_TOL.  An atom moved to infinity leaves the measure.
+    ``losses`` is :func:`_losses` of (y, k, log_s) where the caller has it.
 
     An atom moved to 0 joins the zero atom, unless the path's direction
     ``dy`` shows its weight vanishing: then it leaves the measure.  Near the
@@ -482,7 +504,7 @@ def _exit_measure(y, k, log_s, drop=None, dy=None):
     vanish for a > 1/2, midway between that and a weight vanishing at a fixed
     node (a = 1): d log w < min(0, k_1 d log u).
     """
-    (lz, lw, lu), costs, (mw, mu) = _losses(y, k, log_s)
+    (lz, lw, lu), costs, (mw, mu) = _losses(y, k, log_s) if losses is None else losses
     taken = np.append(costs[:-1] < ACCEPT_TOL, False) | (np.arange(len(costs)) == drop)
     p = len(lw)
     moved, merged = taken[1:p + 1], taken[p + 1:-1]
@@ -774,15 +796,18 @@ def _principal_path(prob: _Problem, tol: float, init_seed: int = 0):
     d = 5 within tol of a thinner measure, of c or of its top four moments.
 
     Where a separating polynomial shows c more than tol outside the cone, the
-    :class:`Certificate` is returned in place of y: before any path, from
-    three consecutive moments that break Lyapunov's inequality
+    :class:`Certificate` is returned in place of y: before any solve, from a
+    negative moment c_i (p(t) = t^k_i, margin 1, so for tol < 1), before any
+    path, from three consecutive moments that break Lyapunov's inequality
     (:func:`_lyapunov`), and at an exit (s < 1) whose measure, of d - 1 or d
     - 2 variables, misses c by more than tol, from that measure
     (:func:`_separation`).  No polish could reproduce such a c.  Smaller exit
     measures, and separations within the band, are polished as before."""
     k, c = prob.k, prob.values
     log_c = _log_scales(c)
-    if c[0] <= 0 or np.any(c[1:] <= 0):
+    if c.min() <= 0:
+        if (negative := np.flatnonzero(c < 0)).size and 1.0 > tol:  # p(t) = t^k_i, margin 1
+            return Certificate(tuple(float(i == negative[0]) for i in range(len(c))), 1.0)
         # An atom at a positive node feeds every moment: only a zero atom fits.
         y = np.log([max(c[0], 1e-300)])
         res = float(np.abs(_system(y, k, c, log_c)[0]).max())
@@ -800,11 +825,12 @@ def _principal_path(prob: _Problem, tol: float, init_seed: int = 0):
         y, res, _ = _correct(found, k, c, 0.0, MAX_ITER if polish else 0, None, tol)
         if res > tol:
             raise NumericalFailureError(f"the path misses c by {res:.3e}", residual=res)
-        costs = _losses(y, k, log_c)[1][:-1]
+        losses = _losses(y, k, log_c)
+        costs = losses[1][:-1]
         if costs.min() >= tol:
             return y
         # Within tol of a thinner measure, the cheapest loss is the lost freedom.
-        found = _exit_measure(y, k, log_c, int(np.argmin(costs)))
+        found = _exit_measure(y, k, log_c, int(np.argmin(costs)), losses=losses)
     # An exit can lose several degrees of freedom at once; the polish drives
     # out the rest, and they are taken after it.
     if len(found):
@@ -899,8 +925,8 @@ def classify(c: MomentVector, tol: float = ACCEPT_TOL, init_seed: int = 0) -> Cl
     near 0, where it counts a whole atom (an odd d's interior c gets index
     (d+1)/2).  EXTERIOR carries a :class:`Certificate` where a polynomial
     separates c from the cone by more than ``tol`` (see
-    :func:`_principal_path`); an EXTERIOR whose exit polish failed to
-    reproduce c carries none.
+    :func:`_principal_path`), p(t) = t^k_i for a negative moment c_i among
+    them; an EXTERIOR whose exit polish failed to reproduce c carries none.
     """
     require_tolerance(tol)
     if not any(c.values):

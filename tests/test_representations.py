@@ -1,5 +1,6 @@
 """Exact structure solves: classification, principal and pinned representations."""
 import math
+import os
 import sys
 import types
 import warnings
@@ -1427,6 +1428,277 @@ class TestSeparatingCertificate:
         result = classify(MomentVector((1.0, 2.0, 4.0), K012))  # one atom at 2
         assert result.kind is ClassKind.BOUNDARY and result.certificate is None
 
+
+class TestNegativeMoment:
+    """A negative moment c_i is separated by p(t) = t^k_i >= 0, margin 1,
+    before any solve."""
+
+    def test_moments_spread_pairs_are_certified(self, monkeypatch):
+        # The d = 2 classify items with a negative moment of moments-spread
+        # rounds 0-3 at seeds 1-3.
+        def no_system(*args):
+            raise AssertionError("a residual was formed")
+
+        monkeypatch.setattr(kolmo.representations, "_system", no_system)
+        pairs = list(verdict_check.negative_moment_pairs())
+        assert len(pairs) == verdict_check.NEGATIVE_MOMENT_PAIRS == 72
+        for name, c in pairs:
+            result = classify(c)
+            i = min(j for j, v in enumerate(c.values) if v < 0)
+            assert result.kind is ClassKind.EXTERIOR and result.witness is None, name
+            assert result.certificate == kolmo.representations.Certificate(
+                tuple(float(j == i) for j in range(c.d)), 1.0), name
+
+    def test_first_negative_moment_of_any_d(self):
+        c = MomentVector((1.0, 2.0, -3.0, 4.0, -5.0), ExponentVector((1, 2, 4, 5, 7), 8))
+        certificate = classify(c).certificate
+        assert certificate.coefficients == (0.0, 0.0, 1.0, 0.0, 0.0)
+        lam = np.asarray(certificate.coefficients)
+        assert -(lam @ c.values) / np.abs(lam * c.values).sum() == certificate.margin == 1.0
+
+    def test_zero_moment_is_no_certificate(self):
+        # (1, 0, 1) is the limit of 1 at 0 plus ε^2 at 1/ε: no polynomial
+        # separates it, and the zero-atom branch decides, as before.
+        assert classify(MomentVector((1.0, 0.0, 1.0), K012)).certificate is None
+
+    @pytest.mark.parametrize("tol", [1.0, 1.5])
+    def test_no_certificate_from_tol_one(self, tol):
+        # Margin 1 separates c by no more than tol: the zero atom reproduces
+        # (1, -1) within tol, as it did before the certificate.
+        result = classify(MomentVector((1.0, -1.0), ExponentVector((0, 1), 8)), tol)
+        assert result.kind is ClassKind.BOUNDARY and result.certificate is None
+        assert result.witness == Representation((Atom(0.0, 1.0),))
+
+
+def _numpy_node_scale(c):
+    """(m, values) of _Problem's node scaling in numpy arrays, or None where
+    its float-range window is empty: the reference for its plain floats."""
+    ks = c.exponents.exponents
+    k = np.asarray(ks, dtype=float) - ks[0]
+    vals = np.asarray(c.values, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.diff(np.log(np.abs(vals))) / np.diff(k)
+    ratios = ratios[(vals[:-1] > 0) & (vals[1:] > 0)]
+    mid = (ratios.min() + ratios.max()) / 2 if len(ratios) else 0.0
+    nz = (vals != 0) & (k > 0)
+    log2, kz = np.log2(np.abs(vals[nz])), k[nz]
+    lo = np.ceil((log2 - 1023) / kz).max(initial=-math.inf)
+    hi = np.floor((log2 + 1021) / kz).min(initial=math.inf)
+    if lo > hi:
+        return None
+    m = int(min(max(round(mid / math.log(2.0)), lo), hi))
+    return m, np.ldexp(vals, (-m * k).astype(int))
+
+
+def _problems_of_round_0(workload, seed):
+    """Every moment vector that a _Problem is made of in the first round of
+    a benchmark workload, called as perfbench/worker.py calls it.  The
+    sweep lines of that round make none: for sweep-cli, the moment
+    coordinates of their points."""
+    R = kolmo.representations
+    seen = []
+    gen = verdict_check.perfbench_gen()
+    if workload == "sweep-cli":
+        for line in gen.sweep_round(seed, 0):
+            doc = line["problem"]
+            for first in np.linspace(line["from"], line["to"], line["steps"]):
+                M = verdict_check._norms(dict(doc, M=[first] + doc["M"][1:]))
+                seen.append(moment_coordinates(M))
+        return seen
+
+    class Recorded(R._Problem):
+        def __init__(self, c):
+            seen.append(c)
+            super().__init__(c)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(os.path.dirname(gen.__file__))
+        import worker
+
+        patch.setattr(R, "_Problem", Recorded)
+        for item in gen.ROUNDS[workload](seed, 0):
+            worker.CALLS[workload](item)
+    return seen
+
+
+class TestNodeScaling:
+    """_Problem's node scale 2^m and scaled moments, in plain floats, are
+    those of the numpy reference bit for bit."""
+
+    @staticmethod
+    def _assert_reference(c):
+        reference = _numpy_node_scale(c)
+        if reference is None:
+            with pytest.raises(NumericalFailureError, match="float range"):
+                kolmo.representations._Problem(c)
+            return None
+        prob = kolmo.representations._Problem(c)
+        m, values = reference
+        assert prob.m == m
+        assert prob.values.dtype == values.dtype and prob.values.tobytes() == values.tobytes()
+        k = np.asarray(c.exponents.exponents, dtype=float) - c.exponents.exponents[0]
+        assert prob.k.tobytes() == k.tobytes()
+        return prob
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("workload", ["decide-mixed", "sweep-cli", "moments-spread"])
+    def test_benchmark_round_0(self, workload, seed):
+        vectors = _problems_of_round_0(workload, seed)
+        assert len(vectors) >= 20
+        for c in vectors:
+            self._assert_reference(c)
+
+    @pytest.mark.parametrize("ks, values", [
+        ((0, 1, 2), (1.0, 0.0, 2.0)),  # a zero moment
+        ((0, 1, 2, 3), (1.0, -2.0, 3.0, 5.0)),  # a negative moment
+        ((2, 3, 5, 8), (0.0, 3.0, 1e-9, 2e40)),  # a zero first moment
+        ((0, 3), (-1.0, 0.0)),  # no ratio at all
+        # moments near 2^-1000 and 2^1000
+        ((0, 1, 2, 4), (math.ldexp(1.5, -1000), math.ldexp(1.25, 1000), 3.0, math.ldexp(1.0, -999))),
+        ((1, 2, 6), (math.ldexp(1.0, 1000), math.ldexp(1.7, -1000), math.ldexp(1.0, 1000))),
+    ])
+    def test_edge_cases(self, ks, values):
+        assert self._assert_reference(MomentVector(values, ExponentVector(ks, 8))) is not None
+
+    @pytest.mark.parametrize("ks, exponents, m, scaled", [
+        # The mid ratio puts m near 357, but 2^-1000 at k = 8 stays normal
+        # only for m <= 2.
+        ((0, 1, 8), (0, 1000, -1000), 2, None),
+        # m = 50 by the mid ratio; 2^-1000 at k = 1 becomes the least normal
+        # float at m = 21, 2^1000 the greatest power of 2 at m = -23.
+        ((0, 1, 2), (0, -1000, 100), 21, (1, -1021)),
+        ((0, 1, 2), (0, 1000, -100), -23, (1, 1023)),
+    ])
+    def test_clamped_window(self, ks, exponents, m, scaled):
+        c = MomentVector(tuple(math.ldexp(1.0, e) for e in exponents), ExponentVector(ks, 8))
+        prob = self._assert_reference(c)
+        assert prob.m == m
+        if scaled is not None:
+            assert prob.values[scaled[0]] == math.ldexp(1.0, scaled[1])
+
+    def test_empty_window(self):
+        # 2^1020 at k = 1 needs m >= -3, and 2^-1070 at k = 2 needs m <= -25.
+        c = MomentVector((1.0, math.ldexp(1.0, 1020), math.ldexp(1.0, -1070)), K012)
+        assert _numpy_node_scale(c) is None
+        assert self._assert_reference(c) is None
+
+
+def _reference_system(y, k, target, log_s, dc=None):
+    """F and J of _system, from whole-array expressions: the reference for
+    its in-place kernel."""
+    n = len(y) - (dc is not None)
+    lz, lw, lu = kolmo.representations._unpack(y[:n])
+    z, p = int(lz is not None), len(lw)
+    R = np.zeros((len(k), z + p), np.longdouble)
+    lw, lu = np.asarray(lw, np.longdouble), np.asarray(lu, np.longdouble)
+    R[:, z:] = np.exp(np.minimum(lw[None, :] + k[:, None] * lu[None, :] - log_s[:, None], 300.0))
+    if z:
+        R[0, 0] = np.exp(np.minimum(np.longdouble(lz) - log_s[0], 300.0))
+    if dc is not None:
+        target = target + y[-1] * dc
+    F = (R.sum(axis=1) - target * np.exp(-log_s.astype(np.longdouble))).astype(float)
+    J = np.empty((len(k), len(y)))
+    J[:, :z + p] = R
+    np.multiply(k[:, None], J[:, z:z + p], out=J[:, z + p:n])
+    if dc is not None:
+        J[:, -1] = -dc * np.exp(-log_s)
+    return F, J
+
+
+class TestResidualKernel:
+    """_relative and _system form their arrays bit for bit as the reference
+    does, and _exit_measure gives the same measure from its caller's losses."""
+
+    def test_relative_in_place(self):
+        R = kolmo.representations
+        rng = np.random.default_rng(0)
+        k = np.array([0.0, 1.0, 2.0, 4.0, 5.0])
+        for p in [0, 1, 3]:
+            lw, lu = rng.normal(0.0, 3.0, p), rng.normal(0.0, 40.0, p)
+            log_s = rng.normal(0.0, 5.0, len(k))
+            lw_ext, lu_ext = np.asarray(lw, np.longdouble), np.asarray(lu, np.longdouble)
+            reference = np.exp(np.minimum(
+                lw_ext[None, :] + k[:, None] * lu_ext[None, :] - log_s[:, None], 300.0))
+            fresh = R._relative(lw, lu, k, log_s)
+            out = np.full((len(k), p + 1), np.longdouble(7.0))
+            given = R._relative(lw, lu, k, log_s, out=out[:, 1:])
+            assert given.base is out and (out[:, 0] == 7.0).all()
+            # Equal values, not bytes: an extended float's padding bytes are
+            # not part of it.
+            for got in (fresh, given):
+                assert got.dtype == reference.dtype and np.array_equal(got, reference)
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    @pytest.mark.parametrize("bordered", [False, True], ids=["plain", "bordered"])
+    def test_bit_identical(self, n, bordered):
+        R = kolmo.representations
+        rng = np.random.default_rng(n)
+        k = np.array([0.0, 1.0, 2.0, 4.0, 5.0, 7.0, 8.0])
+        largest = 0.0
+        for trial in range(50):
+            y = rng.normal(0.0, 3.0, n)
+            if trial % 5 < 2:  # at the e^300 cap: a zero atom (odd n), a positive atom
+                y[trial % 5 * (n % 2)] = 400.0
+            target = np.exp(rng.normal(0.0, 5.0, len(k)))
+            log_s = R._log_scales(target)
+            dc = rng.normal(0.0, 1.0, len(k)) * target if bordered else None
+            if bordered:
+                y = np.append(y, rng.uniform(0.0, 1.0))
+            F, J = R._system(y, k, target, log_s, dc)
+            F0, J0 = _reference_system(y, k, target, log_s, dc)
+            assert F.tobytes() == F0.tobytes() and J.tobytes() == J0.tobytes()
+            largest = max(largest, J0[:, :n].max())
+            if not bordered:
+                rhs = R._scaled_target(target, log_s)
+                assert R._system(y, k, target, log_s, None, rhs)[0].tobytes() == F0.tobytes()
+        assert largest > 1e130  # the cap, e^300, was met
+
+    def test_bit_identical_at_the_root(self):
+        # Where F cancels to its rounding floor, every extended-precision
+        # rounding of R shows: the principal measures of moments-spread
+        # round 0 at seed 1.
+        R = kolmo.representations
+        gen = verdict_check.perfbench_gen()
+        roots = 0
+        for doc in gen.moments_round(1, 0):
+            if doc["call"] != "principal" or len(doc["k"]) < 3:
+                continue
+            prob = R._Problem(MomentVector(tuple(doc["c"]), ExponentVector(tuple(doc["k"]), 8)))
+            y = R._principal_path(prob, ACCEPT_TOL)
+            log_s = R._log_scales(prob.values)
+            for args in [(y, prob.k, prob.values, log_s),
+                         (np.append(y, 0.0), prob.k, prob.values, log_s, prob.values[::-1])]:
+                F, J = R._system(*args)
+                F0, J0 = _reference_system(*args)
+                assert F.tobytes() == F0.tobytes() and J.tobytes() == J0.tobytes()
+            assert np.abs(F).max() < 1e-14
+            roots += 1
+        assert roots >= 10
+
+    @pytest.mark.parametrize("draw", [
+        "track",  # exact-measure draw 17: the tracker's last-resort exit
+        "thin",  # moments-spread round 0 item 49 at seed 1: the principal measure thinned
+    ])
+    def test_exit_measure_from_given_losses(self, monkeypatch, draw):
+        R = kolmo.representations
+        exit_measure, given = R._exit_measure, []
+
+        def checked(*args, losses=None):
+            y = exit_measure(*args, losses=losses)
+            if losses is not None:
+                fresh = exit_measure(*args)
+                assert y.dtype == fresh.dtype and y.tobytes() == fresh.tobytes()
+                given.append(sys._getframe(1).f_code.co_name)
+            return y
+
+        monkeypatch.setattr(R, "_exit_measure", checked)
+        if draw == "track":
+            classify(dict(verdict_check.exact_measures(18))[17])
+            assert "_track" in given
+        else:
+            doc = verdict_check.perfbench_gen().moments_round(1, 0)[49]
+            classify(MomentVector(tuple(doc["c"]), ExponentVector(tuple(doc["k"]), 8)))
+            assert "_principal_path" in given
 
 README_TUPLE = NormVector((1.0, 2.0, 2.0), K012, FunctionFamily(Family.MM, 2))
 # d <= 2 is the recursion's base case, which compares no norms.

@@ -2,7 +2,7 @@
 
     PYTHONPATH=src python tests/verdict_check.py
 
-Three checks, about 25 s on one core of a 2-CPU x86-64 host:
+Four checks, about 25 s on one core of a 2-CPU x86-64 host:
 
 - the moment coordinates of the 936 decide-mixed tuples of perfbench/gen.py
   (seeds 1-3, rounds 0-5).  An attainable tuple (the norms of a spline) may
@@ -17,7 +17,9 @@ Three checks, about 25 s on one core of a 2-CPU x86-64 host:
   with the principal path forced (the closed form of
   ``representations._family_measure`` taken out for d = 5), both without
   the Lyapunov check that comes before either.  No verdict may differ
-  outside KNOWN_PATH_DIFFERENCES, and each of those must still differ.
+  outside KNOWN_PATH_DIFFERENCES, and each of those must still differ;
+- the NEGATIVE_MOMENT_PAIRS pairs of :func:`negative_moment_pairs`, which no
+  measure attains: each must read EXTERIOR with a separating certificate.
 
 The EXTERIOR verdicts of the first two checks are counted by how they were
 settled: by a separating certificate, or by an exit polish that failed to
@@ -50,6 +52,7 @@ from kolmo.representations import ClassKind
 
 FUZZ_DRAWS = 1200
 AGREEMENT = 858
+NEGATIVE_MOMENT_PAIRS = 72
 
 #: Draws of :func:`exact_measures` that read EXTERIOR, with the cause.
 KNOWN_EXTERIOR = {
@@ -158,6 +161,18 @@ def five_moment_inputs():
             yield f"exact measure draw {i}", c
 
 
+def negative_moment_pairs():
+    """(name, c) of the moments-spread classify items with d = 2 and a
+    negative moment (seeds 1-3, rounds 0-3)."""
+    gen = perfbench_gen()
+    for seed in (1, 2, 3):
+        for index in range(4):
+            for item, doc in enumerate(gen.moments_round(seed, index)):
+                if len(doc["k"]) == 2 and doc["call"] == "classify" and min(doc["c"]) < 0:
+                    yield (f"moments-spread seed {seed} round {index} item {item}",
+                           MomentVector(tuple(doc["c"]), ExponentVector(tuple(doc["k"]), gen.MOMENT_R)))
+
+
 def _decide_mixed_failures():
     gen = perfbench_gen()
     status_of = {ClassKind.INTERIOR: "admissible_interior",
@@ -230,12 +245,29 @@ def _path_failures():
     return failures
 
 
+def _negative_moment_failures():
+    failures, certified, count = [], 0, 0
+    for name, c in negative_moment_pairs():
+        result = classified(c)
+        count += 1
+        if result is not None and result.kind is ClassKind.EXTERIOR and result.certificate is not None:
+            certified += 1
+        else:
+            kind = _name(None if result is None else result.kind)
+            failures.append(f"{name}: a negative moment, but {kind} without a certificate")
+    print(f"negative moments: {certified} of {count} pairs certified EXTERIOR")
+    if count != NEGATIVE_MOMENT_PAIRS:
+        failures.append(f"negative moments: {count} pairs, not {NEGATIVE_MOMENT_PAIRS}")
+    return failures
+
+
 def _name(kind):
     return "a raise" if kind is None else kind.value
 
 
 def main() -> int:
-    failures = _decide_mixed_failures() + _fuzz_failures() + _path_failures()
+    failures = (_decide_mixed_failures() + _fuzz_failures() + _path_failures()
+                + _negative_moment_failures())
     for line in failures:
         print("FAIL", line)
     return 1 if failures else 0
