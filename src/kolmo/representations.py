@@ -15,18 +15,24 @@ unique and smooth in the moments, so :func:`_track` follows it (Euler
 predictor, Newton corrector, in log weights and log nodes) along a straight
 path c_a + s (c_b - c_a) to s = 1, or to the exit s* where the path leaves
 the cone and the measure loses a degree of freedom: a weight or node goes to
-0, or the top node runs to infinity.  Three rules locate an exit.  Once a
-loss is predicted to vanish within the path, a bordered Newton solve lands
-on the exit measure and s*; a loss already below ACCEPT_TOL at an accepted
-point ends the path there, without a solve.  A boundary c is a singular end
-of its path, where no step onto c converges: after one fails, the path
-closes in on c without trying it again until the rest of the path has
-shrunk ENDGAME_SHRINK-fold, and the landing also tries exits predicted up to
-as far past c as s is short of it.  Each step's tangent reuses the Jacobian
-the corrector formed at the point it accepted; only a path's first tangent
-forms its own.  A landing drops an atom whose weight vanishes, and every
-Newton solve ends where further steps cannot gain: at its rounding floor,
-or at a least-squares minimum.
+0, or the top node runs to infinity.  Three rules locate an exit.  A loss
+predicted to vanish nearer c than the path has come, or just past c, is an
+exit at c itself, the end of a boundary c, which the path would only crawl
+into (a vanishing weight's log falls a unit per step while 1 - s shrinks
+about 0.85-fold): the exit measure is solved against c at once, or, where
+the top atom runs to infinity, against c's lower moments with an atom far
+out for the top one's deficit, which no polish follows; each loss is
+solved for at c once.  Once a loss is predicted to vanish otherwise within
+the path, a bordered Newton solve lands on the exit measure and s*.  A loss
+already below ACCEPT_TOL at an accepted point ends the path there, without a
+solve.  A boundary c is a singular end of its path, where no step onto c
+converges: after one fails, the path closes in on c without trying it again
+until the rest of the path has shrunk ENDGAME_SHRINK-fold, and the landing
+also tries exits predicted up to as far past c as s is short of it.  Each
+step's tangent reuses the Jacobian the corrector formed at the point it
+accepted; only a path's first tangent forms its own.  An exit measure drops
+an atom whose weight vanishes, and every Newton solve ends where further
+steps cannot gain: at its rounding floor, or at a least-squares minimum.
 
 d <= 5 takes no path.  A positive pair needs no solve at all: one atom
 attains it, found in closed form and checked in floats, and it is the
@@ -45,8 +51,9 @@ after it are those of the path.
   EXTERIOR is settled without a polish where a polynomial p(t) = Σ λ_i t^k_i
   >= 0 on [0, inf) has λ·c < -tol Σ|λ_i c_i|, which no measure within tol
   of c allows.  A negative moment c_i gives p(t) = t^k_i; before any path,
-  three consecutive moments that break Lyapunov's inequality give one in
-  closed form (:func:`_lyapunov`); at an exit, the left null vector of the
+  three consecutive moments that break Lyapunov's inequality, a zero at
+  either end included, give one in closed form (:func:`_lyapunov`); at an
+  exit before c, the left null vector of the
   Jacobian of an exit measure of d - 1 or d - 2 variables that misses c,
   with a double root of p at each node (:func:`_separation`).
   Without exponent 0 a zero atom of the solver's system is mass escaping to
@@ -305,36 +312,48 @@ def _losses(y, k, log_s):
     return (lz, lw, lu), costs, (mw, mu)
 
 
-def _track(y, k, c_a, c_b):
-    """Follow the representation y of c_a along c_a + s (c_b - c_a): (1, y)
-    at c_b, or (s*, y) of the exit measure where it leaves.
+def _track(y, k, c_a, c_b, tol):
+    """Follow the representation y of c_a along c_a + s (c_b - c_a): (s, y,
+    polish), (1, y, True) at c_b, (s*, y, True) of the exit measure where
+    the path leaves the cone, or the measure :func:`_end_measure` solves at
+    c_b, whose ``polish`` says whether a polish against c_b may follow.
 
     Euler predictor, Newton corrector; the step doubles after a success and
     halves after a failure, and moves no log variable by more than one unit.
     A failed step is not tried again as it was: the step halves until the
     point it reaches moves.
 
-    One exit rule: a loss of :func:`_losses` vanishes linearly at an exit,
-    so its last two values predict s*.  Once the earliest predicted loss is
-    below LAND_TOL (a decade below its last try), one Newton solve of the
-    bordered system, the exit measure of :func:`_exit_measure` without that
-    loss (moved along the tangent to s*) and s* with moments c_a + s* (c_b -
-    c_a), lands on it; a miss tracks on.  An atom moved to 0 whose weight
-    vanishes along the tangent leaves that measure; kept as a zero atom, its
-    log mass would fall a unit per landing iteration and the landing miss.
-    A move of the top atom to infinity predicted within ACCEPT_TOL of c_b is
-    not landed: c_b is its own end.
-    Only a landing that dropped the top moment reads it again, for the mass
-    the atom at infinity must carry.  A loss below ACCEPT_TOL is the exit of
-    last resort, without the solve.  A step below NEWTON_TOL raises.
+    Exits: a loss of :func:`_losses` vanishes linearly at an exit, so its
+    last two values predict s*; a loss is tried once it falls below LAND_TOL
+    and again only after it has fallen tenfold since its last try.
+    - A prediction nearer c_b than s, s* in [s + (1 - s)/2, 1 + (1 - s)], is
+      c_b's own exit: the exit measure without that loss, moved along the
+      tangent to c_b, is solved against c_b itself (:func:`_end_measure`).
+      A singular end would otherwise cost a step per log unit that a
+      vanishing weight falls, while 1 - s shrinks about 0.85-fold; near c_b
+      a loss's last two values can put its exit just past c_b.  Where the
+      top atom runs to infinity, an atom at :func:`log_far_node`'s node for
+      ``tol`` carries the top moment's deficit.  A miss tracks on.  Each loss
+      is solved for at c_b once: against the one c_b a second solve meets
+      the same least-squares floor, where c_b lies that far off the face.
+    - Other predictions within the path, or (once a step onto c_b failed)
+      up to 1 + (1 - s), are landed by one Newton solve of the bordered
+      system, the exit measure without that loss (moved along the tangent
+      to s*) and s* with moments c_a + s* (c_b - c_a); a miss tracks on.  An
+      exit within the corrector's resolution of c_b is c_b's own, or within
+      ACCEPT_TOL if a far atom can carry c_b: such a prediction is not
+      landed, nor is a landing there kept.  Only a landing that dropped the
+      top moment reads it again, for the mass the atom at infinity must
+      carry.
+    - A loss below ACCEPT_TOL is the exit of last resort, without a solve.
+    An atom moved to 0 whose weight vanishes along the tangent leaves the
+    exit measure; kept as a zero atom, its log mass would fall a unit per
+    iteration and the solve miss.  A step below NEWTON_TOL raises.
 
     A failed step onto c_b makes c_b a singular end point, where the measure
     loses an atom (c_b on the cone's boundary): from then on no step covers
-    more than 3/4 of the rest 1 - s of the path, the next step onto c_b waits
-    until 1 - s has shrunk ENDGAME_SHRINK-fold, and the landing also tries
-    predictions of s* up to 1 + (1 - s): near c_b, a loss's last two values
-    can put its exit just past c_b.  The landing's checks (nonnegative mass,
-    the gap to c_b) reject an exit that really lies past c_b.
+    more than 3/4 of the rest 1 - s of the path, and the next step onto c_b
+    waits until 1 - s has shrunk ENDGAME_SHRINK-fold.
     """
     dc = c_b - c_a
     # Degeneracy is measured against the larger end of the path: along a ray
@@ -347,9 +366,10 @@ def _track(y, k, c_a, c_b):
     losses = _losses(y, k, log_ref)
     costs = prev = losses[1]
     level = np.full(len(costs), LAND_TOL)
+    ended = np.zeros(len(costs), bool)
     while s < 1.0:
         if costs[:-1].min() < ACCEPT_TOL:
-            return s, _exit_measure(y, k, log_ref, losses=losses)
+            return s, _exit_measure(y, k, log_ref, losses=losses), True
         log_s = _log_scales(c_a + s * dc)
         with np.errstate(over="ignore"):  # _lstsq raises on an overflow
             rates = dc * np.exp(-log_s)  # relative moment change per unit s
@@ -361,10 +381,17 @@ def _track(y, k, c_a, c_b):
         exits = np.full(len(costs), math.inf)
         exits[fall] = s + costs[fall] * (s - s_prev) / (prev[fall] - costs[fall])
         s_prev, prev, j = s, costs, int(np.argmin(exits))
-        if exits[j] <= (1.0 if near == math.inf else 1.0 + (1.0 - s)):
+        top = j == len(costs) - 1
+        if s + 0.5 * (1.0 - s) <= exits[j] <= 1.0 + (1.0 - s) and not ended[j]:
+            # Nearer c_b than s: c_b's own exit, solved for at c_b itself, and
+            # once: against the one c_b another solve meets the same floor.
+            level[j], ended[j] = 0.1 * costs[j], True
+            y_e = _exit_measure(y + (1.0 - s) * tangent, k, log_ref, j, tangent)
+            if (end := _end_measure(y_e, k, c_b, top, tol)) is not None:
+                return end
+        elif exits[j] <= (1.0 if near == math.inf else 1.0 + (1.0 - s)):
             # An exit within the corrector's resolution of c_b is c_b's own, or
             # within ACCEPT_TOL if a far atom can carry c_b: so is its prediction.
-            top = j == len(costs) - 1
             bar = ACCEPT_TOL if top else -1e-2 * ACCEPT_TOL
             rate = np.abs(rates).max()
             if not top or (1.0 - exits[j]) * rate > bar:
@@ -376,7 +403,7 @@ def _track(y, k, c_a, c_b):
                 if top:  # the atom at infinity carries what the top moment lacks
                     res = max(res, _system(z, k, c_a + s * dc, log_s, dc)[0][-1])
                 if res <= 1e-2 * ACCEPT_TOL and z[-1] >= 0.0 and (1.0 - s - z[-1]) * rate > bar:
-                    return s + z[-1], z[:-1]
+                    return s + z[-1], z[:-1], True
         tried = None  # the last s_new whose corrector failed
         while True:
             if h < NEWTON_TOL:
@@ -396,7 +423,42 @@ def _track(y, k, c_a, c_b):
         s, y, J = s_new, y_new, J_new
         losses = _losses(y, k, log_ref)
         costs = losses[1]
-    return s, y
+    return s, y, True
+
+
+def _end_measure(y, k, c_b, top, tol):
+    """(1, y, polish) of the exit measure y solved against c_b itself, or
+    None where it misses c_b by more than the landing's 1e-2 ACCEPT_TOL.
+
+    Where the top atom moved to infinity (``top``), y is solved against the
+    lower moments.  What the top moment then lacks, if more than that, an
+    atom at :func:`log_far_node`'s node carries, as in
+    :func:`_family_measure`, and the measure is returned unpolished
+    (``polish`` False): against c_b the polish would push that atom out until
+    its weight underflows.  There is none where that measure misses c_b by
+    more than ``tol``, or where its nodes are too far apart for a
+    :class:`Representation`, which holds no two nodes within NODE_MERGE_REL
+    of the largest.
+    """
+    n = len(k) - top
+    z, res, _ = _correct(y, k[:n], c_b[:n], 1e-2 * ACCEPT_TOL, MAX_ITER)
+    if res > 1e-2 * ACCEPT_TOL:
+        return None
+    log_b = _log_scales(c_b)
+    deficit = -_system(z, k, c_b, log_b)[0][-1] if top else 0.0  # relative to c_b's
+    if deficit < -1e-2 * ACCEPT_TOL:
+        return None
+    if deficit <= 1e-2 * ACCEPT_TOL:
+        return 1.0, z, True
+    log_e = math.log(deficit) + log_b[-1]
+    lu_f = log_far_node(log_e, c_b[:-1], k[:-1] - k[-1], tol)
+    lz, lw, lu = _unpack(z)
+    zero = [] if lz is None else [lz]
+    y = np.concatenate([zero, lw, [log_e - k[-1] * lu_f], lu, [lu_f]])
+    nodes = np.concatenate([[0.0] * len(zero), np.exp(np.sort(lu) - lu_f), [1.0]])
+    if np.diff(nodes).min() <= NODE_MERGE_REL or np.abs(_system(y, k, c_b, log_b)[0]).max() > tol:
+        return None
+    return 1.0, y, False
 
 
 class _Problem:
@@ -429,7 +491,8 @@ class _Problem:
             raise NumericalFailureError("a moment leaves the float range as the nodes are scaled")
         self.m = int(min(max(round(mid / math.log(2.0)), lo), hi))
         self.k = np.array(k, dtype=float)
-        self.values = np.ldexp(np.array(vals), [-self.m * ki for ki in k])
+        self.scale = np.array([-self.m * ki for ki in k])  # c_i's binary exponent shift
+        self.values = np.ldexp(np.array(vals), self.scale)
 
     def nodes(self, lu):
         """Log scaled nodes back to nodes."""
@@ -748,43 +811,80 @@ def _separation(y, k, c, log_c, tol):
 
 
 def _lyapunov(k, c, tol):
-    """μ, λ_i c_i, of the first consecutive exponents a < b < e of k whose
-    moments break Lyapunov's inequality c_b^(e-a) <= c_a^(e-b) c_e^(b-a) by
-    more than ``tol``, zero but at those three; else None.
+    """λ of the first consecutive exponents a < b < e of k whose moments
+    break Lyapunov's inequality c_b^(e-a) <= c_a^(e-b) c_e^(b-a) by more
+    than ``tol``, zero but at those three; else None.  A negative end counts
+    as a zero one: with a negative moment this runs only for tol >= 1, which
+    no margin, at most 1, exceeds.
 
-    The atom through c_b and c_e, at u with mass w, needs the mass W = c_a
-    u^-a for c_a, and W < w breaks the inequality.  That atom is then the
-    exit measure of the three moments, and its polynomial (see
-    :func:`_separation`) is p(t) = t^a (λ_a + λ_b t^(b-a) + λ_e t^(e-a)),
-    λ_a u^a : λ_b u^b : λ_e u^e = (e-b) : -(e-a) : (b-a): a double root at
-    u, two sign changes, so p >= 0 on [0, inf).  With r = W/w, μ = ((e-b) r,
-    -(e-a), b-a) and the margin -Σμ/Σ|μ| is (e-b)(1-r) / ((e-b) r + e+b-2a).
+    p(t) = t^a (λ_a + λ_b t^(b-a) + λ_e t^(e-a)) with λ_a u^a : λ_b u^b :
+    λ_e u^e = (e-b) : -(e-a) : (b-a) has a double root at u and two sign
+    changes, so p >= 0 on [0, inf) (see :func:`_separation`).  Scaled to
+    λ_b c_b = -(e-a), λ_i = (e-b) u^(b-a) / c_b, -(e-a) / c_b, (b-a)
+    u^(b-e) / c_b, and μ_i = λ_i c_i = ((e-b) ρ_a, -(e-a), (b-a) ρ_e), ρ_i =
+    (c_i u^-i) / (c_b u^-b) the mass an atom at u needs for c_i over the one
+    it needs for c_b; the margin is -Σμ/Σ|μ|.  u is chosen by which moments
+    are positive, c_b being so (c_b = 0 keeps the inequality):
+
+    - c_e > 0: the atom (u, w) through c_b and c_e, ρ_e = 1.  It needs the
+      mass W = c_a u^-a for c_a, and W < w breaks the inequality: with r =
+      ρ_a = W/w the margin is (e-b)(1-r) / ((e-b) r + e+b-2a).  That atom is
+      the exit measure of the three moments.  A zero c_a is r = 0, margin
+      (e-b) / (e+b-2a).
+    - c_e = 0 < c_a, which breaks the inequality: the atom through c_a and
+      c_b, ρ_a = 1, ρ_e = 0, so the margin is (b-a) / (2e-a-b).  μ_e = 0
+      leaves λ_e to p, which needs it for its double root.
+    - c_a = c_e = 0: u = 1, margin 1.
+
+    So (1, 1, 0) on (0, 1, 2) gets p(t) = (1 - t)^2, margin 1/3.  A zero
+    between positive moments, (1, 0, 1) on (0, 1, 2), keeps the inequality:
+    it is the limit of 1 at 0 plus ε^2 at 1/ε, and nothing separates it.  A
+    λ beyond the float range gives none.
 
     Rounding: log r = log c_a - log c_b + q (log c_e - log c_b), q = (b-a) /
     (e-b), is within about 2.5 (1+q) eps L of its exact value, L the largest
     |log c| of the three (each log to an ulp, four roundings more), and the
     margin moves by at most half as much: its derivative in log r is at most
-    1/2 in size.  The test is margin > tol + 2 (1+q) eps max(L, 1).
+    1/2 in size.  The test is margin > tol + 2 (1+q) eps max(L, 1); the
+    margins of a zero end are exact but for a rounding or two.
     """
-    ks, lc = k.tolist(), [math.log(v) for v in c.tolist()]
+    ks, vals = k.tolist(), c.tolist()
+    lc = [math.log(v) if v > 0 else -math.inf for v in vals]
     for j in range(len(ks) - 2):
+        if vals[j + 1] <= 0:
+            continue
         a, b, e = ks[j:j + 3]
         q = (b - a) / (e - b)
-        log_r = lc[j] - lc[j + 1] + q * (lc[j + 2] - lc[j + 1])
-        if log_r >= 0.0:
+        if vals[j + 2] > 0:
+            log_r = lc[j] - lc[j + 1] + q * (lc[j + 2] - lc[j + 1])
+            if log_r >= 0.0:
+                continue
+            r = math.exp(log_r)
+            margin = (e - b) * (1.0 - r) / ((e - b) * r + (e + b - 2.0 * a))
+            lu = (lc[j + 2] - lc[j + 1]) / (e - b)
+        elif vals[j] > 0:
+            margin, lu = (b - a) / (2.0 * e - a - b), (lc[j + 1] - lc[j]) / (b - a)
+        else:
+            margin, lu = 1.0, 0.0
+        if margin <= tol:
             continue
-        r = math.exp(log_r)
-        margin = (e - b) * (1.0 - r) / ((e - b) * r + (e + b - 2.0 * a))
-        if margin > tol + 2.0 * (1.0 + q) * math.ulp(1.0) * max(1.0, *map(abs, lc[j:j + 3])):
-            mu = np.zeros(len(ks))
-            mu[j:j + 3] = (e - b) * r, a - e, b - a
-            return mu
+        L = max(1.0, abs(lc[j + 1]), abs(lc[j]) if vals[j] > 0 else 0.0,
+                abs(lc[j + 2]) if vals[j + 2] > 0 else 0.0)
+        log_a, log_b, log_e = (b - a) * lu - lc[j + 1], -lc[j + 1], (b - e) * lu - lc[j + 1]
+        if margin > tol + 2.0 * (1.0 + q) * math.ulp(1.0) * L and max(log_a, log_b, log_e) < 709.0:
+            lam = np.zeros(len(ks))
+            lam[j:j + 3] = ((e - b) * math.exp(log_a), (a - e) * math.exp(log_b),
+                            (b - a) * math.exp(log_e))
+            return lam
     return None
 
 
-def _certificate(prob: _Problem, mu) -> Certificate:
-    """The :class:`Certificate` of μ = λ_i c_i, a scale-free form of λ."""
-    return Certificate(tuple((mu / np.asarray(prob.c.values)).tolist()),
+def _certificate(prob: _Problem, lam) -> Certificate:
+    """The :class:`Certificate` of λ in the scaled system (:class:`_Problem`):
+    in c's own exponents λ_i 2^(-m k_i), exactly, and μ_i = λ_i c_i give the
+    margin."""
+    mu = lam * prob.values
+    return Certificate(tuple(np.ldexp(lam, prob.scale).tolist()),
                        float(-mu.sum() / np.abs(mu).sum()))
 
 
@@ -795,32 +895,40 @@ def _principal_path(prob: _Problem, tol: float, init_seed: int = 0):
     d <= 5 takes no path: :func:`_family_measure` takes its place, but for a
     d = 5 within tol of a thinner measure, of c or of its top four moments.
 
+    Both give (s, y, polish).  At s = 1 (c reached, or an exit measure that
+    :func:`_track` solved at c itself) y is polished against c unless
+    ``polish`` is False: a far atom carrying the top moment's excess, which
+    a polish would push out until its weight underflows.  It must reproduce
+    c within tol, and it is thinned where a loss costs less.  An exit before
+    c (s < 1) is polished against c and thinned after.
+
     Where a separating polynomial shows c more than tol outside the cone, the
     :class:`Certificate` is returned in place of y: before any solve, from a
     negative moment c_i (p(t) = t^k_i, margin 1, so for tol < 1), before any
-    path, from three consecutive moments that break Lyapunov's inequality
-    (:func:`_lyapunov`), and at an exit (s < 1) whose measure, of d - 1 or d
-    - 2 variables, misses c by more than tol, from that measure
-    (:func:`_separation`).  No polish could reproduce such a c.  Smaller exit
-    measures, and separations within the band, are polished as before."""
+    path, from three consecutive moments that break Lyapunov's inequality,
+    a zero at either end included (:func:`_lyapunov`), and at an exit (s <
+    1) whose measure, of d - 1 or d - 2 variables, misses c by more than
+    tol, from that measure (:func:`_separation`).  No polish could reproduce
+    such a c.  Smaller exit measures, and separations within the band, are
+    polished as before."""
     k, c = prob.k, prob.values
     log_c = _log_scales(c)
-    if c.min() <= 0:
-        if (negative := np.flatnonzero(c < 0)).size and 1.0 > tol:  # p(t) = t^k_i, margin 1
-            return Certificate(tuple(float(i == negative[0]) for i in range(len(c))), 1.0)
+    low = c.min()
+    if low < 0 and 1.0 > tol:  # p(t) = t^k_i, margin 1
+        first = int(np.argmax(c < 0))
+        return Certificate(tuple(float(i == first) for i in range(len(c))), 1.0)
+    if (lam := _lyapunov(k, c, tol)) is not None:
+        return _certificate(prob, lam)
+    if low <= 0:
         # An atom at a positive node feeds every moment: only a zero atom fits.
         y = np.log([max(c[0], 1e-300)])
         res = float(np.abs(_system(y, k, c, log_c)[0]).max())
         return y if res <= tol else None
-    if (mu := _lyapunov(k, c, tol)) is not None:
-        return _certificate(prob, mu)
     family = _family_measure(k, c, tol) if 3 <= len(k) <= 5 else None
     if family is None:
         y, c_a = prob.start(init_seed)
-        s, found = _track(y, k, c_a, c)
-        polish = True
-    else:
-        s, found, polish = family
+        family = _track(y, k, c_a, c, tol)
+    s, found, polish = family
     if s == 1.0:
         y, res, _ = _correct(found, k, c, 0.0, MAX_ITER if polish else 0, None, tol)
         if res > tol:
@@ -835,7 +943,7 @@ def _principal_path(prob: _Problem, tol: float, init_seed: int = 0):
     # out the rest, and they are taken after it.
     if len(found):
         if s < 1.0 and (mu := _separation(found, k, c, log_c, tol)) is not None:
-            return _certificate(prob, mu)
+            return _certificate(prob, mu / c)
         y_thin, res, _ = _correct(found, k, c, 0.0, MAX_ITER, None, tol)
         if res <= tol:
             return _exit_measure(y_thin, k, log_c)
@@ -989,7 +1097,7 @@ def canonical_representation(
     # The ray runs on to twice that mass, so that its exit lies inside the
     # path and not where a moment reaches 0.
     dc = -2.0 * w_max * np.exp(k * math.log(pin))
-    s, y = _track(found, k, c, c + dc)
+    s, y, _ = _track(found, k, c, c + dc, tol)
     if not 0.0 < s < 1.0 or len(y) != len(k) - 1:
         raise NumericalFailureError("the ray has no exit of index (d-1)/2 inside its path")
     z, res, _ = _correct(np.append(y, s), k, c, 0.0, MAX_ITER, dc)
