@@ -261,11 +261,16 @@ def index_of(rep: Representation) -> HalfInteger:
 
 def factorial_scale(M: NormVector) -> NormVector:
     """Map a norm tuple to the other family via diag((r-k_1)!, ..., (r-k_d)!):
-    MM norms are multiplied by the factors, AM norms divided by them."""
+    MM norms are multiplied by the factors, AM norms divided by them; an MM
+    product beyond the float range is a :class:`DomainError`."""
     r = M.family.r
     factors = [math.factorial(r - ki) for ki in M.exponents.exponents]
     if M.family.kind is Family.MM:
         vals = tuple(v * f for v, f in zip(M.values, factors))
+        for ki, m, v in zip(M.exponents.exponents, M.values, vals):
+            if math.isinf(v):
+                raise DomainError(f"moment (r-k)! M_k at k={ki} exceeds the float range: "
+                                  f"{r - ki}! * {m!r}")
         fam = FunctionFamily(Family.AM, r)
     else:
         vals = tuple(v / f for v, f in zip(M.values, factors))

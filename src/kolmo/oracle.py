@@ -4,17 +4,20 @@ One entry, :func:`cone_membership`: it discretizes the moment curve on a
 geometric grid and solves a nonnegative least-squares feasibility problem,
 reporting the verdict and the residual.  Deliberately independent of the
 exact solvers in :mod:`kolmo.representations`, which it cross-checks.  scipy
-is imported on first use, so importing kolmo does not pay for it.
+is imported on first use, so importing kolmo does not pay for it; numpy too,
+here as in the representations, splines and verify modules, so a decision
+that compares only pairs (the README example among them) never loads it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import NumpyOnFirstUse
 from .core import MomentVector
 from .errors import require_tolerance
+
+np = NumpyOnFirstUse(globals())
 
 GRID_SIZE = 2000
 DEFAULT_FEASIBILITY_TOL = 1e-7

@@ -74,8 +74,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
+from ._lazy import NumpyOnFirstUse
 from .core import NODE_MERGE_REL, Atom, MomentVector, Representation, index_of, moments_of, scaled_power
 from .errors import (
     DomainError,
@@ -85,6 +84,8 @@ from .errors import (
     UnsupportedSystemError,
     require_tolerance,
 )
+
+np = NumpyOnFirstUse(globals())
 
 # Tolerance ladder: Newton step (near machine precision, so the iterate is
 # parameter-converged, not just residual-converged) and acceptance of a

@@ -9,8 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
+from ._lazy import NumpyOnFirstUse
 from .core import (
     Atom,
     ExponentVector,
@@ -22,6 +21,8 @@ from .core import (
     scaled_power,
 )
 from .errors import DomainError
+
+np = NumpyOnFirstUse(globals())
 
 
 @dataclass(frozen=True)

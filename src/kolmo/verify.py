@@ -10,8 +10,7 @@ from dataclasses import asdict, dataclass, field
 from functools import partial
 from typing import Callable
 
-import numpy as np
-
+from ._lazy import NumpyOnFirstUse
 from .core import (
     Atom,
     ExponentVector,
@@ -34,6 +33,8 @@ from .representations import (
     principal_representation,
 )
 from .splines import IdealSpline, evaluate, norms, random_member, spline_from_representation
+
+np = NumpyOnFirstUse(globals())
 
 DEFAULT_SEED = 20260823
 

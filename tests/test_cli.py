@@ -300,6 +300,13 @@ class TestInvalidInput:
         assert code == 2
         assert "finite" in err
 
+    def test_moment_beyond_float_range_exit_2(self, capsys, monkeypatch):
+        # Finite norms whose moments (r - k)! M_k overflow.
+        doc = {"family": "mm", "r": 20, "k": [0, 1, 20], "M": [1e300, 1e300, 1e300]}
+        code, out, err = run(capsys, ["decide"], stdin=doc, monkeypatch=monkeypatch)
+        assert (code, out) == (2, "")
+        assert err == "error: moment (r-k)! M_k at k=1 exceeds the float range: 19! * 1e+300\n"
+
     @pytest.mark.parametrize("root", ["nan", "inf"])
     def test_non_finite_root_exit_2(self, capsys, monkeypatch, root):
         doc = {"k": [0, 1, 2], "c": [2.0, 3.0, 5.0]}
@@ -788,3 +795,43 @@ def test_console_checks(capsys, monkeypatch, argv, doc, want, check):
         code, out = exc.code, capsys.readouterr().out
     assert code == want, out
     assert check is None or check(out), out
+
+
+def test_cold_decide_never_imports_numpy(fresh_python):
+    """The README decide and a positive pair's classify run in plain floats."""
+    fresh_python(
+        "import contextlib, io, json, sys\n"
+        "import kolmo.cli\n"
+        "assert 'numpy' not in sys.modules\n"
+        f"sys.stdin = io.StringIO({json.dumps(DECIDE_BOUNDARY)!r})\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    assert kolmo.cli.main(['decide']) == 0\n"
+        "assert json.loads(out.getvalue())['status'] == 'admissible_boundary'\n"
+        "from kolmo import ClassKind, ExponentVector, MomentVector, classify\n"
+        "got = classify(MomentVector((2.0, 3.0), ExponentVector((0, 1), 1)))\n"
+        "assert got.kind is ClassKind.INTERIOR and len(got.witness) == 1\n"
+        "assert 'numpy' not in sys.modules, sorted(m for m in sys.modules if 'numpy' in m)\n"
+    )
+
+
+FIRST_ARRAY_CALLS = {
+    "representations": "classify(MomentVector((2.0, 3.0, 5.0), ExponentVector((0, 1, 2), 2)))",
+    "splines": "random_member(FunctionFamily(Family.MM, 3), 2, 0)",
+    "oracle": "cone_membership(MomentVector((2.0, 3.0, 5.0), ExponentVector((0, 1, 2), 2)))",
+    "verify": "verify.roundtrip_suite(cases=1).passed == 1",
+}
+
+
+@pytest.mark.parametrize("module, call", FIRST_ARRAY_CALLS.items(), ids=FIRST_ARRAY_CALLS)
+def test_numpy_is_imported_on_first_use(fresh_python, module, call):
+    """A module's first array work imports numpy and binds its np to numpy itself."""
+    fresh_python(
+        "import sys\n"
+        "from kolmo import *\n"
+        "from kolmo import oracle, representations, splines, verify\n"
+        "assert 'numpy' not in sys.modules\n"
+        f"assert {call}\n"
+        "import numpy\n"
+        f"assert {module}.np is numpy, {module}.np\n"
+    )

@@ -1,14 +1,8 @@
 """Brute-force cone oracle: NNLS feasibility verdict and residual."""
-import os
-import subprocess
-import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
-
-import kolmo
 
 from kolmo import (
     Atom,
@@ -81,17 +75,12 @@ class TestConeMembership:
             cone_membership(MomentVector((2.0, 3.0, 5.0), K012), tol=0.0)
 
 
-def test_scipy_is_imported_on_first_oracle_call():
+def test_scipy_is_imported_on_first_oracle_call(fresh_python):
     """The CLI loads without scipy; the oracle imports it when it runs."""
-    code = (
+    fresh_python(
         "import sys, kolmo.cli\n"
         "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
         "from kolmo import ExponentVector, MomentVector, cone_membership\n"
         "assert cone_membership(MomentVector((2.0, 3.0, 5.0), ExponentVector((0, 1, 2), 2))).feasible\n"
         "assert 'scipy.optimize' in sys.modules\n"
     )
-    path = os.pathsep.join(filter(None, [str(Path(kolmo.__file__).parents[1]),
-                                         os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=path))
-    assert proc.returncode == 0, proc.stderr
