@@ -9,30 +9,29 @@ reject the systems without exponent 0 where their index has no structure.
 
 A principal solve with d >= 6, one with d = 5 within tol of a thinner
 measure (see :func:`_family_measure`), and every canonical ray run one
-tracker.
-Inside the convex moment cone the principal (index d/2) representation is
-unique and smooth in the moments, so :func:`_track` follows it (Euler
-predictor, Newton corrector, in log weights and log nodes) along a straight
-path c_a + s (c_b - c_a) to s = 1, or to the exit s* where the path leaves
-the cone and the measure loses a degree of freedom: a weight or node goes to
-0, or the top node runs to infinity.  Three rules locate an exit.  A loss
-predicted to vanish nearer c than the path has come, or just past c, is an
-exit at c itself, the end of a boundary c, which the path would only crawl
-into (a vanishing weight's log falls a unit per step while 1 - s shrinks
-about 0.85-fold): the exit measure is solved against c at once, or, where
-the top atom runs to infinity, against c's lower moments with an atom far
-out for the top one's deficit, which no polish follows; each loss is
-solved for at c once.  Once a loss is predicted to vanish otherwise within
-the path, a bordered Newton solve lands on the exit measure and s*.  A loss
-already below ACCEPT_TOL at an accepted point ends the path there, without a
-solve.  A boundary c is a singular end of its path, where no step onto c
-converges: after one fails, the path closes in on c without trying it again
-until the rest of the path has shrunk ENDGAME_SHRINK-fold, and the landing
-also tries exits predicted up to as far past c as s is short of it.  Each
-step's tangent reuses the Jacobian the corrector formed at the point it
-accepted; only a path's first tangent forms its own.  An exit measure drops
-an atom whose weight vanishes, and every Newton solve ends where further
-steps cannot gain: at its rounding floor, or at a least-squares minimum.
+tracker.  Inside the convex moment cone the principal (index d/2)
+representation is unique and smooth in the moments, so :func:`_track`
+follows it (Euler predictor, Newton corrector, in log weights and log nodes)
+along a straight path c_a + s (c_b - c_a) to s = 1, or to the exit s* where
+the path leaves the cone and the measure loses a degree of freedom: a weight
+or node goes to 0, or the top node runs to infinity.  Three rules locate an
+exit, the first two by one face solve (:func:`_solve_face`) of the exit
+measure.  A loss predicted to vanish nearer c than the path has come, or
+just past c, is c's own exit, the end of a boundary c, which the path would
+only crawl into (a vanishing weight's log falls a unit per step while 1 - s
+shrinks about 0.85-fold): it is solved against c, once per loss.  One
+predicted otherwise within the path is landed, bordered by the path offset.
+Where the top atom runs to infinity the face is c's lower moments; the top
+moment may fall short, for a far atom to carry without a polish
+(:func:`_far_atom`), but never exceed.  A loss already below ACCEPT_TOL at
+an accepted point ends the path there, without a solve.  A boundary c is a
+singular end of its path: after a step onto c fails, the path closes in on c
+without trying it again until the rest has shrunk ENDGAME_SHRINK-fold, and
+the landing also takes exits predicted up to as far past c as s is short of
+it.  Each step's tangent reuses the corrector's Jacobian at the point it
+accepted.  An exit measure drops an atom whose weight vanishes, and every
+Newton solve ends where further steps cannot gain: at its rounding floor, or
+at a least-squares minimum.
 
 d <= 5 takes no path.  A positive pair needs no solve at all: one atom
 attains it, found in closed form and checked in floats, and it is the
@@ -40,9 +39,9 @@ verdict and the principal representation both.  For d = 3, 4 and 5,
 :func:`_family_measure` puts the principal or the thin measure where the
 path would have ended, by one bracketed search over the two-atom measures
 through the first three moments (d = 4), and for an odd d by a zero atom
-plus the measure of the top d - 1 moments (one atom in closed form for
-d = 3, the d = 4 search for d = 5); the polish, the thinning and the checks
-after it are those of the path.
+plus the measure of the top d - 1 moments, recursively down to a positive
+pair; the polish, the thinning and the checks after it are those of the
+path.
 
 - Classification gets the principal representation at c, else the exit
   measure polished against c if it reproduces c (else c is exterior); where
@@ -96,8 +95,7 @@ ACCEPT_TOL = 1e-8
 #: Iteration budget of one Newton polish.
 MAX_ITER = 80
 
-LAND_TOL = 0.1  # a loss below it starts the tracker's exit solve ...
-LAND_ITER = 8  # ... of at most this many Newton iterations
+LAND_TOL = 0.1  # a loss below it starts the tracker's exit solves
 # A failed step onto the path's end shows it singular: from then on no step
 # covers more than 3/4 of the rest of the path, and the end is tried again
 # only once the rest has shrunk this many times (about three such steps).
@@ -326,35 +324,29 @@ def _track(y, k, c_a, c_b, tol):
 
     Exits: a loss of :func:`_losses` vanishes linearly at an exit, so its
     last two values predict s*; a loss is tried once it falls below LAND_TOL
-    and again only after it has fallen tenfold since its last try.
+    and again only after it has fallen tenfold since its last try.  Both
+    solves below are :func:`_solve_face` of the exit measure without that
+    loss, moved along the tangent; a miss tracks on.
     - A prediction nearer c_b than s, s* in [s + (1 - s)/2, 1 + (1 - s)], is
-      c_b's own exit: the exit measure without that loss, moved along the
-      tangent to c_b, is solved against c_b itself (:func:`_end_measure`).
-      A singular end would otherwise cost a step per log unit that a
-      vanishing weight falls, while 1 - s shrinks about 0.85-fold; near c_b
-      a loss's last two values can put its exit just past c_b.  Where the
-      top atom runs to infinity, an atom at :func:`log_far_node`'s node for
-      ``tol`` carries the top moment's deficit.  A miss tracks on.  Each loss
-      is solved for at c_b once: against the one c_b a second solve meets
-      the same least-squares floor, where c_b lies that far off the face.
-    - Other predictions within the path, or (once a step onto c_b failed)
-      up to 1 + (1 - s), are landed by one Newton solve of the bordered
-      system, the exit measure without that loss (moved along the tangent
-      to s*) and s* with moments c_a + s* (c_b - c_a); a miss tracks on.  An
-      exit within the corrector's resolution of c_b is c_b's own, or within
-      ACCEPT_TOL if a far atom can carry c_b: such a prediction is not
-      landed, nor is a landing there kept.  Only a landing that dropped the
-      top moment reads it again, for the mass the atom at infinity must
-      carry.
+      c_b's own exit, solved against c_b (:func:`_end_measure`): a singular
+      end would otherwise cost a step per log unit that a vanishing weight
+      falls, while 1 - s shrinks about 0.85-fold, and near c_b a loss's last
+      two values can put its exit just past c_b.  Each loss is solved for
+      at c_b once; where that solve came early and missed, see below.
+    - Other predictions within the path are landed: the face solve is
+      bordered, for s* and the exit measure of c_a + s* (c_b - c_a).  Once
+      a step onto c_b has failed, so are predictions up to 1 + (1 - s): a
+      loss whose one solve at c_b came early and missed ends the path so.
+      An exit within the corrector's resolution of c_b is c_b's own, or
+      within ACCEPT_TOL if a far atom can carry c_b: such a prediction is
+      not landed, nor is a landing there kept.
     - A loss below ACCEPT_TOL is the exit of last resort, without a solve.
     An atom moved to 0 whose weight vanishes along the tangent leaves the
     exit measure; kept as a zero atom, its log mass would fall a unit per
     iteration and the solve miss.  A step below NEWTON_TOL raises.
 
-    A failed step onto c_b makes c_b a singular end point, where the measure
-    loses an atom (c_b on the cone's boundary): from then on no step covers
-    more than 3/4 of the rest 1 - s of the path, and the next step onto c_b
-    waits until 1 - s has shrunk ENDGAME_SHRINK-fold.
+    A failed step onto c_b makes c_b a singular end point, on the cone's
+    boundary, which the path closes in on as ENDGAME_SHRINK says.
     """
     dc = c_b - c_a
     # Degeneracy is measured against the larger end of the path: along a ray
@@ -371,9 +363,8 @@ def _track(y, k, c_a, c_b, tol):
     while s < 1.0:
         if costs[:-1].min() < ACCEPT_TOL:
             return s, _exit_measure(y, k, log_ref, losses=losses), True
-        log_s = _log_scales(c_a + s * dc)
         with np.errstate(over="ignore"):  # _lstsq raises on an overflow
-            rates = dc * np.exp(-log_s)  # relative moment change per unit s
+            rates = dc * np.exp(-_log_scales(c_a + s * dc))  # relative change per unit s
         tangent = _lstsq(_unit_columns(J), rates)
         h = min(2.0 * h, 1.0 / max(float(np.abs(tangent).max()), 1e-300))
         fall = (costs < level) & (costs < prev)
@@ -398,12 +389,8 @@ def _track(y, k, c_a, c_b, tol):
             if not top or (1.0 - exits[j]) * rate > bar:
                 level[j] = 0.1 * costs[j]
                 y_e = _exit_measure(y + (exits[j] - s) * tangent, k, log_ref, j, tangent)
-                n = len(k) - top  # an atom at infinity frees the top moment
-                z, res, _ = _correct(np.append(y_e, exits[j] - s), k[:n], (c_a + s * dc)[:n],
-                                     1e-2 * ACCEPT_TOL, LAND_ITER, dc[:n])
-                if top:  # the atom at infinity carries what the top moment lacks
-                    res = max(res, _system(z, k, c_a + s * dc, log_s, dc)[0][-1])
-                if res <= 1e-2 * ACCEPT_TOL and z[-1] >= 0.0 and (1.0 - s - z[-1]) * rate > bar:
+                z, _ = _solve_face(np.append(y_e, exits[j] - s), k, c_a + s * dc, top, dc)
+                if z is not None and z[-1] >= 0.0 and (1.0 - s - z[-1]) * rate > bar:
                     return s + z[-1], z[:-1], True
         tried = None  # the last s_new whose corrector failed
         while True:
@@ -427,39 +414,51 @@ def _track(y, k, c_a, c_b, tol):
     return s, y, True
 
 
-def _end_measure(y, k, c_b, top, tol):
-    """(1, y, polish) of the exit measure y solved against c_b itself, or
-    None where it misses c_b by more than the landing's 1e-2 ACCEPT_TOL.
-
-    Where the top atom moved to infinity (``top``), y is solved against the
-    lower moments.  What the top moment then lacks, if more than that, an
-    atom at :func:`log_far_node`'s node carries, as in
-    :func:`_family_measure`, and the measure is returned unpolished
-    (``polish`` False): against c_b the polish would push that atom out until
-    its weight underflows.  There is none where that measure misses c_b by
-    more than ``tol``, or where its nodes are too far apart for a
-    :class:`Representation`, which holds no two nodes within NODE_MERGE_REL
-    of the largest.
+def _solve_face(y, k, target, top, dc=None):
+    """(z, short) of the exit measure y solved in MAX_ITER Newton iterations
+    against ``target`` or, with ``dc``, bordered by the path offset σ (y's
+    last variable) against target + σ dc (Allgower & Georg); z is None where
+    it misses by more than 1e-2 ACCEPT_TOL.  Where the top atom moved to
+    infinity (``top``), the lower moments are solved for, and the top one,
+    read once they have landed, may fall short (by ``short``, relative to
+    it) but never exceed.
     """
     n = len(k) - top
-    z, res, _ = _correct(y, k[:n], c_b[:n], 1e-2 * ACCEPT_TOL, MAX_ITER)
+    z, res, _ = _correct(y, k[:n], target[:n], 1e-2 * ACCEPT_TOL, MAX_ITER,
+                         None if dc is None else dc[:n])
     if res > 1e-2 * ACCEPT_TOL:
-        return None
-    log_b = _log_scales(c_b)
-    deficit = -_system(z, k, c_b, log_b)[0][-1] if top else 0.0  # relative to c_b's
-    if deficit < -1e-2 * ACCEPT_TOL:
-        return None
-    if deficit <= 1e-2 * ACCEPT_TOL:
-        return 1.0, z, True
-    log_e = math.log(deficit) + log_b[-1]
-    lu_f = log_far_node(log_e, c_b[:-1], k[:-1] - k[-1], tol)
-    lz, lw, lu = _unpack(z)
+        return None, 0.0
+    short = -_system(z, k, target, _log_scales(target), dc)[0][-1] if top else 0.0
+    return (None if short < -1e-2 * ACCEPT_TOL else z), short
+
+
+def _end_measure(y, k, c_b, top, tol):
+    """(1, y, polish) of the exit measure y solved against c_b itself
+    (:func:`_solve_face`), else None.  What the top moment lacks beyond 1e-2
+    ACCEPT_TOL :func:`_far_atom` carries, unpolished (``polish`` False): a
+    polish would push that atom out until its weight underflows."""
+    z, short = _solve_face(y, k, c_b, top)
+    if z is not None and short > 1e-2 * ACCEPT_TOL:
+        far = _far_atom(z, k, c_b, math.log(short) + _log_scales(c_b)[-1], tol)
+        return None if far is None else (1.0, far, False)
+    return None if z is None else (1.0, z, True)
+
+
+def _far_atom(y, k, c, log_e, tol):
+    """y plus an atom carrying e^log_e of c's top moment at
+    :func:`log_far_node`'s node for ``tol``; None where that misses c by
+    more than tol, or puts two nodes within NODE_MERGE_REL of the largest,
+    which a :class:`Representation` does not hold.
+    """
+    lu_f = log_far_node(log_e, c[:-1], k[:-1] - k[-1], tol)
+    lz, lw, lu = _unpack(y)
     zero = [] if lz is None else [lz]
     y = np.concatenate([zero, lw, [log_e - k[-1] * lu_f], lu, [lu_f]])
     nodes = np.concatenate([[0.0] * len(zero), np.exp(np.sort(lu) - lu_f), [1.0]])
-    if np.diff(nodes).min() <= NODE_MERGE_REL or np.abs(_system(y, k, c_b, log_b)[0]).max() > tol:
+    if (np.diff(nodes).min() <= NODE_MERGE_REL
+            or np.abs(_system(y, k, c, _log_scales(c))[0]).max() > tol):
         return None
-    return 1.0, y, False
+    return y
 
 
 class _Problem:
@@ -635,8 +634,8 @@ def _brent(f, lo, hi, f_lo, f_hi):
 
 
 def _family_measure(k, c, tol):
-    """(s, y, polish) of the principal path for d = 3, 4 and 5 without one, or
-    None where d = 5 must track it.
+    """(s, y, polish) of the principal path for d = 2 to 5 (k_0 = 0) without
+    one, or None where it must be tracked.
 
     An odd d is a zero atom plus the measure of the top system (exponents
     k_1..k_d shifted to start at 0, moments c_1..c_d): a zero atom feeds c_0
@@ -647,8 +646,9 @@ def _family_measure(k, c, tol):
     μ_0/c_0.  A principal top with ζ > 0 plus the zero atom c_0 ζ is the
     principal measure (s = 1); anything else is the thin measure, the top
     measure with the zero atom only where ζ > tol, for the polish against c
-    to settle.  For d = 3 the top is the one atom (w_τ, u_τ) through c_a and
-    c_b (ζ >= 0 is Lyapunov's inequality); for d = 5 it is the d = 4 measure
+    to settle.  The rule recurses down to a positive pair, one atom in
+    closed form: for d = 3 the top is the one atom (w_τ, u_τ) through c_a
+    and c_b (ζ >= 0 is Lyapunov's inequality), for d = 5 the d = 4 measure
     below.  Where that search raises, or returns a zero atom or a far atom,
     the top system lies within tol of its own boundary, where a zero atom of
     c would merge into the top's lowest atom (not done here): such a d = 5
@@ -664,24 +664,23 @@ def _family_measure(k, c, tol):
     atom of (0, a, b), to infinity (Markov-Krein): c_e <= L (1 + tol) is
     outside or on the boundary (the thin measure), and otherwise one
     bracketed search over the family finds the principal measure.  A
-    3-vector within tol of one atom, below c_e, gets the atom plus an atom
-    carrying c_e's excess at the node :func:`log_far_node` places, without a
-    polish (``polish`` False): against c exactly, the polish would push that
-    atom out until its weight underflows.  Everything is in logs of the
-    scaled system, where every c_i is positive; s is 1.0 for the principal
-    measure and 0.0 for a thin one.
+    3-vector within tol of one atom, below c_e, gets the atom plus
+    :func:`_far_atom` for c_e's excess, as the tracker's solve at c does,
+    without a polish (``polish`` False), or the path where that misses c.
+    Everything is in logs of the scaled system, where every c_i is positive;
+    s is 1.0 for the principal measure and 0.0 for a thin one.
     """
     lc = [math.log(v) for v in c]
+    if len(k) == 2:  # the one atom of a positive pair, principal
+        return 1.0, np.array([lc[0], (lc[1] - lc[0]) / k[1]]), True
     if len(k) % 2:
-        if len(k) == 3:  # the one atom through c_a and c_b, principal
-            s, y = 1.0, np.array([lc[1], (lc[2] - lc[1]) / (k[2] - k[1])])
-        else:
-            try:
-                s, y, polish = _family_measure(k[1:] - k[1], c[1:], tol)
-            except NumericalFailureError:
-                return None
-            if len(y) % 2 or not polish:
-                return None
+        try:
+            top = _family_measure(k[1:] - k[1], c[1:], tol)
+        except NumericalFailureError:
+            return None
+        if top is None or len(top[1]) % 2 or not top[2]:
+            return None
+        s, y, _ = top
         p = len(y) // 2
         lw, lu = y[:p] - k[1] * y[p:], y[p:]
         zeta = -math.expm1(min(np.logaddexp.reduce(lw) - lc[0], 700.0))
@@ -710,9 +709,8 @@ def _family_measure(k, c, tol):
     A = lc[1] - lc[0]
     gamma = lc[2] - lc[0] - b / a * A  # log(1 + β) at α = 0: ζ > 0 but for rounding
     if zeta <= tol or gamma <= 0:
-        log_excess = lc[3] + math.log(-math.expm1(log_L - lc[3]))
-        lu_f = log_far_node(log_excess, c[:3], k[:3] - e, tol)
-        return 1.0, np.array([lw_t, log_excess - e * lu_f, lu_t, lu_f]), False
+        y = _far_atom(np.array(atom), k, c, lc[3] + math.log(-math.expm1(log_L - lc[3])), tol)
+        return None if y is None else (1.0, y, False)
 
     def node_gap(rho):
         # expm1(b x) / expm1(a x) lies between e^((b-a) x) and (b/a) e^((b-a) x),

@@ -556,6 +556,12 @@ class TestCanonicalExit:
         assert len(calls) <= before // 2
 
 
+def _bordered(args):
+    """Whether the ``_correct`` call of these arguments solves a bordered
+    system: in classify, the face solve of a landing."""
+    return len(args) > 5 and args[5] is not None
+
+
 class TestTrackerExit:
     """Every exit of the tracker is landed by one bordered Newton solve."""
 
@@ -573,13 +579,14 @@ class TestTrackerExit:
         monkeypatch.setattr(R, "_lyapunov", lambda *args: None)
         calls, tracks = [], []
         correct, track = R._correct, R._track
-        monkeypatch.setattr(R, "_correct", lambda *args: calls.append(args[4]) or correct(*args))
+        monkeypatch.setattr(R, "_correct",
+                            lambda *args: calls.append(_bordered(args)) or correct(*args))
         monkeypatch.setattr(R, "_track", lambda *args: tracks.append(1) or track(*args))
         assert classify(self.C10).kind is ClassKind.EXTERIOR
         assert len(tracks) == 1
         # At most 10 tracker steps, then the landing and the polish.
         assert len(calls) <= 12, calls
-        assert R.LAND_ITER in calls
+        assert any(calls)
 
     def test_far_atom_within_tol_of_c_is_not_landed(self, monkeypatch):
         # perfbench/gen.py moments_round(1, 2)[12]: the top node runs off
@@ -590,13 +597,76 @@ class TestTrackerExit:
         calls = []
         correct = kolmo.representations._correct
         monkeypatch.setattr(kolmo.representations, "_correct",
-                            lambda *args: calls.append(args[4]) or correct(*args))
+                            lambda *args: calls.append(_bordered(args)) or correct(*args))
         result = classify(c)
         assert result.kind is ClassKind.INTERIOR
         assert result.witness.atoms == (Atom(0.0, 0.9868440452138395),
                                         Atom(0.07330254999161177, 0.1308929258216624),
                                         Atom(11.353939346671261, 7.386262231986283))
-        assert kolmo.representations.LAND_ITER not in calls, calls
+        assert not any(calls), calls
+
+    # Exact two-atom measures of tests/verdict_check.py without exponent 0
+    # (d = 5, so BOUNDARY).  Each loss's one solve at c comes early, from s
+    # = 0.78 to 0.9988, and misses; after a failed step onto c the path
+    # closes in, and a landing on an exit predicted at most 4e-10 past c
+    # ends it.  Without that landing the step underflows and classify raises.
+    @pytest.mark.parametrize("draw", [211, 469, 529])
+    def test_exit_predicted_past_c_is_landed(self, monkeypatch, draw):
+        R = kolmo.representations
+        correct, predicted = R._correct, []
+
+        def counted(*args):
+            if _bordered(args):
+                frame = sys._getframe(1)
+                while frame.f_code.co_name != "_track":
+                    frame = frame.f_back
+                predicted.append(frame.f_locals["exits"][frame.f_locals["j"]])
+            return correct(*args)
+
+        monkeypatch.setattr(R, "_correct", counted)
+        c = dict(verdict_check.exact_measures(draw + 1))[draw]
+        result = classify(c)
+        assert result.kind is ClassKind.BOUNDARY and len(result.witness.atoms) == 2
+        back = np.asarray(moments_of(result.witness, c.exponents).values)
+        assert np.abs(back / np.asarray(c.values) - 1.0).max() <= ACCEPT_TOL
+        assert 1.0 < predicted[-1] <= 1.0 + 1e-7, predicted
+
+
+class TestFaceSolve:
+    """The tracker's two exit solves, a bordered landing and the solve at c,
+    are one face solve, and one builder makes every far atom."""
+
+    def test_top_moment_read_only_after_the_lower_moments_land(self, monkeypatch):
+        # decide_round(1, 0)[12]'s moments, k = (3,...,8): the top node runs
+        # to infinity, and the one landing that drops it misses on the lower
+        # moments, so its top moment is never read.
+        R = kolmo.representations
+        system, correct = R._system, R._correct
+        solves, reads = [], []
+        monkeypatch.setattr(R, "_system", lambda *args: reads.append(
+            len(args) > 4 and args[4] is not None
+            and sys._getframe(1).f_code.co_name != "_correct") or system(*args))
+
+        def counted(*args):
+            z, res, J = correct(*args)
+            if _bordered(args):
+                solves.append((len(args[1]), res))
+            return z, res, J
+
+        monkeypatch.setattr(R, "_correct", counted)
+        c = _decide_mixed_moments(12)
+        assert classify(c).kind is ClassKind.INTERIOR
+        top = [res for n, res in solves if n < c.d]
+        assert top and min(top) > 1e-2 * ACCEPT_TOL
+        assert sum(reads) == 0
+
+    def test_pair_is_its_one_atom(self):
+        # The odd-d rule recurses down to a positive pair, one atom in
+        # closed form: 2 at the node 3.
+        s, y, polish = kolmo.representations._family_measure(
+            np.array([0.0, 2.0]), np.array([2.0, 18.0]), ACCEPT_TOL)
+        assert s == 1.0 and polish
+        assert np.exp(y) == pytest.approx([2.0, 3.0], rel=1e-15)
 
 
 class TestSingularEnd:
@@ -735,22 +805,23 @@ class TestSavedJacobians:
 
         monkeypatch.setattr(R, "_system", counted_system)
         monkeypatch.setattr(R, "_correct", lambda *args: corrections.append(
-            (sys._getframe(1).f_code.co_name, len(args) > 5, len(args[1]))) or correct(*args))
+            (sys._getframe(1).f_code.co_name, _bordered(args), len(args[1]))) or correct(*args))
         monkeypatch.setattr(R, "_track", lambda *args: tracks.append(1) or track(*args))
         canonical_representation(C235, 1.0)
         # The canonical ray: a 3-moment principal measure needs no path.
         assert len(tracks) == 1
+        # The tracker's calls: its steps, and its landings' face solves.
         steps = [c for c in corrections if c[:2] == ("_track", False)]
-        landings = [c for c in corrections if c[:2] == ("_track", True)]
+        landings = [c for c in corrections if c[:2] == ("_solve_face", True)]
         assert len(steps) > len(tracks) and landings
         # Outside the corrector: one tangent per path at s = 0, and the top
         # moment of each landing that dropped it (none on this ray), a
         # bordered system.
         assert systems.count(("_track", False)) == len(tracks)
         dropped_top = sum(n < len(C235.values) for _, _, n in landings)
-        assert systems.count(("_track", True)) == dropped_top == 0
+        assert systems.count(("_solve_face", True)) == dropped_top == 0
         assert {caller for caller, _ in systems} <= {
-            "_correct", "_track", "_principal_path"}
+            "_correct", "_track", "_solve_face", "_principal_path"}
 
 
 class TestNoSolveThatCannotGain:
@@ -792,7 +863,7 @@ class TestNoSolveThatCannotGain:
         R = kolmo.representations
         correct, landings = R._correct, []
         monkeypatch.setattr(R, "_correct", lambda *args: landings.append(
-            args[4] == R.LAND_ITER) or correct(*args))
+            _bordered(args)) or correct(*args))
         c = MomentVector(values, ExponentVector(ks, 8))
         result = classify(c)
         assert result.kind is ClassKind.BOUNDARY
@@ -1359,8 +1430,7 @@ class TestSeparatingCertificate:
             monkeypatch.setattr(R, "_lyapunov", lambda *args: None)
         correct, polishes = R._correct, []
         monkeypatch.setattr(R, "_correct", lambda *args: polishes.append(
-            args[4] == R.MAX_ITER and sys._getframe(1).f_code.co_name != "_end_measure")
-            or correct(*args))
+            sys._getframe(1).f_code.co_name == "_principal_path") or correct(*args))
         end_measure, ends = R._end_measure, []
         monkeypatch.setattr(R, "_end_measure", lambda *args: ends.append(end_measure(*args))
                             or ends[-1])

@@ -10,7 +10,10 @@ Four checks, about 20 s on one core of a 2-CPU x86-64 host:
   AGREEMENT of the 936 verdicts must match ``decide_status`` (interior,
   boundary, exterior against admissible_interior, admissible_boundary,
   not_admissible).  It prints how many paths (``representations._track``)
-  and residual evaluations (``_system``) the two ran, the tracker's work;
+  and residual evaluations (``_system``) the two ran, the tracker's work,
+  and its exit solves: bordered landings (``_solve_face`` with a path
+  direction) and solves at c (``_end_measure``), each tried and kept, that
+  is, ending a path;
 - the moment vectors of the FUZZ_DRAWS measures of :func:`exact_measures`.
   None may read EXTERIOR outside KNOWN_EXTERIOR, and none may carry a
   certificate;
@@ -176,17 +179,42 @@ def negative_moment_pairs():
                            MomentVector(tuple(doc["c"]), ExponentVector(tuple(doc["k"]), gen.MOMENT_R)))
 
 
-def _counted(name, counts):
+def _counted(name, counts, tally=None):
     """Replace representations.<name> by a wrapper that counts its calls in
-    counts[name]; returns the original."""
+    counts[name], and each key that ``tally(args, result)`` names in
+    counts[key]; returns the original."""
     original = getattr(representations, name)
 
     def wrapper(*args):
         counts[name] += 1
-        return original(*args)
+        result = original(*args)
+        if tally is not None:
+            counts.update(tally(args, result))
+        return result
 
     setattr(representations, name, wrapper)
     return original
+
+
+def _exit_tallies():
+    """Tallies for :func:`_counted` of the tracker's exit solves: a landing
+    is a face solve with a path direction (its fifth argument), kept where
+    the path returns its measure; a solve at c is kept where it succeeds."""
+    landed = []  # the last landing's solution, if any
+
+    def landing(args, result):
+        if len(args) < 5:
+            return ()
+        landed[:] = [result[0]]
+        return ["landings tried"]
+
+    def track(args, result):
+        z = landed.pop() if landed else None
+        kept = z is not None and np.array_equal(result[1], z[:-1])
+        return ["landings kept"] if kept else ()
+
+    return {"_solve_face": landing, "_track": track,
+            "_end_measure": lambda args, result: () if result is None else ["solves at c kept"]}
 
 
 def _decide_mixed_failures():
@@ -196,7 +224,9 @@ def _decide_mixed_failures():
                  ClassKind.EXTERIOR: "not_admissible"}
     failures, results, agree = [], [], 0
     counts = Counter()
-    originals = {name: _counted(name, counts) for name in ("_track", "_system")}
+    tallies = _exit_tallies()
+    originals = {name: _counted(name, counts, tallies.get(name))
+                 for name in ("_track", "_system", "_solve_face", "_end_measure")}
     try:
         for seed in (1, 2, 3):
             for index in range(6):
@@ -219,7 +249,9 @@ def _decide_mixed_failures():
             setattr(representations, name, original)
     print(f"decide-mixed: {agree} of {len(results)} agree with decide_status; "
           f"EXTERIOR {_settled(results)}; classify and decide_status ran "
-          f"{counts['_track']} paths, {counts['_system']} residual evaluations")
+          f"{counts['_track']} paths, {counts['_system']} residual evaluations; the paths "
+          f"tried {counts['landings tried']} landings ({counts['landings kept']} kept) and "
+          f"{counts['_end_measure']} solves at c ({counts['solves at c kept']} kept)")
     if agree < AGREEMENT:
         failures.append(f"decide-mixed: {agree} agree, fewer than {AGREEMENT}")
     return failures
