@@ -13,7 +13,7 @@ import math
 import os
 import sys
 
-from . import jsonio, verify
+from . import jsonio
 from .core import (
     ExponentVector,
     Family,
@@ -260,11 +260,16 @@ def _cmd_sweep(args) -> str:
 
 
 def _cmd_verify(args) -> dict:
-    if args.seed < 0:
+    from . import verify  # the suites load only for the command that runs them
+
+    if args.suite not in verify.SUITES:
+        raise InputError(f"unknown suite {args.suite!r}; choose from {', '.join(sorted(verify.SUITES))}")
+    seed = verify.DEFAULT_SEED if args.seed is None else args.seed
+    if seed < 0:
         raise InputError("--seed must be >= 0")
     if args.cases < 1:
         raise InputError("--cases must be >= 1")
-    return verify.SUITES[args.suite](cases=args.cases, seed=args.seed).to_dict()
+    return verify.SUITES[args.suite](cases=args.cases, seed=seed).to_dict()
 
 
 class _Parser(argparse.ArgumentParser):
@@ -334,9 +339,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("verify", "run a self-contained verification suite", _cmd_verify,
                 reads=False, tol=False)
-    p.add_argument("--suite", required=True, choices=sorted(verify.SUITES))
+    p.add_argument("--suite", required=True, help="the suite to run; an unknown name lists them")
     p.add_argument("--cases", type=int, default=100)
-    p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
+    p.add_argument("--seed", type=int, default=None, help="case seed (default: the suites' own)")
     return parser
 
 

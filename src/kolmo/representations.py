@@ -52,9 +52,9 @@ path.
   of c allows.  A negative moment c_i gives p(t) = t^k_i; before any path,
   three consecutive moments that break Lyapunov's inequality, a zero at
   either end included, give one in closed form (:func:`_lyapunov`); at an
-  exit before c, the left null vector of the
-  Jacobian of an exit measure of d - 1 or d - 2 variables that misses c,
-  with a double root of p at each node (:func:`_separation`).
+  exit before c, the face normal of an exit measure of d - 1 or d - 2
+  variables that misses c, with a double root of p at each node
+  (:func:`_separation`).
   Without exponent 0 a zero atom of the solver's system is mass escaping to
   0: the witness puts it, in closed form, at a node near 0, where it counts
   as a whole atom.
@@ -62,6 +62,14 @@ path.
   from the principal representation to its exit, where the mass at t* is
   maximal: that measure and s, polished by the same bordered system, plus
   the atom (t*, s w) in closed form are the canonical representation.
+
+Every verdict comes down to where c sits relative to a face of the moment
+cone, a measure without one degree of freedom.  :func:`_faces` lists a
+measure's faces with their bare costs, for the tracker's exits and the
+thinning; :func:`_exit_measure` builds a face's measure from them; and
+:func:`_face_normal` gives the normal n of the one face a caller asks
+about, whose margin -Σn/Σ|n| is, to first order, c's signed distance from
+it: the d = 5 escape and the separating certificate read it.
 
 Each equation is solved relative to its own moment, and every returned
 representation is checked once against c in the original system.  The
@@ -290,11 +298,15 @@ def _correct(y, k, target, tol, max_iter, dc=None, verdict=math.inf):
     return best
 
 
-def _losses(y, k, log_s):
-    """The measure (atoms by node), the costs (largest relative moment change)
-    of dropping the zero atom, of moving each positive atom to 0, of merging
+def _faces(y, k, log_s):
+    """The faces of the measure y, each y without one degree of freedom: the
+    measure (atoms by node), the costs (largest relative moment change) of
+    dropping the zero atom, of moving each positive atom to 0, of merging
     each adjacent pair at their weighted log mean and of moving the top atom
-    to infinity (it then feeds the top moment only), and the merged atoms.
+    to infinity (it then feeds the top moment only), the merged atoms, and
+    the order that sorts y's positive atoms by node.  :func:`_exit_measure`
+    builds a face's measure from them; :func:`_face_normal` gives the face's
+    normal, for the one face a caller asks about.
     """
     lz, lw, lu = _unpack(y)
     order = np.argsort(lu)
@@ -308,7 +320,7 @@ def _losses(y, k, log_s):
         np.abs(_relative(mw, mu, k, log_s) - R[:, :-1] - R[:, 1:]).max(axis=0, initial=0.0),
         [R[:-1, -1].max(initial=0.0) if len(lu) else math.inf],
     ]).astype(float)
-    return (lz, lw, lu), costs, (mw, mu)
+    return (lz, lw, lu), costs, (mw, mu), order
 
 
 def _track(y, k, c_a, c_b, tol):
@@ -322,7 +334,7 @@ def _track(y, k, c_a, c_b, tol):
     A failed step is not tried again as it was: the step halves until the
     point it reaches moves.
 
-    Exits: a loss of :func:`_losses` vanishes linearly at an exit, so its
+    Exits: a loss of :func:`_faces` vanishes linearly at an exit, so its
     last two values predict s*; a loss is tried once it falls below LAND_TOL
     and again only after it has fallen tenfold since its last try.  Both
     solves below are :func:`_solve_face` of the exit measure without that
@@ -356,13 +368,13 @@ def _track(y, k, c_a, c_b, tol):
     near = math.inf  # the rest of the path from which c_b may be tried again
     # Later tangents reuse the corrector's Jacobian at the accepted point.
     J = _system(y, k, c_a, _log_scales(c_a))[1]
-    losses = _losses(y, k, log_ref)
-    costs = prev = losses[1]
+    faces = _faces(y, k, log_ref)
+    costs = prev = faces[1]
     level = np.full(len(costs), LAND_TOL)
     ended = np.zeros(len(costs), bool)
     while s < 1.0:
         if costs[:-1].min() < ACCEPT_TOL:
-            return s, _exit_measure(y, k, log_ref, losses=losses), True
+            return s, _exit_measure(faces, k, log_ref), True
         with np.errstate(over="ignore"):  # _lstsq raises on an overflow
             rates = dc * np.exp(-_log_scales(c_a + s * dc))  # relative change per unit s
         tangent = _lstsq(_unit_columns(J), rates)
@@ -378,7 +390,7 @@ def _track(y, k, c_a, c_b, tol):
             # Nearer c_b than s: c_b's own exit, solved for at c_b itself, and
             # once: against the one c_b another solve meets the same floor.
             level[j], ended[j] = 0.1 * costs[j], True
-            y_e = _exit_measure(y + (1.0 - s) * tangent, k, log_ref, j, tangent)
+            y_e = _exit_measure(_faces(y + (1.0 - s) * tangent, k, log_ref), k, log_ref, j, tangent)
             if (end := _end_measure(y_e, k, c_b, top, tol)) is not None:
                 return end
         elif exits[j] <= (1.0 if near == math.inf else 1.0 + (1.0 - s)):
@@ -388,7 +400,7 @@ def _track(y, k, c_a, c_b, tol):
             rate = np.abs(rates).max()
             if not top or (1.0 - exits[j]) * rate > bar:
                 level[j] = 0.1 * costs[j]
-                y_e = _exit_measure(y + (exits[j] - s) * tangent, k, log_ref, j, tangent)
+                y_e = _exit_measure(_faces(y + (exits[j] - s) * tangent, k, log_ref), k, log_ref, j, tangent)
                 z, _ = _solve_face(np.append(y_e, exits[j] - s), k, c_a + s * dc, top, dc)
                 if z is not None and z[-1] >= 0.0 and (1.0 - s - z[-1]) * rate > bar:
                     return s + z[-1], z[:-1], True
@@ -409,8 +421,8 @@ def _track(y, k, c_a, c_b, tol):
                 tried = s_new
             h *= 0.5
         s, y, J = s_new, y_new, J_new
-        losses = _losses(y, k, log_ref)
-        costs = losses[1]
+        faces = _faces(y, k, log_ref)
+        costs = faces[1]
     return s, y, True
 
 
@@ -551,13 +563,13 @@ def _log_max_mass(c, k, lu):
     return np.min(np.log(c)[:, None] - np.outer(k, np.atleast_1d(lu)), axis=0)
 
 
-def _exit_measure(y, k, log_s, drop=None, dy=None, losses=None):
-    """The measure without its degenerate atoms.
+def _exit_measure(faces, k, log_s, drop=None, dy=None):
+    """The measure without its degenerate atoms, built from the caller's
+    :func:`_faces` of it.
 
-    Takes every loss of :func:`_losses` below ACCEPT_TOL but the top atom's
-    to infinity, and the loss ``drop`` (an index into the costs); drops a zero
-    atom left below ACCEPT_TOL.  An atom moved to infinity leaves the measure.
-    ``losses`` is :func:`_losses` of (y, k, log_s) where the caller has it.
+    Takes every loss below ACCEPT_TOL but the top atom's to infinity, and the
+    loss ``drop`` (an index into the costs); drops a zero atom left below
+    ACCEPT_TOL.  An atom moved to infinity leaves the measure.
 
     An atom moved to 0 joins the zero atom, unless the path's direction
     ``dy`` shows its weight vanishing: then it leaves the measure.  Near the
@@ -567,14 +579,13 @@ def _exit_measure(y, k, log_s, drop=None, dy=None, losses=None):
     vanish for a > 1/2, midway between that and a weight vanishing at a fixed
     node (a = 1): d log w < min(0, k_1 d log u).
     """
-    (lz, lw, lu), costs, (mw, mu) = _losses(y, k, log_s) if losses is None else losses
+    (lz, lw, lu), costs, (mw, mu), order = faces
     taken = np.append(costs[:-1] < ACCEPT_TOL, False) | (np.arange(len(costs)) == drop)
     p = len(lw)
     moved, merged = taken[1:p + 1], taken[p + 1:-1]
     joins = moved  # the moved atoms whose mass joins the zero atom
     if dy is not None and moved.any():
         _, dlw, dlu = _unpack(dy)
-        order = np.argsort(_unpack(y)[2])  # as _losses orders the atoms
         joins = moved & ~(dlw[order] < np.minimum(0.0, k[1] * dlu[order]))
     zero = ([] if lz is None or taken[0] else [lz]) + list(lw[joins])
     atoms, j = [], 0
@@ -590,6 +601,21 @@ def _exit_measure(y, k, log_s, drop=None, dy=None, losses=None):
     lz = None if math.exp(min(lz - log_s[0], 300.0)) < ACCEPT_TOL else lz
     y = [w for w, _ in atoms] + [u for _, u in atoms]
     return np.array(y if lz is None else [lz] + y)
+
+
+def _face_normal(J):
+    """(n, σ): the left null vector n of a face measure's Jacobian J
+    (:func:`_system`, d rows, d - 1 columns) in unit columns
+    (:func:`_unit_columns`), and its smallest singular value σ.
+
+    n^T J = 0 makes n·m = 0 for the scaled moments m of every measure on the
+    face's atoms, so n·(c - m) = Σn for c's scaled moments, all 1: to first
+    order -Σn / Σ|n| is c's signed distance from the face, relative to each
+    moment (Hölder: the 1-norm is dual to the max norm).  A face of d - 2
+    variables gets one unit column more from its caller.
+    """
+    U, sv, _ = np.linalg.svd(_unit_columns(J)[0])
+    return U[:, -1], sv[-1]
 
 
 def _log_expm1(x):
@@ -652,11 +678,11 @@ def _family_measure(k, c, tol):
     below.  Where that search raises, or returns a zero atom or a far atom,
     the top system lies within tol of its own boundary, where a zero atom of
     c would merge into the top's lowest atom (not done here): such a d = 5
-    takes the path (None).  So does a d = 5 whose zero atom, dropped with
-    the positive atoms refitted, costs tol at most: to first order that cost
-    is ζ |n_0| / ||n||_1, n the left null vector of the positive atoms'
-    Jacobian columns, and its bare share ζ can exceed tol by orders where
-    the top's mass is that much more sensitive than its moments.  c then
+    takes the path (None).  So does a d = 5 within tol of its zero-atom
+    face, the positive atoms refitted without the zero atom: the face
+    normal's margin (:func:`_face_normal`; n·(c - face moments) = ζ n_0 in
+    scaled rows), where the bare share ζ can exceed tol by orders, the
+    top's mass being that much more sensitive than its moments.  c then
     lies within tol of the thinner measure, the lowest-index witness.
 
     For (0, a, b, e), the two-atom measures matching c_0..c_b form one
@@ -684,10 +710,9 @@ def _family_measure(k, c, tol):
         p = len(y) // 2
         lw, lu = y[:p] - k[1] * y[p:], y[p:]
         zeta = -math.expm1(min(np.logaddexp.reduce(lw) - lc[0], 700.0))
-        if len(k) == 5 and s == 1.0 and zeta > tol:  # the cost of the zero atom, refitted
-            J = _system(np.concatenate([lw, lu]), k, c, np.array(lc))[1]
-            n = np.linalg.svd(J)[0][:, -1]
-            if zeta * abs(n[0]) <= tol * np.abs(n).sum():
+        if len(k) == 5 and s == 1.0 and zeta > tol:  # the zero atom's face, refitted
+            n = _face_normal(_system(np.concatenate([lw, lu]), k, c, np.array(lc))[1])[0]
+            if abs(n.sum()) <= tol * np.abs(n).sum():
                 return None
         zero = [lc[0] + math.log(zeta)] if zeta > (0.0 if s == 1.0 else tol) else []
         return (1.0 if s == 1.0 and zeta > 0 else 0.0), np.concatenate([zero, lw, lu]), True
@@ -753,18 +778,20 @@ def _separation(y, k, c, log_c, tol):
     exit measure y supports, if λ·c < 0 shows that no measure reproduces c
     within ``tol``; else None.  Tried only where y itself misses c by more.
 
-    μ is the left null vector of y's scaled Jacobian J (:func:`_system`):
-    μ^T J = 0 puts a double root of p at every node, p(u_j) = u_j p'(u_j) =
-    0, and a zero atom puts a root at 0, λ_0 = 0.  With d - 1 variables μ is
-    unique; with d - 2, one unit column more picks it: an atom at infinity
-    (λ_top = 0) or a zero atom of no mass (λ_0 = 0), tried in that order.
+    μ is y's face normal (:func:`_face_normal`), the left null vector of
+    its scaled Jacobian J (:func:`_system`): μ^T J = 0 puts a double root
+    of p at every node, p(u_j) = u_j p'(u_j) = 0, and a zero atom puts a
+    root at 0, λ_0 = 0.  With d - 1 variables μ is unique; with d - 2, one
+    unit column more picks it: an atom at infinity (λ_top = 0) or a zero
+    atom of no mass (λ_0 = 0), tried in that order.
     Either way the roots use up every sign change that Descartes' rule of
     signs allows the free coefficients, so p keeps one sign on [0, inf), and
     its lowest and highest free coefficients, which it needs for that many
     sign changes, carry that sign.  μ is signed so that they are positive,
     and p is checked nonnegative between and beyond its roots as well.  A
     measure's moments m then have λ·m = ∫p >= 0, and ones within tol of c in
-    every moment have λ·c >= -tol Σ|μ|: -Σμ > tol Σ|μ| shows c exterior.
+    every moment have λ·c >= -tol Σ|μ|: the face normal's margin -Σμ/Σ|μ|
+    above tol shows c exterior.
 
     Rounding: J's entries are rounded to float and its columns scaled to
     unit norm, each to a few ulps, and the SVD is backward stable, so μ is
@@ -790,21 +817,15 @@ def _separation(y, k, c, log_c, tol):
     L = L[:, p:]
     X = np.exp(L - L.max(axis=0))  # t^k_i / c_i at each check point, up to a factor
     slack = 2.0 * d * d * math.ulp(1.0)  # δ σ
-    A = np.zeros((d, d - 1))
-    A[:, :n] = _unit_columns(J)[0]
     for row in [None] if n == d - 1 else [d - 1] if lz is not None else [d - 1, 0]:
-        if row is not None:
-            A[:, n] = 0.0
-            A[row, n] = 1.0
-        U, sv, _ = np.linalg.svd(A)
+        mu, sv = _face_normal(J if row is None else np.column_stack([J, np.eye(d)[row]]))
         zeros = ([0] if lz is not None else []) + ([] if row is None else [row])
-        mu = U[:, -1]
         mu[zeros] = 0.0  # as in the exact μ*
         low, lead = (1 if 0 in zeros else 0), (d - 2 if d - 1 in zeros else d - 1)
         if mu[lead] < 0:
             mu = -mu
-        if (sv[-1] * min(mu[low], mu[lead]) > slack and (mu @ X).min() >= 0.0
-                and sv[-1] * (-mu.sum() - tol * np.abs(mu).sum()) > (1.0 + tol) * slack):
+        if (sv * min(mu[low], mu[lead]) > slack and (mu @ X).min() >= 0.0
+                and sv * (-mu.sum() - tol * np.abs(mu).sum()) > (1.0 + tol) * slack):
             return mu
     return None
 
@@ -932,12 +953,12 @@ def _principal_path(prob: _Problem, tol: float, init_seed: int = 0):
         y, res, _ = _correct(found, k, c, 0.0, MAX_ITER if polish else 0, None, tol)
         if res > tol:
             raise NumericalFailureError(f"the path misses c by {res:.3e}", residual=res)
-        losses = _losses(y, k, log_c)
-        costs = losses[1][:-1]
+        faces = _faces(y, k, log_c)
+        costs = faces[1][:-1]
         if costs.min() >= tol:
             return y
         # Within tol of a thinner measure, the cheapest loss is the lost freedom.
-        found = _exit_measure(y, k, log_c, int(np.argmin(costs)), losses=losses)
+        found = _exit_measure(faces, k, log_c, int(np.argmin(costs)))
     # An exit can lose several degrees of freedom at once; the polish drives
     # out the rest, and they are taken after it.
     if len(found):
@@ -945,7 +966,7 @@ def _principal_path(prob: _Problem, tol: float, init_seed: int = 0):
             return _certificate(prob, mu / c)
         y_thin, res, _ = _correct(found, k, c, 0.0, MAX_ITER, None, tol)
         if res <= tol:
-            return _exit_measure(y_thin, k, log_c)
+            return _exit_measure(_faces(y_thin, k, log_c), k, log_c)
     # A near-degenerate principal representation whose thinning misses c.
     return y if s == 1.0 else None
 

@@ -663,6 +663,14 @@ class TestOtherCommands:
         assert doc["ok"] is True
         assert doc["passed"] == 5
 
+    def test_verify_unknown_suite_exit_2(self, capsys):
+        from kolmo import verify
+
+        code, out, err = run(capsys, ["verify", "--suite", "nope", "--cases", "1"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: unknown suite 'nope'")
+        assert all(name in err for name in verify.SUITES)
+
     def test_verify_counterexamples_exit_1(self, capsys, monkeypatch):
         from kolmo import verify
 
@@ -798,11 +806,12 @@ def test_console_checks(capsys, monkeypatch, argv, doc, want, check):
 
 
 def test_cold_decide_never_imports_numpy(fresh_python):
-    """The README decide and a positive pair's classify run in plain floats."""
+    """The README decide and a positive pair's classify run in plain floats,
+    and neither loads the verification suites."""
     fresh_python(
         "import contextlib, io, json, sys\n"
         "import kolmo.cli\n"
-        "assert 'numpy' not in sys.modules\n"
+        "assert 'numpy' not in sys.modules and 'kolmo.verify' not in sys.modules\n"
         f"sys.stdin = io.StringIO({json.dumps(DECIDE_BOUNDARY)!r})\n"
         "out = io.StringIO()\n"
         "with contextlib.redirect_stdout(out):\n"
@@ -812,6 +821,7 @@ def test_cold_decide_never_imports_numpy(fresh_python):
         "got = classify(MomentVector((2.0, 3.0), ExponentVector((0, 1), 1)))\n"
         "assert got.kind is ClassKind.INTERIOR and len(got.witness) == 1\n"
         "assert 'numpy' not in sys.modules, sorted(m for m in sys.modules if 'numpy' in m)\n"
+        "assert 'kolmo.verify' not in sys.modules\n"
     )
 
 
