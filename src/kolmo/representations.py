@@ -7,8 +7,8 @@ witness is the minimal-index representation); :func:`principal_representation`
 :func:`canonical_representation` (index (d+1)/2, through a prescribed root)
 reject the systems without exponent 0 where their index has no structure.
 
-A principal solve with d >= 6, one with d = 5 within tol of a thinner
-measure (see :func:`_family_measure`), and every canonical ray run one
+A principal solve with d >= 6, one with d = 4 or 5 that the closed form
+hands on (see :func:`_family_measure`), and every canonical ray run one
 tracker.  Inside the convex moment cone the principal (index d/2)
 representation is unique and smooth in the moments, so :func:`_track`
 follows it (Euler predictor, Newton corrector, in log weights and log nodes)
@@ -33,9 +33,9 @@ accepted.  An exit measure drops an atom whose weight vanishes, and every
 Newton solve ends where further steps cannot gain: at its rounding floor, or
 at a least-squares minimum.
 
-d <= 5 takes no path.  A positive pair needs no solve at all: one atom
-attains it, found in closed form and checked in floats, and it is the
-verdict and the principal representation both.  For d = 3, 4 and 5,
+Otherwise d <= 5 takes no path.  A positive pair needs no solve at all:
+one atom attains it, found in closed form and checked in floats, and it is
+the verdict and the principal representation both.  For d = 3, 4 and 5,
 :func:`_family_measure` puts the principal or the thin measure where the
 path would have ended, by one bracketed search over the two-atom measures
 through the first three moments (d = 4), and for an odd d by a zero atom
@@ -68,8 +68,9 @@ cone, a measure without one degree of freedom.  :func:`_faces` lists a
 measure's faces with their bare costs, for the tracker's exits and the
 thinning; :func:`_exit_measure` builds a face's measure from them; and
 :func:`_face_normal` gives the normal n of the one face a caller asks
-about, whose margin -Σn/Σ|n| is, to first order, c's signed distance from
-it: the d = 5 escape and the separating certificate read it.
+about, whose margin is, to first order, c's distance from it: the
+thinning reads it for a zero atom, the other atoms refitted, and the
+separating certificate for an exit measure.
 
 Each equation is solved relative to its own moment, and every returned
 representation is checked once against c in the original system.  The
@@ -611,8 +612,10 @@ def _face_normal(J):
     n^T J = 0 makes n·m = 0 for the scaled moments m of every measure on the
     face's atoms, so n·(c - m) = Σn for c's scaled moments, all 1: to first
     order -Σn / Σ|n| is c's signed distance from the face, relative to each
-    moment (Hölder: the 1-norm is dual to the max norm).  A face of d - 2
-    variables gets one unit column more from its caller.
+    moment (Hölder: the 1-norm is dual to the max norm).  Where the face's
+    atoms plus one of scaled moments r reproduce c, n·(c - m) = n·r: for a
+    zero atom, r = (ζ, 0, ...), the margin is ζ |n_0| / Σ|n|.  A face of
+    d - 2 variables gets one unit column more from its caller.
     """
     U, sv, _ = np.linalg.svd(_unit_columns(J)[0])
     return U[:, -1], sv[-1]
@@ -678,12 +681,9 @@ def _family_measure(k, c, tol):
     below.  Where that search raises, or returns a zero atom or a far atom,
     the top system lies within tol of its own boundary, where a zero atom of
     c would merge into the top's lowest atom (not done here): such a d = 5
-    takes the path (None).  So does a d = 5 within tol of its zero-atom
-    face, the positive atoms refitted without the zero atom: the face
-    normal's margin (:func:`_face_normal`; n·(c - face moments) = ζ n_0 in
-    scaled rows), where the bare share ζ can exceed tol by orders, the
-    top's mass being that much more sensitive than its moments.  c then
-    lies within tol of the thinner measure, the lowest-index witness.
+    takes the path (None).  A zero atom within tol of its face, the
+    positive atoms refitted, is the thinning's to drop, as on the path
+    (:func:`_principal_path`).
 
     For (0, a, b, e), the two-atom measures matching c_0..c_b form one
     family along which c_e rises from L = w_τ u_τ^e, its limit at the zero
@@ -710,10 +710,6 @@ def _family_measure(k, c, tol):
         p = len(y) // 2
         lw, lu = y[:p] - k[1] * y[p:], y[p:]
         zeta = -math.expm1(min(np.logaddexp.reduce(lw) - lc[0], 700.0))
-        if len(k) == 5 and s == 1.0 and zeta > tol:  # the zero atom's face, refitted
-            n = _face_normal(_system(np.concatenate([lw, lu]), k, c, np.array(lc))[1])[0]
-            if abs(n.sum()) <= tol * np.abs(n).sum():
-                return None
         zero = [lc[0] + math.log(zeta)] if zeta > (0.0 if s == 1.0 else tol) else []
         return (1.0 if s == 1.0 and zeta > 0 else 0.0), np.concatenate([zero, lw, lu]), True
     a, b = float(k[1]), float(k[2])
@@ -912,15 +908,19 @@ def _principal_path(prob: _Problem, tol: float, init_seed: int = 0):
     """y of the principal representation, the square system len(y) == d, if
     the path reaches c, else of the polished exit measure if it reproduces c
     within ``tol``; else None.  An empty y (every atom dropped) is a measure.
-    d <= 5 takes no path: :func:`_family_measure` takes its place, but for a
-    d = 5 within tol of a thinner measure, of c or of its top four moments.
+    d <= 5 takes no path: :func:`_family_measure` takes its place, but for
+    the d = 4 and 5 it hands on (a d = 5 whose top four moments lie within
+    tol of their own boundary).
 
     Both give (s, y, polish).  At s = 1 (c reached, or an exit measure that
     :func:`_track` solved at c itself) y is polished against c unless
     ``polish`` is False: a far atom carrying the top moment's excess, which
     a polish would push out until its weight underflows.  It must reproduce
-    c within tol, and it is thinned where a loss costs less.  An exit before
-    c (s < 1) is polished against c and thinned after.
+    c within tol, and it is thinned where a loss costs less: its bare cost
+    (:func:`_faces`), but for a square measure's zero atom its face's
+    margin, the other atoms refitted (:func:`_face_normal`), which its bare
+    share of c_0 can exceed by orders.  An exit before c (s < 1) is polished
+    against c and thinned after.
 
     Where a separating polynomial shows c more than tol outside the cone, the
     :class:`Certificate` is returned in place of y: before any solve, from a
@@ -950,11 +950,14 @@ def _principal_path(prob: _Problem, tol: float, init_seed: int = 0):
         family = _track(y, k, c_a, c, tol)
     s, found, polish = family
     if s == 1.0:
-        y, res, _ = _correct(found, k, c, 0.0, MAX_ITER if polish else 0, None, tol)
+        y, res, J = _correct(found, k, c, 0.0, MAX_ITER if polish else 0, None, tol)
         if res > tol:
             raise NumericalFailureError(f"the path misses c by {res:.3e}", residual=res)
         faces = _faces(y, k, log_c)
         costs = faces[1][:-1]
+        if len(y) == len(k) > 1 and len(y) % 2:  # the zero atom's face, the rest refitted
+            n = _face_normal(J[:, 1:])[0]
+            costs = np.append(abs(n @ J[:, 0]) / np.abs(n).sum(), costs[1:])
         if costs.min() >= tol:
             return y
         # Within tol of a thinner measure, the cheapest loss is the lost freedom.
@@ -1046,10 +1049,11 @@ def classify(c: MomentVector, tol: float = ACCEPT_TOL, init_seed: int = 0) -> Cl
 
     A positive pair is INTERIOR with its one atom, in closed form.  Otherwise
     the principal path from start ``init_seed`` finds the witness (d <= 5
-    takes no path, but where a d = 5 lies within tol of a thinner measure,
-    and ``init_seed`` has no effect there); its index
-    is the verdict: below d/2 BOUNDARY, else INTERIOR.  Without exponent 0
-    the witness has no zero atom: :func:`_witness` moves the path's to a node
+    takes no path, and ``init_seed`` has no effect there, but for the d = 4
+    and 5 that :func:`_family_measure` hands on), thinned where c lies within
+    tol of one of its faces (:func:`_principal_path`); its index is the
+    verdict: below d/2 BOUNDARY, else INTERIOR.  Without exponent 0 the
+    witness has no zero atom: :func:`_witness` moves the path's to a node
     near 0, where it counts a whole atom (an odd d's interior c gets index
     (d+1)/2).  EXTERIOR carries a :class:`Certificate` where a polynomial
     separates c from the cone by more than ``tol`` (see

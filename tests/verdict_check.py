@@ -16,15 +16,14 @@ Four checks, about 20 s on one core of a 2-CPU x86-64 host:
   is, ending a path;
 - the moment vectors of the FUZZ_DRAWS measures of :func:`exact_measures`.
   None may read EXTERIOR outside KNOWN_EXTERIOR, and none may carry a
-  certificate;
+  certificate.  It prints how many read each kind, and how many raise;
 - the 832 inputs of :func:`five_moment_inputs`, classified as they are and
   with the principal path forced (the closed form of
   ``representations._family_measure`` taken out for d = 5), both without
   the Lyapunov check that comes before either.  No verdict may differ
   outside KNOWN_PATH_DIFFERENCES, and each of those must still differ.  It
   prints how many inputs the closed form sends down the path, with the
-  Lyapunov check and without it, and how many of the first the d = 5
-  zero-atom face margin sends;
+  Lyapunov check and without it;
 - the NEGATIVE_MOMENT_PAIRS pairs of :func:`negative_moment_pairs`, which no
   measure attains: each must read EXTERIOR with a separating certificate.
 
@@ -271,7 +270,9 @@ def _fuzz_failures():
             exterior.append(i)
             if i not in KNOWN_EXTERIOR:
                 failures.append(f"exact measure draw {i}, k = {c.exponents.exponents}: EXTERIOR")
-    print(f"exact measures: EXTERIOR on draws {exterior} of {FUZZ_DRAWS}, {_settled(results)}")
+    kinds = Counter("raise" if r is None else r.kind.value for r in results)
+    print(f"exact measures: EXTERIOR on draws {exterior} of {FUZZ_DRAWS}, {_settled(results)}; "
+          + ", ".join(f"{kinds[kind]} {kind}" for kind in ("interior", "boundary", "exterior", "raise")))
     return failures
 
 
@@ -280,29 +281,20 @@ def _path_failures():
     # either side runs, which would hide a difference between the two.
     family, lyapunov = representations._family_measure, representations._lyapunov
     failures, found, count = [], set(), 0
-    counts, settled = Counter(), []  # the closed form's paths, and what sent them
+    counts, settled = Counter(), []  # the closed form's paths
 
     def without_lyapunov(k, v, tol):  # noting whether the check would settle c
         settled.append(lyapunov(k, v, tol) is not None)
 
-    def escaping(k, v, tol):  # _face_normal within d = 5 is the zero-atom face margin
-        normals = counts["_face_normal"]
-        result = family(k, v, tol)
-        counts["escape"] += len(k) == 5 and result is None and counts["_face_normal"] > normals
-        return result
-
     representations._lyapunov = without_lyapunov
-    originals = {name: _counted(name, counts) for name in ("_track", "_face_normal")}
+    track = _counted("_track", counts)
     try:
         for name, c in five_moment_inputs():
-            representations._family_measure = escaping
-            before, settled[:] = counts.copy(), []
+            before, settled[:] = counts["_track"], []
             kind = kind_of(c)
-            if counts["_track"] > before["_track"]:
+            if counts["_track"] > before:
                 counts["paths without the check"] += 1
-                if not any(settled):
-                    counts["paths"] += 1
-                    counts["escapes"] += counts["escape"] > before["escape"]
+                counts["paths"] += not any(settled)
             representations._family_measure = lambda k, v, tol: None if len(k) == 5 else family(k, v, tol)
             try:
                 tracked = kind_of(c)
@@ -315,12 +307,10 @@ def _path_failures():
             if name not in KNOWN_PATH_DIFFERENCES or KNOWN_PATH_DIFFERENCES[name][:2] != (tracked, kind):
                 failures.append(f"{name}: {_name(tracked)} on the path, {_name(kind)} in closed form")
     finally:
-        representations._lyapunov, representations._family_measure = lyapunov, family
-        for name, original in originals.items():
-            setattr(representations, name, original)
+        representations._lyapunov, representations._track = lyapunov, track
     print(f"five moments: {len(found)} of {count} verdicts differ from the path's; the closed "
           f"form takes the path on {counts['paths']} of {count} ({counts['paths without the check']} "
-          f"without the Lyapunov check), {counts['escapes']} of them sent by the zero-atom face margin")
+          f"without the Lyapunov check)")
     failures += [f"{name}: no longer differs from the path" for name in KNOWN_PATH_DIFFERENCES
                  if name not in found]
     return failures
