@@ -37,8 +37,9 @@ Otherwise d <= 5 takes no path.  A positive pair needs no solve at all:
 one atom attains it, found in closed form and checked in floats, and it is
 the verdict and the principal representation both.  For d = 3, 4 and 5,
 :func:`_family_measure` puts the principal or the thin measure where the
-path would have ended, by one bracketed search over the two-atom measures
-through the first three moments (d = 4), and for an odd d by a zero atom
+path would have ended, by one safeguarded Newton search over the two-atom
+measures through the first three moments (d = 4), with a Newton solve for
+their node gap inside each of its steps, and for an odd d by a zero atom
 plus the measure of the top d - 1 moments, recursively down to a positive
 pair; the polish, the thinning and the checks after it are those of the
 path.
@@ -631,37 +632,6 @@ def _log1p_exp(x):
     return max(x, 0.0) + math.log1p(math.exp(-abs(x)))
 
 
-def _brent(f, lo, hi, f_lo, f_hi):
-    """A root of f within [lo, hi], where f_lo and f_hi differ in sign: Brent's
-    method (inverse quadratic or secant steps, bisection where they stall),
-    to a bracket of a few ulps, with at most 100 evaluations."""
-    x_pre, x, f_pre, f_x = lo, hi, f_lo, f_hi
-    x_blk, f_blk, s_pre, s_cur = lo, f_lo, hi - lo, hi - lo
-    for _ in range(100):
-        if f_pre * f_x < 0:
-            x_blk, f_blk, s_pre, s_cur = x_pre, f_pre, x - x_pre, x - x_pre
-        if abs(f_blk) < abs(f_x):
-            x_pre, x, x_blk = x, x_blk, x
-            f_pre, f_x, f_blk = f_x, f_blk, f_x
-        delta = 4e-16 * abs(x) + 1e-18
-        s_bis = (x_blk - x) / 2
-        if f_x == 0 or abs(s_bis) < delta:
-            return x
-        interpolate = abs(s_pre) > delta and abs(f_x) < abs(f_pre)
-        if interpolate:
-            if x_pre == x_blk:
-                s_try = -f_x * (x - x_pre) / (f_x - f_pre)
-            else:
-                d_pre, d_blk = (f_pre - f_x) / (x_pre - x), (f_blk - f_x) / (x_blk - x)
-                s_try = -f_x * (f_blk * d_blk - f_pre * d_pre) / (d_blk * d_pre * (f_blk - f_pre))
-            interpolate = 2 * abs(s_try) < min(abs(s_pre), 3 * abs(s_bis) - delta)
-        s_pre, s_cur = (s_cur, s_try) if interpolate else (s_bis, s_bis)
-        x_pre, f_pre = x, f_x
-        x += s_cur if abs(s_cur) > delta else math.copysign(delta, s_bis)
-        f_x = f(x)
-    return x
-
-
 def _family_measure(k, c, tol):
     """(s, y, polish) of the principal path for d = 2 to 5 (k_0 = 0) without
     one, or None where it must be tracked.
@@ -689,10 +659,28 @@ def _family_measure(k, c, tol):
     family along which c_e rises from L = w_τ u_τ^e, its limit at the zero
     atom of (0, a, b), to infinity (Markov-Krein): c_e <= L (1 + tol) is
     outside or on the boundary (the thin measure), and otherwise one
-    bracketed search over the family finds the principal measure.  A
-    3-vector within tol of one atom, below c_e, gets the atom plus
-    :func:`_far_atom` for c_e's excess, as the tracker's solve at c does,
-    without a polish (``polish`` False), or the path where that misses c.
+    safeguarded Newton search over the family (Deuflhard 2004) finds the
+    principal measure.  Its parameter ρ sets the lower node, and the node
+    gap x solves h(x) = log R(ρ), h(x) = log(expm1(b x) / expm1(a x)), by
+    Newton's method from the tangent's prediction x + (dx/dρ) Δρ, dx/dρ = (d
+    log R/dρ) / h'(x), inside the bracket R's bounds give.  h is convex with
+    h' >= (b - a)/2 and h'' <= (b^2 - a^2)/12, so a step s leaves x within
+    (a + b) s^2 / 12 of the root: the step below which that is an ulp of x
+    is the last.  The excess f(ρ) = log c_e(ρ) - log c_e falls from +inf to
+    -δ, δ = log(c_e / L), and ρ takes Newton steps on log(1 + f/δ), linear
+    in ρ where c_e(ρ) - L falls like e^-ρ (on f itself Newton's method would
+    crawl there a unit of ρ per step), from the root of the family's
+    far-atom asymptote; a step that would leave the bracket the signs of f
+    give bisects it, or, one-sided, moves on by twice (at least 1) its
+    distance from the start.  The search stops at f's rounding floor, |f|
+    within an ulp of the sum of its terms' magnitudes, or at a bracket of
+    adjacent floats.  MAX_ITER bounds both loops: the node gap's bracket, at
+    most log(b/a)/(b-a) <= 1 wide, halves below an ulp of any x >= 2^-27
+    (nodes closer than NODE_MERGE_REL) within it, and a search that runs out
+    of it raises :class:`NumericalFailureError`.  A 3-vector within tol of
+    one atom, below c_e, gets the atom plus :func:`_far_atom` for c_e's
+    excess, as the tracker's solve at c does, without a polish (``polish``
+    False), or the path where that misses c.
     Everything is in logs of the scaled system, where every c_i is positive;
     s is 1.0 for the principal measure and 0.0 for a thin one.
     """
@@ -732,40 +720,61 @@ def _family_measure(k, c, tol):
     if zeta <= tol or gamma <= 0:
         y = _far_atom(np.array(atom), k, c, lc[3] + math.log(-math.expm1(log_L - lc[3])), tol)
         return None if y is None else (1.0, y, False)
-
-    def node_gap(rho):
-        # expm1(b x) / expm1(a x) lies between e^((b-a) x) and (b/a) e^((b-a) x),
-        # which brackets x; R >= b/a keeps the bracket positive but for rounding.
-        log_r = _log_expm1(gamma + b / a * _log1p_exp(rho)) - rho
-        g = lambda x: _log_expm1(b * x) - _log_expm1(a * x) - log_r  # noqa: E731
-        lo, hi = max((log_r - math.log(b / a)) / (b - a), 1e-300), log_r / (b - a)
-        g_lo, g_hi = g(lo), g(hi)
-        return lo if g_lo >= 0 else hi if g_hi <= 0 else _brent(g, lo, hi, g_lo, g_hi)
-
-    def excess(rho):  # log c_e(ρ) - log c_e, decreasing in ρ
-        x = node_gap(rho)
-        q = _log_expm1(e * x) - _log_expm1(a * x)
-        return e * (A - _log1p_exp(rho)) / a + _log1p_exp(rho + q) + lc[0] - lc[3]
-
-    lo, hi = -1.0, 1.0
-    f_lo, f_hi = excess(lo), excess(hi)
-    for _ in range(64):  # the bracket doubles in width with each move
-        if f_lo >= 0 >= f_hi:
+    delta = lc[3] - log_L  # δ = log(c_e / L): the excess falls to -δ as ρ -> inf
+    # ρ starts where the far atom's asymptote meets c_e: as α -> 0, u_1^a ->
+    # c_a / c_0, x -> (log β - ρ) / (b - a), and log(c_e(ρ) / (c_0 u_1^e)) =
+    # log(1 + e^s), s = ρ + log(expm1(e x) / expm1(a x)) -> ρ + (e - a) x.
+    kappa = max(lc[3] - lc[0] - e / a * A, delta)  # log(c_e / (c_0 u_1^e)) at α = 0
+    rho = start = ((e - a) * _log_expm1(gamma) - (b - a) * _log_expm1(kappa)) / (e - b)
+    x, lo, hi, eps = math.inf, -math.inf, math.inf, math.ulp(1.0)
+    expm1, log, gap, slope = math.expm1, math.log, b - a, (b - a) / 2
+    for _ in range(MAX_ITER):
+        t = _log1p_exp(rho)  # log(1 + α)
+        sig = math.exp(rho - t)  # dt/dρ
+        G = gamma + b / a * t  # log(1 + β)
+        em = -expm1(-G)
+        log_r = G + log(em) - rho
+        # expm1(b x) / expm1(a x) lies between e^((b-a) x) and (b/a) e^((b-a) x).
+        x_lo = max((log_r - log(b / a)) / gap, 1e-300)
+        x_hi = max(log_r / gap, x_lo)
+        x = min(max(x, x_lo), x_hi)
+        for _ in range(MAX_ITER):
+            eb, ea = -expm1(-b * x), -expm1(-a * x)
+            g = gap * x + log(eb / ea) - log_r  # h(x) - log R
+            h1 = b / eb - a / ea  # h'(x), at least (b - a) / 2 but for rounding
+            h1 = h1 if h1 > slope else slope
+            step = g / h1
+            if (a + b) * step * step <= 12 * eps * x:
+                break
+            if g > 0:
+                x_hi = x
+            else:
+                x_lo = x
+            x -= step
+            if not x_lo <= x <= x_hi:
+                x = (x_lo + x_hi) / 2
+        x -= step
+        ea, ee = -expm1(-a * x), -expm1(-e * x)
+        s = rho + (e - a) * x + log(ee / ea)  # log of α expm1(e x) / expm1(a x)
+        ts = _log1p_exp(s)
+        f = e / a * (A - t) + ts + lc[0] - lc[3]  # log c_e(ρ) - log c_e, falling in ρ
+        dx = (b / a * sig / em - 1.0) / h1  # dx/dρ
+        df = math.exp(s - ts) * (1.0 + (e / ee - a / ea) * dx) - e / a * sig
+        if abs(f) <= eps * (e / a * (abs(A) + t) + abs(rho) + abs(s - rho) + abs(lc[0]) + abs(lc[3])):
             break
-        width = 2 * (hi - lo)
-        if f_lo < 0:
-            lo, hi, f_hi = lo - width, lo, f_lo
-            f_lo = excess(lo)
-        else:
-            lo, hi, f_lo = hi, hi + width, f_hi
-            f_hi = excess(hi)
+        lo, hi = (rho, hi) if f > 0 else (lo, rho)
+        new = rho - math.log1p(f / delta) * (f + delta) / df if df < 0 and f > -delta else math.nan
+        if not lo < new < hi:
+            new = (lo + hi) / 2 if hi - lo < math.inf else rho + math.copysign(max(2 * abs(rho - start), 1.0), f)
+            if not lo < new < hi:
+                break
+        x += dx * (new - rho)
+        rho = new
     else:
-        raise NumericalFailureError("the two-atom family does not bracket c's top moment")
-    rho = _brent(excess, lo, hi, f_lo, f_hi)
-    x = node_gap(rho)
-    lu_1 = (A - _log1p_exp(rho)) / a
-    lp_2 = rho - _log_expm1(a * x)  # the share of u_2, below 1 but for rounding
-    lw = [lc[0] + math.log(-math.expm1(min(lp_2, -1e-300))), lc[0] + lp_2]
+        raise NumericalFailureError("the two-atom family does not reach c's top moment")
+    lu_1 = (A - t) / a
+    lp_2 = rho - a * x - log(ea)  # the share of u_2, below 1 but for rounding
+    lw = [lc[0] + log(-expm1(min(lp_2, -1e-300))), lc[0] + lp_2]
     return 1.0, np.array(lw + [lu_1, lu_1 + x]), True
 
 

@@ -13,7 +13,10 @@ Four checks, about 20 s on one core of a 2-CPU x86-64 host:
   and residual evaluations (``_system``) the two ran, the tracker's work,
   and its exit solves: bordered landings (``_solve_face`` with a path
   direction) and solves at c (``_end_measure``), each tried and kept, that
-  is, ending a path;
+  is, ending a path; and the work of the closed form's Newton search over
+  the two-atom family (``_family_measure``, d = 4 and d = 5's top system):
+  how many searches, and their ``math.expm1`` calls per search (two per
+  residual of the node gap, three per outer evaluation);
 - the moment vectors of the FUZZ_DRAWS measures of :func:`exact_measures`.
   None may read EXTERIOR outside KNOWN_EXTERIOR, and none may carry a
   certificate.  It prints how many read each kind, and how many raise;
@@ -34,7 +37,9 @@ reproduce c.  A typed NumericalFailureError is no verdict and passes.  Exits
 """
 from __future__ import annotations
 
+import math
 import sys
+import types
 from collections import Counter
 from pathlib import Path
 
@@ -219,6 +224,33 @@ def _exit_tallies():
             "_end_measure": lambda args, result: () if result is None else ["solves at c kept"]}
 
 
+def _counted_searches(counts):
+    """Replace representations._family_measure by a wrapper that counts each
+    search over the two-atom family (a d = 4 call that returns a principal
+    measure of two atoms to polish, d = 5's top system included) in
+    counts["searches"], and the math.expm1 calls it makes in
+    counts["search expm1"]; returns the originals to restore."""
+    family, module_math, calls = representations._family_measure, representations.math, []
+
+    def expm1(x):
+        calls.append(1)
+        return math.expm1(x)
+
+    def wrapper(k, c, tol):
+        before = len(calls)
+        result = family(k, c, tol)
+        if len(k) == 4 and result is not None and result[0] == 1.0 and result[2] and len(result[1]) == 4:
+            counts["searches"] += 1
+            counts["search expm1"] += len(calls) - before
+            counts["most search expm1"] = max(counts["most search expm1"], len(calls) - before)
+        return result
+
+    representations.math = types.SimpleNamespace(**vars(math))
+    representations.math.expm1 = expm1
+    representations._family_measure = wrapper
+    return {"_family_measure": family, "math": module_math}
+
+
 def _decide_mixed_failures():
     gen = perfbench_gen()
     status_of = {ClassKind.INTERIOR: "admissible_interior",
@@ -229,6 +261,7 @@ def _decide_mixed_failures():
     tallies = _exit_tallies()
     originals = {name: _counted(name, counts, tallies.get(name))
                  for name in ("_track", "_system", "_solve_face", "_end_measure")}
+    originals.update(_counted_searches(counts))
     try:
         for seed in (1, 2, 3):
             for index in range(6):
@@ -253,7 +286,10 @@ def _decide_mixed_failures():
           f"EXTERIOR {_settled(results)}; classify and decide_status ran "
           f"{counts['_track']} paths, {counts['_system']} residual evaluations; the paths "
           f"tried {counts['landings tried']} landings ({counts['landings kept']} kept) and "
-          f"{counts['_end_measure']} solves at c ({counts['solves at c kept']} kept)")
+          f"{counts['_end_measure']} solves at c ({counts['solves at c kept']} kept); the "
+          f"two-atom search ran {counts['searches']} times, at "
+          f"{counts['search expm1'] / max(counts['searches'], 1):.1f} expm1 calls per search "
+          f"({counts['most search expm1']} at most)")
     if agree < AGREEMENT:
         failures.append(f"decide-mixed: {agree} agree, fewer than {AGREEMENT}")
     return failures
