@@ -1229,10 +1229,10 @@ class TestTwoAtomFamily:
 
     @staticmethod
     def _searches(monkeypatch):
-        """(target, y, expm1 calls) of every d = 4 search, before the polish,
+        """(problem, y, expm1 calls) of every d = 4 search, before the polish,
         on the draws of :func:`_exact_two_atom_draws` and the d = 4 systems
-        of perfbench moments-spread round 0, seeds 1-3: target and y are in
-        the scaled system (:class:`_Problem`) the search solves."""
+        of perfbench moments-spread round 0, seeds 1-3: y is in the scaled
+        system of the :class:`_Problem` the search solves."""
         gen = verdict_check.perfbench_gen()
         systems = [c for _, c in _exact_two_atom_draws()] + [
             MomentVector(tuple(doc["c"]), ExponentVector(tuple(doc["k"]), gen.MOMENT_R))
@@ -1399,7 +1399,7 @@ class TestFiveMomentsWithoutPath:
             y = R._principal_path(prob, ACCEPT_TOL)
             assert (len(y) % 2 == 0) == fires, name
             if name in self.THIN:
-                assert not seen and R._family_measure(prob.k, prob.values, ACCEPT_TOL)[0] == 0.0
+                assert not seen and R._family_measure(prob.k, prob.values, ACCEPT_TOL)[0] == 0.0, name
                 continue
             (J, zeta, J_0, n), = seen
             ref = np.linalg.svd(J)[0][:, -1]
