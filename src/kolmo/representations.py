@@ -745,6 +745,7 @@ def _family_measure(k, c, tol):
             h1 = h1 if h1 > slope else slope
             step = g / h1
             if (a + b) * step * step <= 12 * eps * x:
+                x -= step
                 break
             if g > 0:
                 x_hi = x
@@ -753,7 +754,6 @@ def _family_measure(k, c, tol):
             x -= step
             if not x_lo <= x <= x_hi:
                 x = (x_lo + x_hi) / 2
-        x -= step
         ea, ee = -expm1(-a * x), -expm1(-e * x)
         s = rho + (e - a) * x + log(ee / ea)  # log of α expm1(e x) / expm1(a x)
         ts = _log1p_exp(s)
