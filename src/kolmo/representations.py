@@ -665,7 +665,7 @@ def _family_measure(k, c, tol):
     Newton's method from the tangent's prediction x + (dx/dρ) Δρ, dx/dρ = (d
     log R/dρ) / h'(x), inside the bracket R's bounds give.  h is convex with
     h' >= (b - a)/2 and h'' <= (b^2 - a^2)/12, so a step s leaves x within
-    (a + b) s^2 / 12 of the root: the step below which that is an ulp of x
+    (a + b) s^2 / 12 of the root: a step that brings this below an ulp of x
     is the last.  The excess f(ρ) = log c_e(ρ) - log c_e falls from +inf to
     -δ, δ = log(c_e / L), and ρ takes Newton steps on log(1 + f/δ), linear
     in ρ where c_e(ρ) - L falls like e^-ρ (on f itself Newton's method would
