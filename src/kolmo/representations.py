@@ -76,6 +76,9 @@ separating certificate for an exit measure.
 Each equation is solved relative to its own moment, and every returned
 representation is checked once against c in the original system.  The
 brute-force oracle takes no part; it stays an independent cross-check.
+Each Newton solve and each path enters np.errstate once, around its whole
+loop, and its linear solves call numpy's LAPACK gufuncs without
+np.linalg's per-call wrappers (:func:`_lstsq`).
 """
 from __future__ import annotations
 
@@ -169,23 +172,20 @@ def _unpack(y):
     return (y[0] if z else None), y[z:z + p], y[z + p:]
 
 
-def _relative(lw, lu, k, log_s, out=None):
+def _relative(lw, lu, k, log_s):
     """Contributions of atoms (rows: exponents) relative to each equation's
-    scale, exp(min(lw + k lu - log s, 300)), formed in place in ``out`` (a
-    (len(k), len(lw)) extended-precision array) or in a new array.
+    scale, exp(min(lw + k lu - log s, 300)), a (len(k), len(lw)) array in
+    extended precision.
 
     Logarithms keep hundreds of decades finite; the cap at e^300 keeps squared
     Jacobian columns finite.  Extended precision, where the platform has it,
     keeps residual rounding from limiting close nodes to about 1e-6.
     """
-    lw, lu = np.asarray(lw, np.longdouble), np.asarray(lu, np.longdouble)
-    if out is None:
-        out = np.empty((len(k), len(lw)), np.longdouble)
-    np.multiply(k[:, None], lu, out=out)
-    out += lw
-    out -= log_s[:, None]
-    np.minimum(out, 300.0, out=out)
-    return np.exp(out, out=out)
+    R = k[:, None] * np.asarray(lu, np.longdouble)
+    R += lw
+    R -= log_s[:, None]
+    np.minimum(R, 300.0, out=R)
+    return np.exp(R, out=R)
 
 
 def _system(y, k, target, log_s, dc=None, rhs=None):
@@ -195,15 +195,23 @@ def _system(y, k, target, log_s, dc=None, rhs=None):
     target + σ dc: the bordered system of an exit.  ``rhs`` is the scaled
     target, target e^(-log s) in extended precision (:func:`_scaled_target`),
     for a caller that evaluates many y against one unbordered target.
+
+    R holds :func:`_relative`'s contributions, formed in place.  A zero
+    atom's column holds its log mass in the first row and -inf below it, so
+    it feeds exponent 0 alone (_Problem shifts k_1 to 0).
     """
     n = len(y) - (dc is not None)
     z, p = n % 2, n // 2  # see _unpack
     y_ext = np.asarray(y[:n], np.longdouble)
     R = np.empty((len(k), z + p), np.longdouble)
-    _relative(y_ext[z:z + p], y_ext[z + p:], k, log_s, out=R[:, z:])
-    if z:  # the zero atom feeds exponent 0 alone (_Problem shifts k_1 to 0)
-        R[1:, 0] = 0.0
-        R[0, 0] = np.exp(np.minimum(y_ext[0] - log_s[0], 300.0))
+    if z:
+        R[:, 0] = -math.inf
+        R[0, 0] = y_ext[0]
+    np.multiply(k[:, None], y_ext[z + p:], out=R[:, z:])
+    R[:, z:] += y_ext[z:z + p]
+    R -= log_s[:, None]
+    np.minimum(R, 300.0, out=R)
+    np.exp(R, out=R)
     if rhs is None:
         rhs = _scaled_target(target if dc is None else target + y[-1] * dc, log_s)
     F = (R.sum(axis=1) - rhs).astype(float)
@@ -225,27 +233,32 @@ def _unit_columns(J):
     """J with unit-norm columns, and the norms: contributions span tens of
     decades, and a rank cutoff would drop what small atoms need."""
     norms = np.sqrt(np.add.reduce(J * J, axis=0))
-    norms[norms == 0] = 1.0
+    if np.count_nonzero(norms) < len(norms):
+        norms[norms == 0] = 1.0
     return J / norms, norms
 
 
 def _lstsq(scaled, rhs):
-    """Solve (square) or least squares in the columns of :func:`_unit_columns`;
-    a solve that overflows as the column scaling is undone takes least squares.
+    """(x, max |x|) of the solve (square) or least squares in the columns of
+    :func:`_unit_columns`; a singular solve, or one that overflows as the
+    column scaling is undone, takes least squares.  Both are numpy's LAPACK
+    gufuncs (gesv and gelsd) that np.linalg.solve and np.linalg.lstsq wrap,
+    called as those do; the gesv one returns NaN for a singular system.  The
+    caller holds np.errstate(over="ignore", invalid="ignore") for both.
     Raises :class:`NumericalFailureError` where least squares would meet a
     value beyond the float range (LAPACK's SVD does not converge on one)."""
     J, norms = scaled
-    with np.errstate(over="ignore"):
-        if J.shape[0] == J.shape[1]:
-            try:
-                x = np.linalg.solve(J, rhs) / norms
-                if np.isfinite(x).all():
-                    return x
-            except np.linalg.LinAlgError:
-                pass
-        if not (np.isfinite(J).all() and np.isfinite(rhs).all()):
-            raise NumericalFailureError("a linear solve meets a value beyond the float range")
-        return np.linalg.lstsq(J, rhs, rcond=None)[0] / norms
+    lapack = np.linalg._umath_linalg
+    if J.shape[0] == J.shape[1]:
+        x = lapack.solve1(J, rhs) / norms
+        size = np.abs(x).max()
+        if size < math.inf:  # neither NaN nor an overflow
+            return x, size
+    if not (np.isfinite(J).all() and np.isfinite(rhs).all()):
+        raise NumericalFailureError("a linear solve meets a value beyond the float range")
+    rcond = math.ulp(1.0) * max(J.shape)  # np.linalg.lstsq's default
+    x = lapack.lstsq(J, rhs[:, None], rcond, signature="ddd->ddid")[0][:, 0] / norms
+    return x, np.abs(x).max()
 
 
 def _correct(y, k, target, tol, max_iter, dc=None, verdict=math.inf):
@@ -268,35 +281,35 @@ def _correct(y, k, target, tol, max_iter, dc=None, verdict=math.inf):
     """
     log_s = _log_scales(target)
     rhs = None if dc is not None else _scaled_target(target, log_s)
-    F, J = _system(y, k, target, log_s, dc, rhs)
-    res = float(np.abs(F).max())
-    best = (y, res, J)
-    for _ in range(max_iter):
-        if best[1] <= tol:
-            break
-        scaled = _unit_columns(J)
-        step = _lstsq(scaled, -F)
-        size = float(np.abs(step).max())
-        if not size > NEWTON_TOL:
-            break
-        for alpha in _HALVINGS:
-            trial = y + alpha * step
-            Ft, Jt = _system(trial, k, target, log_s, dc, rhs)
-            rt = float(np.abs(Ft).max())
-            if rt < best[1]:
+    with np.errstate(over="ignore", invalid="ignore"):  # see _lstsq
+        F, J = _system(y, k, target, log_s, dc, rhs)
+        res = float(np.abs(F).max())
+        best = (y, res, J)
+        for _ in range(max_iter):
+            if best[1] <= tol:
                 break
-            theta = np.abs(_lstsq(scaled, -Ft)).max() / size  # the contraction
-            if rt < res or theta <= 1.0 - alpha / 2:
-                model = np.abs(F + J @ step).max()
-                if theta > 0.5 or model > 0.5 * best[1]:  # no gain, no converging step
-                    if best[1] <= verdict or model > verdict:
-                        return best
+            scaled = _unit_columns(J)
+            step, size = _lstsq(scaled, -F)
+            if not size > NEWTON_TOL:
                 break
-        else:
-            break
-        y, F, J, res = trial, Ft, Jt, rt
-        if res < best[1]:
-            best = (y, res, J)
+            for alpha in _HALVINGS:
+                trial = y + (alpha * step if alpha < 1.0 else step)
+                Ft, Jt = _system(trial, k, target, log_s, dc, rhs)
+                rt = float(np.abs(Ft).max())
+                if rt < best[1]:
+                    break
+                theta = _lstsq(scaled, -Ft)[1] / size  # the contraction
+                if rt < res or theta <= 1.0 - alpha / 2:
+                    model = np.abs(F + J @ step).max()
+                    if theta > 0.5 or model > 0.5 * best[1]:  # no gain, no converging step
+                        if best[1] <= verdict or model > verdict:
+                            return best
+                    break
+            else:
+                break
+            y, F, J, res = trial, Ft, Jt, rt
+            if res < best[1]:
+                best = (y, res, J)
     return best
 
 
@@ -313,15 +326,20 @@ def _faces(y, k, log_s):
     lz, lw, lu = _unpack(y)
     order = np.argsort(lu)
     lw, lu = lw[order], lu[order]
-    R = _relative(lw, lu, k, log_s)
     mw = np.logaddexp(lw[:-1], lw[1:])
     mu = lu[:-1] * np.exp(lw[:-1] - mw) + lu[1:] * np.exp(lw[1:] - mw)
-    costs = np.concatenate([
-        [math.inf if lz is None else math.exp(min(lz - log_s[0], 300.0))],
-        R[1:].max(axis=0, initial=0.0),
-        np.abs(_relative(mw, mu, k, log_s) - R[:, :-1] - R[:, 1:]).max(axis=0, initial=0.0),
-        [R[:-1, -1].max(initial=0.0) if len(lu) else math.inf],
-    ]).astype(float)
+    p = len(lu)
+    # The atoms (columns :p) and the merged pairs in one evaluation.
+    R = _relative(np.concatenate((lw, mw)), np.concatenate((lu, mu)), k, log_s)
+    A = R[:, :p]
+    costs = np.empty(len(R[0]) + 2)
+    costs[0] = math.inf if lz is None else math.exp(min(lz - log_s[0], 300.0))
+    costs[-1] = A[:-1, -1].max(initial=0.0) if p else math.inf
+    merged = R[:, p:] - A[:, :-1]
+    merged -= A[:, 1:]
+    R[:, p:] = np.abs(merged, out=merged)
+    A[0] = 0.0  # an atom moved to 0 keeps its share of c_0
+    costs[1:-1] = R.max(axis=0, initial=0.0)
     return (lz, lw, lu), costs, (mw, mu), order
 
 
@@ -368,63 +386,66 @@ def _track(y, k, c_a, c_b, tol):
     log_ref = _log_scales(np.maximum(np.abs(c_a), np.abs(c_b)))
     s, h, s_prev = 0.0, 0.5, 0.0
     near = math.inf  # the rest of the path from which c_b may be tried again
-    # Later tangents reuse the corrector's Jacobian at the accepted point.
-    J = _system(y, k, c_a, _log_scales(c_a))[1]
-    faces = _faces(y, k, log_ref)
-    costs = prev = faces[1]
-    level = np.full(len(costs), LAND_TOL)
-    ended = np.zeros(len(costs), bool)
-    while s < 1.0:
-        if costs[:-1].min() < ACCEPT_TOL:
-            return s, _exit_measure(faces, k, log_ref), True
-        with np.errstate(over="ignore"):  # _lstsq raises on an overflow
-            rates = dc * np.exp(-_log_scales(c_a + s * dc))  # relative change per unit s
-        tangent = _lstsq(_unit_columns(J), rates)
-        h = min(2.0 * h, 1.0 / max(float(np.abs(tangent).max()), 1e-300))
-        fall = (costs < level) & (costs < prev)
-        # A merge, or a move to 0 onto a zero atom, loses two degrees of freedom.
-        fall[1 if costs[0] < math.inf else len(costs) // 2 + 1:-1] = False
-        exits = np.full(len(costs), math.inf)
-        exits[fall] = s + costs[fall] * (s - s_prev) / (prev[fall] - costs[fall])
-        s_prev, prev, j = s, costs, int(np.argmin(exits))
-        top = j == len(costs) - 1
-        if s + 0.5 * (1.0 - s) <= exits[j] <= 1.0 + (1.0 - s) and not ended[j]:
-            # Nearer c_b than s: c_b's own exit, solved for at c_b itself, and
-            # once: against the one c_b another solve meets the same floor.
-            level[j], ended[j] = 0.1 * costs[j], True
-            y_e = _exit_measure(_faces(y + (1.0 - s) * tangent, k, log_ref), k, log_ref, j, tangent)
-            if (end := _end_measure(y_e, k, c_b, top, tol)) is not None:
-                return end
-        elif exits[j] <= (1.0 if near == math.inf else 1.0 + (1.0 - s)):
-            # An exit within the corrector's resolution of c_b is c_b's own, or
-            # within ACCEPT_TOL if a far atom can carry c_b: so is its prediction.
-            bar = ACCEPT_TOL if top else -1e-2 * ACCEPT_TOL
-            rate = np.abs(rates).max()
-            if not top or (1.0 - exits[j]) * rate > bar:
-                level[j] = 0.1 * costs[j]
-                y_e = _exit_measure(_faces(y + (exits[j] - s) * tangent, k, log_ref), k, log_ref, j, tangent)
-                z, _ = _solve_face(np.append(y_e, exits[j] - s), k, c_a + s * dc, top, dc)
-                if z is not None and z[-1] >= 0.0 and (1.0 - s - z[-1]) * rate > bar:
-                    return s + z[-1], z[:-1], True
-        tried = None  # the last s_new whose corrector failed
-        while True:
-            if h < NEWTON_TOL:
-                raise NumericalFailureError(f"the path's step underflows at s = {s!r}")
-            s_new = min(s + h, 1.0 if 1.0 - s <= near else 1.0 - 0.25 * (1.0 - s))
-            if s_new != tried:
-                # Two decades below the degeneracy level, so that every atom
-                # still in the structure is resolved.
-                y_new, res, J_new = _correct(y + (s_new - s) * tangent, k,
-                                             c_a + s_new * dc, 1e-2 * ACCEPT_TOL, 4)
-                if res <= 1e-2 * ACCEPT_TOL:
-                    break
-                if s_new == 1.0:
-                    near = (1.0 - s) / ENDGAME_SHRINK
-                tried = s_new
-            h *= 0.5
-        s, y, J = s_new, y_new, J_new
+    with np.errstate(over="ignore", invalid="ignore"):  # the tangents' solves: see _lstsq
+        # Later tangents reuse the corrector's Jacobian at the accepted point.
+        J = _system(y, k, c_a, _log_scales(c_a))[1]
         faces = _faces(y, k, log_ref)
-        costs = faces[1]
+        costs = prev = faces[1]
+        level = np.full(len(costs), LAND_TOL)
+        ended = np.zeros(len(costs), bool)
+        while s < 1.0:
+            if costs[:-1].min() < ACCEPT_TOL:
+                return s, _exit_measure(faces, k, log_ref), True
+            rates = dc * np.exp(-_log_scales(c_a + s * dc))  # relative change per unit s
+            tangent, size = _lstsq(_unit_columns(J), rates)
+            h = min(2.0 * h, 1.0 / max(float(size), 1e-300))
+            fall = (costs < level) & (costs < prev)
+            # A merge, or a move to 0 onto a zero atom, loses two degrees of freedom.
+            fall[1 if costs[0] < math.inf else len(costs) // 2 + 1:-1] = False
+            if fall.any():
+                exits = np.full(len(costs), math.inf)
+                exits[fall] = s + costs[fall] * (s - s_prev) / (prev[fall] - costs[fall])
+                j = int(np.argmin(exits))
+                top = j == len(costs) - 1
+                if s + 0.5 * (1.0 - s) <= exits[j] <= 1.0 + (1.0 - s) and not ended[j]:
+                    # Nearer c_b than s: c_b's own exit, solved for at c_b itself, and
+                    # once: against the one c_b another solve meets the same floor.
+                    level[j], ended[j] = 0.1 * costs[j], True
+                    y_e = _exit_measure(_faces(y + (1.0 - s) * tangent, k, log_ref), k, log_ref, j, tangent)
+                    if (end := _end_measure(y_e, k, c_b, top, tol)) is not None:
+                        return end
+                elif exits[j] <= (1.0 if near == math.inf else 1.0 + (1.0 - s)):
+                    # An exit within the corrector's resolution of c_b is c_b's own, or
+                    # within ACCEPT_TOL if a far atom can carry c_b: so is its prediction.
+                    bar = ACCEPT_TOL if top else -1e-2 * ACCEPT_TOL
+                    rate = np.abs(rates).max()
+                    if not top or (1.0 - exits[j]) * rate > bar:
+                        level[j] = 0.1 * costs[j]
+                        y_e = _exit_measure(_faces(y + (exits[j] - s) * tangent, k, log_ref),
+                                            k, log_ref, j, tangent)
+                        z, _ = _solve_face(np.append(y_e, exits[j] - s), k, c_a + s * dc, top, dc)
+                        if z is not None and z[-1] >= 0.0 and (1.0 - s - z[-1]) * rate > bar:
+                            return s + z[-1], z[:-1], True
+            s_prev, prev = s, costs
+            tried = None  # the last s_new whose corrector failed
+            while True:
+                if h < NEWTON_TOL:
+                    raise NumericalFailureError(f"the path's step underflows at s = {s!r}")
+                s_new = min(s + h, 1.0 if 1.0 - s <= near else 1.0 - 0.25 * (1.0 - s))
+                if s_new != tried:
+                    # Two decades below the degeneracy level, so that every atom
+                    # still in the structure is resolved.
+                    y_new, res, J_new = _correct(y + (s_new - s) * tangent, k,
+                                                 c_a + s_new * dc, 1e-2 * ACCEPT_TOL, 4)
+                    if res <= 1e-2 * ACCEPT_TOL:
+                        break
+                    if s_new == 1.0:
+                        near = (1.0 - s) / ENDGAME_SHRINK
+                    tried = s_new
+                h *= 0.5
+            s, y, J = s_new, y_new, J_new
+            faces = _faces(y, k, log_ref)
+            costs = faces[1]
     return s, y, True
 
 
