@@ -242,8 +242,8 @@ def _lstsq(scaled, rhs):
     """(x, max |x|) of the solve (square) or least squares in the columns of
     :func:`_unit_columns`; a singular solve, or one that overflows as the
     column scaling is undone, takes least squares.  Both are numpy's LAPACK
-    gufuncs (gesv and gelsd) that np.linalg.solve and np.linalg.lstsq wrap,
-    called as those do; the gesv one returns NaN for a singular system.  The
+    gufuncs (gesv and gelsd) under np.linalg's solve and lstsq, called as
+    those call them; the gesv one returns NaN for a singular system.  The
     caller holds np.errstate(over="ignore", invalid="ignore") for both.
     Raises :class:`NumericalFailureError` where least squares would meet a
     value beyond the float range (LAPACK's SVD does not converge on one)."""

@@ -495,27 +495,18 @@ class TestLapackKernel:
         assert len(square) > 200 and len(tall) > 10
         singular = 0
         for J, b in square:
-            with np.errstate(over="ignore", invalid="ignore"):
+            with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+                warnings.simplefilter("error")
                 x = lapack.solve1(J, b)
             try:
                 assert x.tobytes() == np.linalg.solve(J, b).tobytes()
-            except np.linalg.LinAlgError:  # item 38 meets singular systems
+            except np.linalg.LinAlgError:  # item 38 meets singular systems: NaN, silently
                 assert np.isnan(x).all()
                 singular += 1
-        assert singular < 10
+        assert 1 <= singular < 10
         for J, b in tall:
             x = lapack.lstsq(J, b[:, None], math.ulp(1.0) * max(J.shape), signature="ddd->ddid")[0][:, 0]
             assert x.tobytes() == np.linalg.lstsq(J, b, rcond=None)[0].tobytes()
-
-    def test_singular_solve_is_nan_without_a_warning(self):
-        J, b = np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 2.0])
-        with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.solve(J, b)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with np.errstate(over="ignore", invalid="ignore"):
-                x = np.linalg._umath_linalg.solve1(J, b)
-        assert np.isnan(x).all()
 
     def test_singular_systems_take_least_squares(self, monkeypatch):
         # perfbench/gen.py moments_round(1, 0)[38] and decide_round(1, 3)[14]:

@@ -2,7 +2,7 @@
 
     PYTHONPATH=src python tests/verdict_check.py
 
-Four checks, about 20 s on one core of a 2-CPU x86-64 host:
+Four checks, about 12 s on one core of a 2-CPU x86-64 host:
 
 - the moment coordinates of the 936 decide-mixed tuples of perfbench/gen.py
   (seeds 1-3, rounds 0-5).  An attainable tuple (the norms of a spline) may
