@@ -50,12 +50,14 @@ path.
   range of c to c.  The verdict is the witness's index against d/2.
   EXTERIOR is settled without a polish where a polynomial p(t) = Σ λ_i t^k_i
   >= 0 on [0, inf) has λ·c < -tol Σ|λ_i c_i|, which no measure within tol
-  of c allows.  A negative moment c_i gives p(t) = t^k_i; before any path,
-  three consecutive moments that break Lyapunov's inequality, a zero at
-  either end included, give one in closed form (:func:`_lyapunov`); at an
-  exit before c, the face normal of an exit measure of d - 1 or d - 2
-  variables that misses c, with a double root of p at each node
-  (:func:`_separation`).
+  of c allows.  In this order: a negative moment c_i gives p(t) = t^k_i;
+  before any path, three consecutive moments that break Lyapunov's
+  inequality, a zero at either end included, give one in closed form
+  (:func:`_lyapunov`), and for d >= 6 five consecutive moments outside their
+  own cone give their window's polynomial times t^k_j (:func:`_window`);
+  then, at an exit of the path before c, the face normal of an exit measure
+  of d - 1 or d - 2 variables that misses c, with a double root of p at each
+  node (:func:`_separation`).
   Without exponent 0 a zero atom of the solver's system is mass escaping to
   0: the witness puts it, in closed form, at a node near 0, where it counts
   as a whole atom.
@@ -925,6 +927,30 @@ def _lyapunov(k, c, tol):
     return None
 
 
+def _window(k, c, log_c, tol):
+    """λ of the first five consecutive exponents k_j..k_j+4 of k whose
+    moments :func:`_separation` shows outside their own cone, zero elsewhere;
+    else None.  c's moments there are those of t^k_j times c's measure in the
+    exponents k_j+i - k_j, a five-moment system with exponent 0, so the
+    polynomial q >= 0 of that window gives p(t) = t^k_j q(t) = Σ λ_i t^k_i >=
+    0 with λ·c and Σ|λ_i c_i| the window's own: the margin and its rounding
+    slack are the window's.  The measure asked is the thin one
+    :func:`_family_measure` puts where the window's path would have left its
+    cone (s = 0); a window it hands on, or whose principal measure it finds,
+    gives none.
+    """
+    for j in range(len(k) - 4):
+        kw, cw = k[j:j + 5] - k[j], c[j:j + 5]
+        found = _family_measure(kw, cw, tol)
+        if found is None or found[0] == 1.0:
+            continue
+        if (mu := _separation(found[1], kw, cw, log_c[j:j + 5], tol)) is not None:
+            lam = np.zeros(len(k))
+            lam[j:j + 5] = mu / cw
+            return lam
+    return None
+
+
 def _certificate(prob: _Problem, lam) -> Certificate:
     """The :class:`Certificate` of λ in the scaled system (:class:`_Problem`):
     in c's own exponents λ_i 2^(-m k_i), exactly, and μ_i = λ_i c_i give the
@@ -953,14 +979,16 @@ def _principal_path(prob: _Problem, tol: float, init_seed: int = 0):
     against c and thinned after.
 
     Where a separating polynomial shows c more than tol outside the cone, the
-    :class:`Certificate` is returned in place of y: before any solve, from a
-    negative moment c_i (p(t) = t^k_i, margin 1, so for tol < 1), before any
-    path, from three consecutive moments that break Lyapunov's inequality,
-    a zero at either end included (:func:`_lyapunov`), and at an exit (s <
-    1) whose measure, of d - 1 or d - 2 variables, misses c by more than
-    tol, from that measure (:func:`_separation`).  No polish could reproduce
-    such a c.  Smaller exit measures, and separations within the band, are
-    polished as before."""
+    :class:`Certificate` is returned in place of y, from the first of these
+    that separates: before any solve, a negative moment c_i (p(t) = t^k_i,
+    margin 1, so for tol < 1); before any path, three consecutive moments
+    that break Lyapunov's inequality, a zero at either end included
+    (:func:`_lyapunov`), then for d >= 6 five consecutive moments outside
+    their own cone (:func:`_window`); and at an exit (s < 1) whose measure,
+    of d - 1 or d - 2 variables, misses c by more than tol, that measure
+    (:func:`_separation`).  No polish could reproduce such a c.  Smaller
+    exit measures, and separations within the band, are polished as
+    before."""
     k, c = prob.k, prob.values
     log_c = _log_scales(c)
     low = c.min()
@@ -974,6 +1002,8 @@ def _principal_path(prob: _Problem, tol: float, init_seed: int = 0):
         y = np.log([max(c[0], 1e-300)])
         res = float(np.abs(_system(y, k, c, log_c)[0]).max())
         return y if res <= tol else None
+    if len(k) >= 6 and (lam := _window(k, c, log_c, tol)) is not None:
+        return _certificate(prob, lam)
     family = _family_measure(k, c, tol) if 3 <= len(k) <= 5 else None
     if family is None:
         y, c_a = prob.start(init_seed)
@@ -1086,9 +1116,12 @@ def classify(c: MomentVector, tol: float = ACCEPT_TOL, init_seed: int = 0) -> Cl
     witness has no zero atom: :func:`_witness` moves the path's to a node
     near 0, where it counts a whole atom (an odd d's interior c gets index
     (d+1)/2).  EXTERIOR carries a :class:`Certificate` where a polynomial
-    separates c from the cone by more than ``tol`` (see
-    :func:`_principal_path`), p(t) = t^k_i for a negative moment c_i among
-    them; an EXTERIOR whose exit polish failed to reproduce c carries none.
+    separates c from the cone by more than ``tol``, from the first of (see
+    :func:`_principal_path`): a negative moment c_i, p(t) = t^k_i; three
+    consecutive moments that break Lyapunov's inequality; for d >= 6, five
+    consecutive moments outside their own cone; then the path's exit
+    measure.  An EXTERIOR whose exit polish failed to reproduce c carries
+    none.
     """
     require_tolerance(tol)
     if not any(c.values):

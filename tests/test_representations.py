@@ -694,9 +694,11 @@ class TestTrackerExit:
 
     def test_node_running_off_is_landed(self, monkeypatch):
         R = kolmo.representations
-        # c_1^2 > c_0 c_2 settles C10 before any path (TestSeparatingCertificate);
-        # that check is taken out to reach the path.
+        # c_1^2 > c_0 c_2 settles C10 before any path (TestSeparatingCertificate),
+        # and so does its window of k_0..k_4 (TestWindowCertificate); both
+        # checks are taken out to reach the path.
         monkeypatch.setattr(R, "_lyapunov", lambda *args: None)
+        monkeypatch.setattr(R, "_window", lambda *args: None)
         calls, tracks = [], []
         correct, track = R._correct, R._track
         monkeypatch.setattr(R, "_correct",
@@ -1669,17 +1671,23 @@ def _assert_separates(certificate, c):
 class TestSeparatingCertificate:
     """EXTERIOR settled by a polynomial p >= 0 on [0, inf) with λ·c < 0, which
     shows no measure within tol of c: first three consecutive moments that
-    break Lyapunov's inequality, else the exit measure that misses c, whose
-    polynomial has a double root at each node.  No polish runs then."""
+    break Lyapunov's inequality, then for d >= 6 five consecutive moments
+    outside their own cone (TestWindowCertificate), else the exit measure
+    that misses c, whose polynomial has a double root at each node.  No
+    polish runs then."""
 
-    @pytest.mark.parametrize("lyapunov", [True, False], ids=["lyapunov-first", "exit-measure-only"])
-    def test_moments_spread_exterior_is_certified(self, monkeypatch, lyapunov):
+    @pytest.mark.parametrize("window, lyapunov", [(True, True), (False, True), (False, False)],
+                             ids=["window-first", "lyapunov-first", "exit-measure-only"])
+    def test_moments_spread_exterior_is_certified(self, monkeypatch, window, lyapunov):
         # Every classify item labelled exterior with d = 3..6 in round 0 at
         # seeds 1-3 but item 38, which two atoms reproduce within tol.
-        # The tracker solves an exit measure at c itself where its exit looks
-        # like c's own; on these it never lands (item 57, k = (0,1,2,4,5,8),
-        # at each seed), and the verdict is the certificate's.
+        # Without the windows the tracker solves an exit measure at c itself
+        # where its exit looks like c's own; on these it never lands (item 57,
+        # k = (0,1,2,4,5,8), at each seed), and the verdict is the
+        # certificate's.  With them no d = 6 item takes a path.
         R = kolmo.representations
+        if not window:
+            monkeypatch.setattr(R, "_window", lambda *args: None)
         if not lyapunov:
             monkeypatch.setattr(R, "_lyapunov", lambda *args: None)
         correct, polishes = R._correct, []
@@ -1688,20 +1696,27 @@ class TestSeparatingCertificate:
         end_measure, ends = R._end_measure, []
         monkeypatch.setattr(R, "_end_measure", lambda *args: ends.append(end_measure(*args))
                             or ends[-1])
+        track, tracks = R._track, []
+        monkeypatch.setattr(R, "_track", lambda *args: tracks.append(1) or track(*args))
         gen = verdict_check.perfbench_gen()
-        calls = 0
+        calls, paths_at_6 = 0, 0
         for seed in (1, 2, 3):
             for item, doc in enumerate(gen.moments_round(seed, 0)):
                 if doc["call"] == "classify" and doc["truth"] == "exterior" and len(doc["k"]) > 2 \
                         and item != 38:
                     c = MomentVector(tuple(doc["c"]), ExponentVector(tuple(doc["k"]), gen.MOMENT_R))
+                    before = len(tracks) + len(ends)
                     result = classify(c)
                     assert result.kind is ClassKind.EXTERIOR and result.witness is None
                     _assert_separates(result.certificate, c)
                     calls += 1
+                    paths_at_6 += c.d == 6 and len(tracks) + len(ends) > before
         assert calls == 69
         assert not any(polishes)
-        assert len(ends) == 3 and not any(ends)
+        if window:
+            assert paths_at_6 == 0 and not any(ends)
+        else:
+            assert len(ends) == 3 and not any(ends)
 
     def test_decide_mixed_certificates_in_original_coordinates(self):
         # The perturbed tuples of perfbench/gen.py decide_round(1, 0): exponent
@@ -1776,6 +1791,69 @@ class TestSeparatingCertificate:
         assert classify(C235).certificate is None
         result = classify(MomentVector((1.0, 2.0, 4.0), K012))  # one atom at 2
         assert result.kind is ClassKind.BOUNDARY and result.certificate is None
+
+
+def _moments_spread_item(seed, index, item):
+    gen = verdict_check.perfbench_gen()
+    doc = gen.moments_round(seed, index)[item]
+    return MomentVector(tuple(doc["c"]), ExponentVector(tuple(doc["k"]), gen.MOMENT_R))
+
+
+class TestWindowCertificate:
+    """For d >= 6, five consecutive moments c_j..c_j+4 outside their own cone
+    settle EXTERIOR before any path: their polynomial q >= 0 in the exponents
+    k_i - k_j, times t^k_j, separates c with the window's own margin."""
+
+    # round 0 item 5 at seed 1, k = (0,1,2,4,5,8): c_0 lowered by 0.3-0.7
+    # below a two-atom boundary point; only k_0..k_4 are outside their cone.
+    PREFIX = _moments_spread_item(1, 0, 5)
+    # Two atoms through k_1..k_5, c_1 lowered by a tenth; c_0 and c_6 raised,
+    # so that the windows k_0..k_4 and k_2..k_6 stay inside their cones.
+    MIDDLE = MomentVector(
+        tuple(v * f for v, f in zip(
+            moments_of(Representation((Atom(0.5, 1.0), Atom(2.0, 1.0))),
+                       ExponentVector((0, 1, 3, 4, 6, 7, 8), 8)).values,
+            (10.0, 0.9, 1.0, 1.0, 1.0, 1.0, 1.5))),
+        ExponentVector((0, 1, 3, 4, 6, 7, 8), 8))
+
+    @pytest.mark.parametrize("case, j", [("prefix", 0), ("suffix", 1), ("middle", 1)])
+    def test_window_settles_before_the_path(self, monkeypatch, case, j):
+        # The suffix case is PREFIX under t -> 1/t: its window is k_1..k_5,
+        # so λ_0 = 0 and p = t^k_1 q.
+        c = {"prefix": self.PREFIX, "suffix": verdict_check.mirror(self.PREFIX),
+             "middle": self.MIDDLE}[case]
+        R = kolmo.representations
+        track = R._track
+        monkeypatch.setattr(R, "_track", lambda *args: pytest.fail("a path ran") or track(*args))
+        result = classify(c)
+        assert result.kind is ClassKind.EXTERIOR and result.witness is None
+        _assert_separates(result.certificate, c)
+        lam = np.asarray(result.certificate.coefficients)
+        assert np.flatnonzero(lam).tolist() == list(range(j, j + 5))
+        # The window as a five-moment vector of its own, exponents from 0,
+        # which classify settles from the same thin measure (d = 5 takes no
+        # path): the same margin, and λ to rounding.
+        ks = c.exponents.exponents[j:j + 5]
+        window = classify(MomentVector(c.values[j:j + 5],
+                                       ExponentVector(tuple(e - ks[0] for e in ks), c.exponents.r)))
+        assert window.kind is ClassKind.EXTERIOR
+        assert result.certificate.margin == pytest.approx(window.certificate.margin, rel=1e-9)
+        assert lam[j:j + 5] == pytest.approx(window.certificate.coefficients, rel=1e-9)
+
+    def test_no_certificate_on_exact_measures(self, monkeypatch):
+        # The d = 6 draws among the first 300 of tests/verdict_check.py's
+        # exact measures: every window lies inside its cone.
+        R = kolmo.representations
+        window, asked = R._window, []
+        monkeypatch.setattr(R, "_window", lambda *args: asked.append(window(*args)) or asked[-1])
+        draws = 0
+        for _, c in verdict_check.exact_measures(300):
+            if c.d == 6:
+                result = verdict_check.classified(c)
+                assert result is None or result.certificate is None
+                draws += 1
+        assert draws == len(asked) == 100
+        assert all(lam is None for lam in asked)
 
 
 class TestNegativeMoment:
